@@ -180,7 +180,7 @@ def build_single_cache(arrival, ttl, delay):
     entry = fetch_entry_distribution(delay)
 
     n = nc * na
-    d0 = np.kron(cache.d0, np.eye(na)) + np.kron(np.eye(nc), s_a)
+    d0 = np.kron(cache.d0.toarray(), np.eye(na)) + np.kron(np.eye(nc), s_a)
     d1 = np.zeros((n, n))
 
     def block(ci, cj):

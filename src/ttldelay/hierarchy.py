@@ -12,10 +12,11 @@ Two operations build the system MAP bottom-up:
 After the full composition the active transitions of the system MAP are
 exactly the requests answered by an origin fetch (system misses).
 
-Construction cost grows linearly with the number of caches (each step is a
-Kronecker sum plus label scans); the dominating cost is the dense
-steady-state solve, cubic in the final state count, which is what per-level
-lumping keeps small for symmetric trees.
+Every step works on sparse matrices: a Kronecker sum of sparse factors, a
+state mask, and the reclassified child events as COO triplets.  The cost
+grows with the nonzeros of the composed MAP and the label scans over child
+transitions; the dominating cost is the sparse LU of the steady-state solve,
+whose fill per-level lumping keeps small for symmetric trees.
 """
 
 from collections import Counter
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy import sparse
 
 from ttldelay.cache_builders import (
     build_parent_cache,
@@ -35,6 +37,7 @@ from ttldelay.map_algebra import (
     StateLabel,
     empty_map,
     kronecker_sum,
+    off_diagonal,
 )
 from ttldelay.lumping import lump_symmetric_level
 from ttldelay.settings import default_settings
@@ -60,6 +63,11 @@ def _moved_root_pair(forest_a, forest_b):
     """
     if forest_a == forest_b:
         return None
+    if len(forest_a) == len(forest_b):
+        # One differing position is one moved child under either reading.
+        diffs = [k for k, (a, b) in enumerate(zip(forest_a, forest_b)) if a != b]
+        if len(diffs) == 1:
+            return forest_a[diffs[0]][1], forest_b[diffs[0]][1]
     ca, cb = Counter(forest_a), Counter(forest_b)
     removed = list((ca - cb).elements())
     added = list((cb - ca).elements())
@@ -114,8 +122,10 @@ def _child_entry_distributions(children):
         raise ConfigError("children MAP labels do not expose per-child symbols")
     n = n.pop()
     records = {}  # (source, child or "*") -> {phase: rate}
-    rows, cols = np.nonzero(children.d1 > 0)
-    for i, j in zip(rows, cols):
+    active = children.d1.tocoo()
+    for i, j, rate in zip(active.row.tolist(), active.col.tolist(), active.data.tolist()):
+        if rate <= 0:
+            continue
         fi, fj = children.labels[i].forest, children.labels[j].forest
         diffs = [c for c in range(n) if fi[c] != fj[c]]
         if len(diffs) == 1:
@@ -132,7 +142,7 @@ def _child_entry_distributions(children):
             key = (i, "*")
         if si[0] == "O" and sj[0] == "F":
             bucket = records.setdefault(key, {})
-            bucket[sj[1]] = bucket.get(sj[1], 0.0) + children.d1[i, j]
+            bucket[sj[1]] = bucket.get(sj[1], 0.0) + rate
 
     def normalized(bucket):
         total = sum(bucket.values())
@@ -191,7 +201,7 @@ def line_superpose(parent, children, parent_entry=None, settings=None):
     Coxian delays.
     """
     settings = settings or default_settings()
-    if np.any(parent.d1 != 0):
+    if parent.d1.count_nonzero():
         raise ConfigError("parent MAP must have no active transitions")
     p_syms = [label.forest[0][1] for label in parent.labels]
     if p_syms[:2] != [("O", 0), ("I", 0)] or any(s[0] != "F" for s in p_syms[2:]):
@@ -205,21 +215,19 @@ def line_superpose(parent, children, parent_entry=None, settings=None):
     entry_dists = _child_entry_distributions(children)
     rule = InvalidStateRule(tuple(frozenset(d) for d in entry_dists))
     nc, npar = children.size, parent.size
+    forests = [label.forest for label in children.labels]
 
-    # Step (a): Kronecker sum, children index varying slowest.
+    # Step (a): Kronecker sum, children index varying slowest.  State
+    # (child ci, parent pi) has index ci * npar + pi.
     combo = kronecker_sum(children, parent, settings=settings)
-    d0 = combo.d0.copy()
-    d1 = combo.d1.copy()
 
-    def sidx(ci, pi):
-        return ci * npar + pi
-
-    # Step (b), states: drop everything the causality rule forbids.
-    valid = np.ones(nc * npar, dtype=bool)
-    for ci in range(nc):
-        for pi in range(2, npar):
-            if rule.invalid(children.labels[ci], p_syms[pi]):
-                valid[sidx(ci, pi)] = False
+    # Step (b), states: drop everything the causality rule forbids.  The rule
+    # treats all fetch phases of the parent alike.
+    valid = np.ones((nc, npar), dtype=bool)
+    for ci, label in enumerate(children.labels):
+        if rule.invalid(label, p_syms[2]):
+            valid[ci, 2:] = False
+    valid = valid.ravel()
 
     # Steps (c) and (d): reclassify the children's miss events.
     #
@@ -234,68 +242,89 @@ def line_superpose(parent, children, parent_entry=None, settings=None):
     # A chain start freezes every running child fetch: the frozen clock
     # restarts from scratch when the parent admits, so the target snaps any
     # mid-fetch sibling back to its entry distribution.
-    children_index = {label.forest: i for i, label in enumerate(children.labels)}
-    for ci in range(nc):
-        for cj in np.flatnonzero(children.d1[ci] > 0):
-            rate = children.d1[ci, cj]
-            move = _moved_root_pair(
-                children.labels[ci].forest, children.labels[cj].forest
-            )
-            starts_chain = (
-                move is not None and move[0][0] == "O" and move[1][0] == "F"
-            )
-            # Parent In: hit at the parent.
-            d1[sidx(ci, 1), sidx(cj, 1)] -= rate
-            d0[sidx(ci, 1), sidx(cj, 1)] += rate
-            # Parent Out: escalate or absorb.
-            src = sidx(ci, 0)
-            d1[src, sidx(cj, 0)] -= rate
-            if starts_chain:
-                for target, share in _snap_to_entry(
-                    children.labels[cj].forest, rule, entry_dists, children_index
-                ):
-                    for k, weight in enumerate(parent_entry):
-                        if weight:
-                            d1[src, sidx(target, 2 + k)] += rate * share * weight
-            else:
-                d0[src, sidx(cj, 0)] += rate
+    #
+    # The Kronecker sum places every child event under every parent state
+    # unchanged; those under an idle or present parent are masked out below
+    # and re-added as the hidden and escalated triplets collected here.
+    children_index = {forest: i for i, forest in enumerate(forests)}
+    events = children.d1.tocoo()
+    src, dst, rates = events.row.astype(np.int64), events.col.astype(np.int64), events.data
+    starts_chain = np.zeros(len(rates), dtype=bool)
+    esc_rows, esc_cols, esc_rates = [], [], []
+    for e, (ci, cj, rate) in enumerate(zip(src.tolist(), dst.tolist(), rates.tolist())):
+        move = _moved_root_pair(forests[ci], forests[cj])
+        if move is None or move[0][0] != "O" or move[1][0] != "F":
+            continue
+        starts_chain[e] = True
+        for target, share in _snap_to_entry(forests[cj], rule, entry_dists, children_index):
+            for k, weight in enumerate(parent_entry):
+                if weight:
+                    esc_rows.append(ci * npar)
+                    esc_cols.append(target * npar + 2 + k)
+                    esc_rates.append(rate * share * weight)
+    # Hidden self-loops change nothing: the diagonal is rebuilt below.
+    moved = src != dst
+    absorbed = moved & ~starts_chain
 
     # Step (b), transitions: a child cannot be admitted while the parent is
     # still fetching, whatever the surrounding states look like.
-    q_children = children.d0 + children.d1
-    for a, b in zip(*np.nonzero(q_children)):
-        if a == b:
-            continue
-        move = _moved_root_pair(
-            children.labels[a].forest, children.labels[b].forest
-        )
+    blocked = []
+    a_rows, a_cols, _ = off_diagonal(children.d0)
+    for a, b in zip(a_rows.tolist(), a_cols.tolist()):
+        move = _moved_root_pair(forests[a], forests[b])
         if move is not None and move[0][0] == "F" and move[1][0] == "I":
-            for pi in range(2, npar):
-                d0[sidx(a, pi), sidx(b, pi)] = 0.0
+            blocked.append(a * nc + b)
 
-    keep = np.flatnonzero(valid)
-    d0 = d0[np.ix_(keep, keep)]
-    d1 = d1[np.ix_(keep, keep)]
+    hidden = combo.d0.tocoo()
+    row_child, row_parent = np.divmod(hidden.row.astype(np.int64), npar)
+    admission_blocked = (row_parent >= 2) & np.isin(
+        row_child * nc + hidden.col // npar, blocked
+    )
+    keep0 = (hidden.row != hidden.col) & ~admission_blocked
+    active = combo.d1.tocoo()
+    keep1 = active.row % npar >= 2  # events under a fetching parent
+
+    d0 = _restrict(
+        valid,
+        [hidden.row[keep0], src[moved] * npar + 1, src[absorbed] * npar],
+        [hidden.col[keep0], dst[moved] * npar + 1, dst[absorbed] * npar],
+        [hidden.data[keep0], rates[moved], rates[absorbed]],
+    )
+    d1 = _restrict(
+        valid,
+        [active.row[keep1], np.array(esc_rows, dtype=np.int64)],
+        [active.col[keep1], np.array(esc_cols, dtype=np.int64)],
+        [active.data[keep1], np.array(esc_rates, dtype=float)],
+    )
 
     # Deleted transitions freeze the affected clocks: restore conservation.
-    np.fill_diagonal(d0, 0.0)
-    np.fill_diagonal(d0, -(d0.sum(axis=1) + d1.sum(axis=1)))
+    d0 = d0 - sparse.diags_array(d0.sum(axis=1) + d1.sum(axis=1))
 
     labels = []
-    for s in keep:
+    for s in np.flatnonzero(valid):
         ci, pi = divmod(int(s), npar)
-        labels.append(
-            StateLabel(((children.labels[ci].forest, p_syms[pi]),))
-        )
+        labels.append(StateLabel(((forests[ci], p_syms[pi]),)))
     return LabeledMap(d0, d1, tuple(labels))
+
+
+def _restrict(valid, rows, cols, vals):
+    """CSR over the states where ``valid`` holds, from COO parts on the full
+    product; entries touching another state are dropped, duplicates summed."""
+    rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
+    inside = valid[rows] & valid[cols]
+    index = np.cumsum(valid) - 1
+    n = int(index[-1]) + 1
+    return sparse.csr_array(
+        (vals[inside], (index[rows[inside]], index[cols[inside]])), shape=(n, n)
+    )
 
 
 def _matrices_match(a, b, tol=1e-12):
     return (
         a.size == b.size
         and a.labels == b.labels
-        and np.max(np.abs(a.d0 - b.d0)) <= tol
-        and np.max(np.abs(a.d1 - b.d1)) <= tol
+        and abs(a.d0 - b.d0).max() <= tol
+        and abs(a.d1 - b.d1).max() <= tol
     )
 
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from scipy import sparse
 
 from ttldelay.errors import NotSymmetricError
-from ttldelay.map_algebra import LabeledMap, StateLabel
+from ttldelay.map_algebra import LabeledMap, StateLabel, off_diagonal
 
 
 @dataclass(frozen=True)
@@ -65,21 +66,27 @@ def _verify_identical_factors(m, widths, tol=1e-12):
     ref_d0 = ref_d1 = None
     for k, stride in enumerate(strides):
         idx = np.arange(w) * stride
-        f_d0 = m.d0[np.ix_(idx, idx)].copy()
-        f_d1 = m.d1[np.ix_(idx, idx)].copy()
         # The diagonal of a Kronecker-sum slice mixes every factor's diagonal,
         # so compare off-diagonal structure only.
-        np.fill_diagonal(f_d0, 0.0)
-        np.fill_diagonal(f_d1, 0.0)
+        f_d0, f_d1 = (_off_diagonal_part(x[idx][:, idx]) for x in (m.d0, m.d1))
         if ref_d0 is None:
             ref_d0, ref_d1 = f_d0, f_d1
-        elif (
-            np.max(np.abs(f_d0 - ref_d0)) > tol
-            or np.max(np.abs(f_d1 - ref_d1)) > tol
-        ):
+        elif abs(f_d0 - ref_d0).max() > tol or abs(f_d1 - ref_d1).max() > tol:
             raise NotSymmetricError(
                 f"sibling {k} differs from sibling 0 by more than {tol}"
             )
+
+
+def _off_diagonal_part(x):
+    return x - sparse.diags_array(x.diagonal())
+
+
+def _block_indicator(block_of, nb):
+    """Sparse 0/1 matrix mapping each state to its block."""
+    n = len(block_of)
+    return sparse.csr_array(
+        (np.ones(n), (np.arange(n), np.asarray(block_of))), shape=(n, nb)
+    )
 
 
 def lump_symmetric_level(m, sibling_block_widths, settings=None):
@@ -122,13 +129,11 @@ def lump_symmetric_level(m, sibling_block_widths, settings=None):
             block_of[s] = b
         reps.append(min(members, key=lambda s: m.labels[s].forest))
 
-    nb = len(blocks)
-    ld0 = np.zeros((nb, nb))
-    ld1 = np.zeros((nb, nb))
-    block_index = np.asarray(block_of)
-    for b, rep in enumerate(reps):
-        np.add.at(ld0[b], block_index, m.d0[rep])
-        np.add.at(ld1[b], block_index, m.d1[rep])
+    # Lumped rates: the representative's rates summed per target block.
+    indicator = _block_indicator(block_of, len(blocks))
+    rep_rows = np.asarray(reps)
+    ld0 = m.d0[rep_rows] @ indicator
+    ld1 = m.d1[rep_rows] @ indicator
 
     labels = tuple(StateLabel(sig) for sig in signatures)
     lumped = LabeledMap(ld0, ld1, labels)
@@ -163,14 +168,12 @@ def verify_lumpability(m, partition, tol=1e-9):
     the labels expose siblings.
     """
     q = m.generator()
-    nb = partition.size
-    onehot = np.zeros((m.size, nb))
-    onehot[np.arange(m.size), np.asarray(partition.block_of)] = 1.0
+    flows = q @ _block_indicator(partition.block_of, partition.size)
 
     worst = 0.0
     failures = []
     for b, members in enumerate(partition.blocks):
-        rows = q[np.asarray(members)] @ onehot  # |block| x nb
+        rows = flows[np.asarray(members)].toarray()  # |block| x nb
         dev = np.max(np.abs(rows - rows[0]), axis=0)
         j = int(np.argmax(dev))
         if dev[j] > worst:
@@ -183,8 +186,8 @@ def verify_lumpability(m, partition, tol=1e-9):
 
     lengths = {len(lab.forest) for lab in m.labels}
     if len(lengths) == 1 and lengths.pop() > 1 and m.size <= 5000:
-        off = q - np.diag(np.diag(q))
-        for i, j in zip(*np.nonzero(np.abs(off) > 0)):
+        src, dst, rates = off_diagonal(q)
+        for i, j in zip(src[rates != 0], dst[rates != 0]):
             fi, fj = m.labels[i].forest, m.labels[j].forest
             changed = sum(a != b for a, b in zip(fi, fj))
             if changed > 1:

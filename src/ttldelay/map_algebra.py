@@ -1,7 +1,9 @@
 """Core MAP representation and linear algebra.
 
-A MAP is stored as a pair of dense matrices: ``d0`` holds hidden transition
-rates and ``d1`` active (event-emitting) ones.  Every state carries a
+A MAP is stored as a pair of sparse CSR matrices: ``d0`` holds hidden
+transition rates and ``d1`` active (event-emitting) ones.  Composition keeps
+them sparse (a Kronecker sum of sparse factors is sparse), and the steady
+state comes from a sparse LU factorization.  Every state carries a
 :class:`StateLabel` describing what the state means in terms of the cache
 tree: one symbol per cache plus the phase of each phase-type arrival process.
 
@@ -21,9 +23,9 @@ concatenates forests, line superposition wraps a forest under a new root.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve
-from scipy.sparse import csr_matrix
+from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from ttldelay.errors import CapacityError, ConditioningError, ReducibleChainError
 from ttldelay.settings import default_settings
@@ -35,10 +37,6 @@ IN = ("I", 0)
 def fetch(phase):
     """Symbol of a cache fetching in delay phase ``phase`` (1-based)."""
     return ("F", int(phase))
-
-
-def is_fetch(symbol):
-    return symbol[0] == "F"
 
 
 def cache_node(children, symbol):
@@ -57,43 +55,9 @@ class StateLabel:
 
     forest: tuple
 
-    def cache_symbols(self):
-        """All cache symbols, children before their parent within a subtree."""
-        out = []
-
-        def walk(node):
-            children, symbol = node
-            for child in children:
-                walk(child)
-            if symbol[0] != "A":
-                out.append(symbol)
-
-        for node in self.forest:
-            walk(node)
-        return tuple(out)
-
-    def arrival_phases(self):
-        """Arrival-process phases in the same traversal order as the caches."""
-        out = []
-
-        def walk(node):
-            children, symbol = node
-            for child in children:
-                walk(child)
-            if symbol[0] == "A":
-                out.append(symbol[1])
-
-        for node in self.forest:
-            walk(node)
-        return tuple(out)
-
     def root_symbols(self):
         """Symbols of the top-level subtree roots."""
         return tuple(node[1] for node in self.forest)
-
-    def all_out(self):
-        """True when every cache in the label is out of cache."""
-        return all(s[0] == "O" for s in self.cache_symbols())
 
     def encode(self):
         """Compact, invertible text form, e.g. ``((O|A2)F1)I``."""
@@ -165,20 +129,50 @@ def _decode_forest(text):
     return tuple(nodes), text
 
 
+class RateMatrix(sparse.csr_array):
+    """CSR matrix of transition rates.
+
+    On top of ``csr_array`` it answers ``|`` of two nonzero patterns and
+    ``np.count_nonzero``, so nonzero counts written for dense arrays, such as
+    ``np.count_nonzero((m.d0 != 0) | (m.d1 != 0))`` in perfbench's tracer,
+    stay exact without densifying.  Every other NumPy function refuses it
+    instead of silently wrapping it in an object array.
+    """
+
+    def __or__(self, other):
+        return (self != 0) + (other != 0)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.count_nonzero and len(args) == 1 and not kwargs:
+            return self.count_nonzero()
+        return NotImplemented
+
+
+def _rate_matrix(x):
+    """Canonical, read-only CSR copy of a dense or sparse matrix."""
+    m = RateMatrix(x, dtype=float, copy=True)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    for arr in (m.data, m.indices, m.indptr):
+        arr.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class LabeledMap:
-    """A MAP: hidden matrix ``d0``, active matrix ``d1``, one label per state."""
+    """A MAP: hidden matrix ``d0``, active matrix ``d1``, one label per state.
 
-    d0: np.ndarray
-    d1: np.ndarray
+    Both matrices are stored as read-only CSR; dense input is converted.
+    """
+
+    d0: RateMatrix
+    d1: RateMatrix
     labels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "d0", np.asarray(self.d0, dtype=float))
-        object.__setattr__(self, "d1", np.asarray(self.d1, dtype=float))
+        object.__setattr__(self, "d0", _rate_matrix(self.d0))
+        object.__setattr__(self, "d1", _rate_matrix(self.d1))
         object.__setattr__(self, "labels", tuple(self.labels))
-        self.d0.setflags(write=False)
-        self.d1.setflags(write=False)
 
     @property
     def size(self):
@@ -193,9 +187,13 @@ class LabeledMap:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Stationary distribution of a MAP's background process."""
+    """Stationary distribution of a MAP's background process.
+
+    ``condition`` is the 1-norm condition estimate of the solved system.
+    """
 
     pi: np.ndarray
+    condition: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "pi", np.asarray(self.pi, dtype=float))
@@ -205,6 +203,13 @@ class SteadyState:
 def empty_map():
     """The one-state MAP with no caches; identity element of superposition."""
     return LabeledMap(np.zeros((1, 1)), np.zeros((1, 1)), (StateLabel(()),))
+
+
+def off_diagonal(m):
+    """COO triplets of the off-diagonal entries of a sparse matrix."""
+    coo = m.tocoo()
+    keep = coo.row != coo.col
+    return coo.row[keep], coo.col[keep], coo.data[keep]
 
 
 def validate_map(m, settings=None):
@@ -228,17 +233,21 @@ def validate_map(m, settings=None):
     elif len(set(m.labels)) != n:
         issues.append("labels are not pairwise distinct")
 
-    diag = np.diag(d0)
+    diag = d0.diagonal()
     for i in np.flatnonzero(diag > 0):
         issues.append(f"positive d0 diagonal at state {i}: {diag[i]:.3e}")
-    off = d0 - np.diag(diag)
-    for i, j in zip(*np.nonzero(off < 0)):
-        issues.append(f"negative hidden rate at ({i},{j}): {off[i, j]:.3e}")
-    for i, j in zip(*np.nonzero(d1 < 0)):
-        issues.append(f"negative active rate at ({i},{j}): {d1[i, j]:.3e}")
+    rows, cols, vals = off_diagonal(d0)
+    for k in np.flatnonzero(vals < 0):
+        issues.append(f"negative hidden rate at ({rows[k]},{cols[k]}): {vals[k]:.3e}")
+    active = d1.tocoo()
+    for k in np.flatnonzero(active.data < 0):
+        issues.append(
+            f"negative active rate at ({active.row[k]},{active.col[k]}): "
+            f"{active.data[k]:.3e}"
+        )
 
-    scale = max(np.abs(d0).max(), np.abs(d1).max(), 1.0)
-    row_sums = (d0 + d1).sum(axis=1)
+    scale = max(abs(d0).max(), abs(d1).max(), 1.0)
+    row_sums = d0.sum(axis=1) + d1.sum(axis=1)
     for i in np.flatnonzero(np.abs(row_sums) > settings.row_sum_tol * scale):
         issues.append(f"row sum nonzero at state {i}: {row_sums[i]:.3e}")
     return issues
@@ -254,23 +263,24 @@ def kronecker_sum(m1, m2, settings=None):
     n1, n2 = m1.size, m2.size
     if n1 * n2 > settings.state_cap:
         raise CapacityError(n1 * n2, settings.state_cap)
-    eye1, eye2 = np.eye(n1), np.eye(n2)
-    d0 = np.kron(m1.d0, eye2) + np.kron(eye1, m2.d0)
-    d1 = np.kron(m1.d1, eye2) + np.kron(eye1, m2.d1)
+    eye1, eye2 = sparse.eye_array(n1), sparse.eye_array(n2)
+
+    def ksum(a, b):
+        return sparse.kron(a, eye2, format="csr") + sparse.kron(eye1, b, format="csr")
+
     labels = tuple(
         StateLabel(a.forest + b.forest) for a in m1.labels for b in m2.labels
     )
-    return LabeledMap(d0, d1, labels)
+    return LabeledMap(ksum(m1.d0, m2.d0), ksum(m1.d1, m2.d1), labels)
 
 
 def _recurrent_class_count(q):
-    adjacency = csr_matrix((np.abs(q) > 0).astype(np.int8))
-    n_comp, assignment = connected_components(adjacency, directed=True, connection="strong")
+    n_comp, assignment = connected_components(q != 0, directed=True, connection="strong")
     # A class is recurrent when no transition leaves it.
     leaves = np.zeros(n_comp, dtype=bool)
-    rows, cols = np.nonzero(q > 0)
-    mask = assignment[rows] != assignment[cols]
-    leaves[np.unique(assignment[rows[mask]])] = True
+    rows, cols, rates = off_diagonal(q)
+    src, dst = assignment[rows[rates > 0]], assignment[cols[rates > 0]]
+    leaves[np.unique(src[src != dst])] = True
     return int(np.sum(~leaves))
 
 
@@ -278,7 +288,10 @@ def steady_state(m, settings=None):
     """Solve pi (d0 + d1) = 0 with pi >= 0 summing to one.
 
     One balance equation is replaced by the normalization constraint and the
-    system is solved densely; see :class:`NumericSettings` for the tolerances.
+    system is solved by a sparse LU factorization (SuperLU with a minimum
+    degree ordering on A^T + A, which keeps the fill of composed generators
+    low).  The 1-norm condition number is estimated with Hager's method, as
+    LAPACK's ``dgecon`` does; see :class:`NumericSettings` for the limits.
     """
     settings = settings or default_settings()
     q = m.generator()
@@ -286,37 +299,45 @@ def steady_state(m, settings=None):
     if n == 1:
         return SteadyState(np.ones(1))
 
-    off_diag = q - np.diag(np.diag(q))
-    n_rec = _recurrent_class_count(off_diag)
+    n_rec = _recurrent_class_count(q)
     if n_rec != 1:
         raise ReducibleChainError(
             f"generator has {n_rec} recurrent classes; steady state is not unique"
         )
 
-    a = q.T.copy()
-    a[-1, :] = 1.0
+    a = sparse.vstack([q.T.tocsr()[:-1], np.ones((1, n))], format="csc")
     b = np.zeros(n)
     b[-1] = 1.0
-    lu, piv = lu_factor(a)
-    anorm = np.abs(a).sum(axis=0).max()
-    rcond = lapack.dgecon(lu, anorm, norm="1")[0]
-    if not np.isfinite(rcond) or rcond <= 0 or 1.0 / rcond > settings.cond_limit:
+    try:
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+        raise ConditioningError(f"steady-state system is singular: {exc}") from exc
+    anorm = abs(a).sum(axis=0).max()
+    inverse = LinearOperator(
+        (n, n),
+        matvec=lu.solve,
+        rmatvec=lambda x: lu.solve(x, trans="T"),
+        dtype=float,
+    )
+    # t=1 keeps the estimate deterministic: larger t draws random columns.
+    cond = anorm * onenormest(inverse, t=1)
+    if not np.isfinite(cond) or cond > settings.cond_limit:
         raise ConditioningError(
-            f"steady-state condition estimate {1.0 / max(rcond, 1e-300):.2e} "
+            f"steady-state condition estimate {cond:.2e} "
             f"exceeds limit {settings.cond_limit:.2e}"
         )
-    pi = lu_solve((lu, piv), b)
+    pi = lu.solve(b)
 
     if np.any(pi < -settings.residual_tol):
         raise ConditioningError("steady-state solution has negative components")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    residual = pi @ q
-    if np.max(np.abs(residual)) > settings.residual_tol * max(np.abs(q).max(), 1.0):
+    residual = q.T @ pi
+    if np.max(np.abs(residual)) > settings.residual_tol * max(abs(q).max(), 1.0):
         raise ConditioningError(
             f"steady-state residual {np.max(np.abs(residual)):.3e} above tolerance"
         )
-    return SteadyState(pi)
+    return SteadyState(pi, float(cond))
 
 
 def event_rate(m, ss=None, settings=None):

@@ -26,13 +26,13 @@ DES_MME2_CI = 0.000487
 class TestPhRenewalMap:
     def test_exponential(self):
         m = ph_renewal_map(Exponential(1.0))
-        np.testing.assert_allclose(m.d0, [[-1.0]])
-        np.testing.assert_allclose(m.d1, [[1.0]])
+        np.testing.assert_allclose(m.d0.toarray(), [[-1.0]])
+        np.testing.assert_allclose(m.d1.toarray(), [[1.0]])
 
     def test_erlang_two_chain(self):
         m = ph_renewal_map(Erlang(2, 2.0))
-        np.testing.assert_allclose(m.d0, [[-2.0, 2.0], [0.0, -2.0]])
-        np.testing.assert_allclose(m.d1, [[0.0, 0.0], [2.0, 0.0]])
+        np.testing.assert_allclose(m.d0.toarray(), [[-2.0, 2.0], [0.0, -2.0]])
+        np.testing.assert_allclose(m.d1.toarray(), [[0.0, 0.0], [2.0, 0.0]])
 
     def test_coxian_mean_drives_event_rate(self):
         cox = Coxian((3.0, 1.0), (0.5,))
@@ -48,9 +48,9 @@ class TestCacheStateMap:
     def test_exponential_delay_three_states(self):
         m = build_cache_state_map(Exponential(0.5), Exponential(1.0))
         np.testing.assert_allclose(
-            m.d0, [[0.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 1.0, -1.0]]
+            m.d0.toarray(), [[0.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 1.0, -1.0]]
         )
-        assert not m.d1.any()
+        assert not m.d1.toarray().any()
         assert [lab.encode() for lab in m.labels] == ["O", "I", "F1"]
 
     def test_erlang_delay_downward_chain(self):
@@ -67,7 +67,7 @@ class TestCacheStateMap:
     def test_single_phase_consistency(self):
         a = build_cache_state_map(Exponential(0.5), Exponential(2.0))
         b = build_cache_state_map(Exponential(0.5), Erlang(1, 2.0))
-        np.testing.assert_allclose(a.d0, b.d0)
+        np.testing.assert_allclose(a.d0.toarray(), b.d0.toarray())
 
     def test_ph_ttl_rejected(self):
         with pytest.raises(UnsupportedDistributionError):
@@ -78,10 +78,10 @@ class TestSingleCache:
     def test_mmm_matches_reference_matrices(self):
         m = build_single_cache(Exponential(1.0), Exponential(0.5), Exponential(1.0))
         np.testing.assert_allclose(
-            m.d0, [[-1.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 1.0, -2.0]]
+            m.d0.toarray(), [[-1.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 1.0, -2.0]]
         )
         np.testing.assert_allclose(
-            m.d1, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+            m.d1.toarray(), [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
         )
 
     def test_erlang_arrivals_six_states(self):
@@ -133,7 +133,7 @@ class TestSingleCache:
     def test_parent_cache_has_no_events(self):
         for delay in (Exponential(1.0), Erlang(2, 2.0), Coxian((3.0, 1.0), (0.5,))):
             m = build_parent_cache(Exponential(0.5), delay)
-            assert not m.d1.any()
+            assert not m.d1.toarray().any()
             assert validate_map(m) == []
 
     def test_general_ph_delay_entry_split(self):

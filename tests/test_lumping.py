@@ -152,7 +152,7 @@ class TestPermutationCovariance:
 
     def test_no_transition_changes_two_siblings(self):
         pair = level_superpose([leaf_map(), leaf_map()])
-        q = pair.generator()
+        q = pair.generator().toarray()
         for i, j in zip(*np.nonzero(q - np.diag(np.diag(q)))):
             changed = sum(
                 x != y for x, y in zip(pair.labels[i].forest, pair.labels[j].forest)

@@ -60,8 +60,8 @@ class TestKroneckerSum:
     def test_empty_map_is_identity(self):
         m = mmm_map()
         same = kronecker_sum(m, empty_map())
-        np.testing.assert_allclose(same.d0, m.d0)
-        np.testing.assert_allclose(same.d1, m.d1)
+        np.testing.assert_allclose(same.d0.toarray(), m.d0.toarray())
+        np.testing.assert_allclose(same.d1.toarray(), m.d1.toarray())
         assert same.labels == m.labels
 
     def test_two_ph_renewal_maps(self):

@@ -36,7 +36,7 @@ class TestHitProbability:
 
     def test_no_misses_means_one(self):
         system = build_tree(single_mmm(1.0))
-        silent = LabeledMap(system.generator(), np.zeros_like(system.d1), system.labels)
+        silent = LabeledMap(system.generator(), np.zeros_like(system.d1.toarray()), system.labels)
         assert hit_probability(silent, 1.0) == 1.0
 
     def test_zero_rate_rejected(self):

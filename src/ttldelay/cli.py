@@ -16,6 +16,7 @@ numbers in CSV output carry nine significant digits.  Errors print a single
 
 import argparse
 import csv
+import logging
 import math
 import secrets
 import sys
@@ -30,7 +31,6 @@ from ttldelay.errors import ConfigError, TTLDelayError
 from ttldelay.hierarchy import build_tree
 from ttldelay.lumping import partition_count
 from ttldelay.metrics import (
-    MetricPoint,
     delay_upper_bound,
     hit_probability,
     optimal_delay,
@@ -48,6 +48,8 @@ from ttldelay.trace_pipeline import (
 )
 
 LUMP_AUTO_THRESHOLD = 10_000
+
+log = logging.getLogger(__name__)
 
 
 def _num(x):
@@ -184,18 +186,11 @@ def cmd_analyze(args):
     for value, swept in _swept_specs(spec, ref, values):
         system = build_tree(swept, lump_per_level=lump, settings=settings)
         p = hit_probability(system, total)
-        tau_delta = value if value is not None else ref
-        point = MetricPoint(
-            tau_delta=tau_delta,
-            tau_t=spec.root.ttl.mean() / ref,
-            p_hit=p,
-            eta=1.0 - p / p_zero if p_zero > 0 else math.nan,
-        )
         rows.append(
             [
-                _num(point.tau_delta),
-                _num(point.p_hit),
-                _num(point.eta),
+                _num(value if value is not None else ref),
+                _num(p),
+                _num(1.0 - p / p_zero if p_zero > 0 else math.nan),
                 _raw_state_count(swept),
                 system.size,
             ]
@@ -331,7 +326,13 @@ def cmd_fit_trace(args):
         "empirical_mean": float(report.empirical_mean),
         "fitted_mean": float(report.fitted_mean),
         "restarts_used": report.restarts_used,
+        "converged": report.converged,
     }
+    if not report.converged:
+        log.warning(
+            "EM stopped at its iteration limit (%d iterations) before converging",
+            len(report.log_likelihood_trace),
+        )
     text = yaml.safe_dump(doc, sort_keys=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

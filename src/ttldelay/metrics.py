@@ -9,7 +9,6 @@ fetch delay.
 
 import logging
 import math
-from dataclasses import dataclass
 
 from ttldelay import distributions as dist
 from ttldelay.cache_builders import CacheNode, CacheTreeSpec
@@ -19,16 +18,6 @@ from ttldelay.map_algebra import event_rate
 from ttldelay.settings import default_settings
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class MetricPoint:
-    """One sweep point: normalized delay and TTL, hit probability, impairment."""
-
-    tau_delta: float
-    tau_t: float
-    p_hit: float
-    eta: float
 
 
 def hit_probability(system, total_request_rate, settings=None):

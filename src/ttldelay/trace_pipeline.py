@@ -2,14 +2,19 @@
 Coxian phase-type fitting by expectation maximization, and phase-count
 selection by information criteria.
 
-The E-step integrates the forward and backward filters of the absorbing
-Markov chain with a fixed number of fourth-order Runge-Kutta steps per
-sample and Simpson quadrature for the occupancy/jump integrals; the step
-count is a tunable (``grid_steps``).
+The E-step discretizes the forward and backward filters of the absorbing
+Markov chain with ``grid_steps`` fourth-order Runge-Kutta steps per sample
+and folds them into the occupancy/jump integrals with composite Simpson
+quadrature.  That discretization is evaluated in closed form: on the linear
+filter ODE one RK4 step is a fixed matrix, so the trajectories are matrix
+powers, and the Simpson-weighted sums of their products are one block of a
+block-triangular matrix power (Van Loan, IEEE TAC 1978), taken by repeated
+squaring over all samples at once.
 """
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +97,7 @@ class FitReport:
     empirical_mean: float
     fitted_mean: float
     phases: int
+    converged: bool
     restarts_used: int = 0
 
     @property
@@ -108,59 +114,56 @@ def _coxian_matrices(rates, probs):
     return s, exit_rates
 
 
-def _rk4_forward(v0, mat, h, steps):
-    """Integrate v' = v @ mat with per-sample step h; returns the trajectory."""
-    m, p = v0.shape
-    out = np.empty((steps + 1, m, p))
-    out[0] = v0
-    v = v0
-    hh = h[:, None]
-    for k in range(steps):
-        k1 = v @ mat
-        k2 = (v + 0.5 * hh * k1) @ mat
-        k3 = (v + 0.5 * hh * k2) @ mat
-        k4 = (v + hh * k3) @ mat
-        v = v + hh / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = v
-    return out
+def _block_power(q, x, n):
+    """``Q^n`` and ``sum_{k<n} Q^k X Q^(n-1-k)`` for stacked ``(m, p, p)`` Q, X.
 
-
-def _simpson_weights(steps, h):
-    w = np.ones(steps + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w[None, :] * (h[:, None] / 3.0)
+    Both are blocks of ``[[Q, X], [0, Q]]^n``, taken by binary exponentiation.
+    """
+    m, p, _ = q.shape
+    block = np.zeros((m, 2 * p, 2 * p))
+    block[:, :p, :p] = q
+    block[:, p:, p:] = q
+    block[:, :p, p:] = x
+    power = None
+    while True:
+        if n & 1:
+            power = block if power is None else power @ block
+        n >>= 1
+        if not n:
+            return power[:, :p, :p], power[:, :p, p:]
+        block = block @ block
 
 
 def _estep(samples, rates, probs, grid_steps):
-    """Expected occupancy, forward-jump and exit statistics plus loglik."""
+    """Expected occupancy, forward-jump and exit statistics plus loglik.
+
+    With step ``h = x / K`` (``K = grid_steps``), RK4 on ``v' = v S`` is
+    ``v <- v P`` for ``P = sum_{j<=4} (hS)^j / j!``, so the forward filter is
+    ``a_k = alpha P^k`` and the backward filter ``c_k = P^(K-k) s``.  With
+    ``Q = P^T`` and ``X = e_1 s^T``, each ``a_k^T c_k^T`` is ``Q^k X Q^(K-k)``,
+    so the Simpson sum with weights 1, 4, 2, ..., 4, 1, grouped into K/2
+    panels, is ``sum_j Q^2j (X Q^2 + 4 Q X Q + Q^2 X) Q^(K-2-2j)``.
+    """
     s_mat, exit_rates = _coxian_matrices(rates, probs)
     p = len(rates)
-    m = samples.size
-    h = samples / grid_steps
-    alpha = np.zeros((m, p))
-    alpha[:, 0] = 1.0
-    fwd = _rk4_forward(alpha, s_mat, h, grid_steps)  # a(u_k)
-    bwd = _rk4_forward(np.tile(exit_rates, (m, 1)), s_mat.T, h, grid_steps)  # c(v)=e^{Sv}s
+    hs = (samples / grid_steps)[:, None, None] * s_mat.T  # h S^T per sample
+    hs2 = hs @ hs
+    q = np.eye(p) + hs + hs2 / 2.0 + hs2 @ hs / 6.0 + hs2 @ hs2 / 24.0
+    x = np.zeros_like(hs)
+    x[:, 0, :] = exit_rates
+    q2 = q @ q
+    panel = x @ q2 + 4.0 * (q @ x @ q) + q2 @ x
+    q_end, pair_sums = _block_power(q2, panel, grid_steps // 2)
 
-    density = np.einsum("mp,p->m", fwd[-1], exit_rates)
-    density = np.maximum(density, 1e-300)
+    a_end = q_end[:, :, 0]  # a_K = alpha P^K
+    density = np.maximum(a_end @ exit_rates, 1e-300)
     loglik = float(np.log(density).sum())
-
-    # Pair integrals int a_i(u) b_j(u) du with b(u_k) = c(x - u_k), folded
-    # with Simpson weights and the per-sample density normalization.
-    scale = _simpson_weights(grid_steps, h) / density[:, None]  # (m, K+1)
-    weighted = fwd * scale.T[:, :, None]  # (K+1, m, p)
-    b_all = bwd[::-1]
-    occupancy = np.einsum("kmi,kmi->i", weighted, b_all)
-    if p > 1:
-        pair = np.einsum("kmi,kmi->i", weighted[:, :, :-1], b_all[:, :, 1:])
-        forward_jumps = pair * np.array(
-            [rates[i] * probs[i] for i in range(p - 1)]
-        )
-    else:
-        forward_jumps = np.zeros(0)
-    exits = (fwd[-1] / density[:, None]).sum(axis=0) * exit_rates
+    # Pair integrals int a_i(u) c_j(x - u) du over samples, each with its
+    # Simpson factor h/3 and density normalization.
+    t = np.einsum("mij,m->ij", pair_sums, samples / (3.0 * grid_steps) / density)
+    occupancy = np.diagonal(t)
+    forward_jumps = np.diagonal(t, 1) * np.diagonal(s_mat, 1)  # rate_i * prob_i
+    exits = (a_end / density[:, None]).sum(axis=0) * exit_rates
     return occupancy, forward_jumps, exits, loglik
 
 
@@ -212,9 +215,12 @@ def fit_ph_em(
 ):
     """Fit a Coxian distribution to positive samples by EM.
 
-    Stops when the log-likelihood gain drops below ``tol`` or after
-    ``max_iters`` iterations.  Non-finite likelihoods trigger deterministic
-    re-initializations, up to ``max_restarts``.
+    Stops when the log-likelihood gain drops below ``tol`` (the report's
+    ``converged`` is then true) or after ``max_iters`` iterations.  Non-finite
+    likelihoods trigger deterministic re-initializations, up to
+    ``max_restarts``.  ``grid_steps`` is the even number (at least 2) of RK4
+    steps per sample that discretize the E-step integrals; Simpson's rule
+    needs an even count.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
@@ -223,12 +229,19 @@ def fit_ph_em(
         raise FitError("samples must be positive")
     if phases < 1:
         raise FitError("need at least one phase")
+    if (
+        not isinstance(grid_steps, numbers.Integral)
+        or grid_steps < 2
+        or grid_steps % 2
+    ):
+        raise FitError(f"grid_steps must be an even integer >= 2, got {grid_steps!r}")
 
     before = sample_count_before if sample_count_before is not None else samples.size
     last_error = None
     for restart in range(max_restarts + 1):
         rates, probs = _initial_parameters(samples, phases, restart)
         trace = []
+        converged = False
         try:
             for _ in range(max_iters):
                 occupancy, forward_jumps, exits, loglik = _estep(
@@ -238,6 +251,7 @@ def fit_ph_em(
                     raise FitError("non-finite log-likelihood")
                 trace.append(loglik)
                 if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
+                    converged = True
                     break
                 new_rates = np.empty_like(rates)
                 new_probs = np.empty_like(probs)
@@ -266,6 +280,7 @@ def fit_ph_em(
             empirical_mean=float(samples.mean()),
             fitted_mean=float(fitted.mean()),
             phases=phases,
+            converged=converged,
             restarts_used=restart,
         )
     raise FitError(f"EM failed after {max_restarts} restarts: {last_error}")
@@ -296,8 +311,7 @@ def select_phases(samples, candidate_range, **fit_kwargs):
 
 
 def coxian_pdf(cox, xs):
-    """Density of a Coxian law on a grid (matrix exponentials per point)."""
+    """Density of a Coxian law on a grid (one stacked matrix exponential)."""
     s_mat, exit_rates = _coxian_matrices(cox.rates, cox.continue_probs)
-    alpha = np.zeros(len(cox.rates))
-    alpha[0] = 1.0
-    return np.array([float(alpha @ expm(s_mat * x) @ exit_rates) for x in xs])
+    xs = np.asarray(xs, dtype=float)
+    return expm(xs[:, None, None] * s_mat)[:, 0, :] @ exit_rates

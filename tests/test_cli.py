@@ -165,8 +165,35 @@ class TestFitTrace:
         assert doc["phases"] == 1
         assert doc["rates"][0] == pytest.approx(2.0, rel=0.15)
         assert abs(doc["fitted_mean"] - doc["empirical_mean"]) <= 0.05 * doc["empirical_mean"]
+        assert doc["converged"] is True
         rows = read_csv(str(dens))
         assert set(rows[0]) == {"bin_center", "empirical_density", "fitted_density"}
+
+    def test_iteration_limit_warns(self, tmp_path, rng, monkeypatch, caplog):
+        import functools
+
+        import yaml
+
+        from ttldelay import cli
+        from ttldelay.trace_pipeline import fit_ph_em
+
+        monkeypatch.setattr(cli, "fit_ph_em", functools.partial(fit_ph_em, max_iters=3))
+        trace = tmp_path / "trace.txt"
+        np.savetxt(trace, np.cumsum(rng.gamma(2.0, 0.5, 400)), fmt="%.6f")
+        report = tmp_path / "fit.yaml"
+        with caplog.at_level("WARNING", logger="ttldelay.cli"):
+            assert main(["fit-trace", "--trace", str(trace), "--phases", "2",
+                         "--out", str(report)]) == 0
+        doc = yaml.safe_load(report.read_text())
+        assert list(doc) == [
+            "phases", "rates", "continue_probs", "log_likelihood",
+            "log_likelihood_trace", "aic", "bic", "sample_count_before",
+            "sample_count_after", "empirical_mean", "fitted_mean",
+            "restarts_used", "converged",
+        ]
+        assert doc["converged"] is False
+        assert len(doc["log_likelihood_trace"]) == 3
+        assert "iteration limit" in caplog.text
 
 
 class TestBound:

@@ -4,6 +4,8 @@ import pytest
 from ttldelay.distributions import Coxian, ph_moment
 from ttldelay.errors import FitError
 from ttldelay.trace_pipeline import (
+    _coxian_matrices,
+    _estep,
     canonical_coxian,
     fit_ph_em,
     interarrivals,
@@ -14,6 +16,49 @@ from ttldelay.trace_pipeline import (
 
 def monotone(trace, slack=1e-9):
     return all(b >= a - slack for a, b in zip(trace, trace[1:]))
+
+
+def _rk4_trajectory(v0, mat, h, steps):
+    """Integrate v' = v @ mat with per-sample step h; returns the trajectory."""
+    m, p = v0.shape
+    out = np.empty((steps + 1, m, p))
+    out[0] = v0
+    v = v0
+    hh = h[:, None]
+    for k in range(steps):
+        k1 = v @ mat
+        k2 = (v + 0.5 * hh * k1) @ mat
+        k3 = (v + 0.5 * hh * k2) @ mat
+        k4 = (v + hh * k3) @ mat
+        v = v + hh / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[k + 1] = v
+    return out
+
+
+def reference_estep(samples, rates, probs, grid_steps):
+    """The E-step by explicit RK4 trajectories and Simpson weights."""
+    s_mat, exit_rates = _coxian_matrices(rates, probs)
+    p = len(rates)
+    m = samples.size
+    h = samples / grid_steps
+    alpha = np.zeros((m, p))
+    alpha[:, 0] = 1.0
+    fwd = _rk4_trajectory(alpha, s_mat, h, grid_steps)
+    bwd = _rk4_trajectory(np.tile(exit_rates, (m, 1)), s_mat.T, h, grid_steps)
+
+    density = np.maximum(np.einsum("mp,p->m", fwd[-1], exit_rates), 1e-300)
+    loglik = float(np.log(density).sum())
+    w = np.ones(grid_steps + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    scale = w[None, :] * (h[:, None] / 3.0) / density[:, None]  # (m, K+1)
+    weighted = fwd * scale.T[:, :, None]
+    b_all = bwd[::-1]
+    occupancy = np.einsum("kmi,kmi->i", weighted, b_all)
+    pair = np.einsum("kmi,kmi->i", weighted[:, :, :-1], b_all[:, :, 1:])
+    forward_jumps = pair * np.asarray(rates[:-1]) * np.asarray(probs)
+    exits = (fwd[-1] / density[:, None]).sum(axis=0) * exit_rates
+    return occupancy, forward_jumps, exits, loglik
 
 
 class TestInterarrivals:
@@ -94,6 +139,52 @@ class TestFitPhEm:
             report = fit_ph_em(samples, 2, max_iters=120)
             assert monotone(report.log_likelihood_trace), name
             assert report.fitted_mean == pytest.approx(report.empirical_mean, rel=0.05)
+
+
+class TestEstep:
+    @pytest.mark.parametrize("grid_steps", [2, 4, 96])
+    @pytest.mark.parametrize("phases", [1, 2, 3, 5])
+    def test_matches_trajectory_reference(self, phases, grid_steps):
+        gen = np.random.default_rng(100 + phases)
+        samples = gen.gamma(2.0, 0.5, 200)
+        rates = gen.uniform(0.5, 3.0, phases)
+        probs = gen.uniform(0.1, 0.9, phases - 1)
+        got = _estep(samples, rates, probs, grid_steps)
+        want = reference_estep(samples, rates, probs, grid_steps)
+        assert np.isfinite(want[3])
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+    def test_stiff_overflow_stays_non_finite(self):
+        samples = np.random.default_rng(1).gamma(2.0, 0.5, 200)
+        rates, probs = np.array([500.0, 200.0, 50.0]), np.array([0.5, 0.5])
+        with np.errstate(all="ignore"):
+            want = reference_estep(samples, rates, probs, 96)
+            got = _estep(samples, rates, probs, 96)
+        assert not np.isfinite(want[3])
+        assert not np.isfinite(got[3])
+
+
+class TestFitRegression:
+    def test_gamma_fit_iterations_and_loglik(self):
+        samples = remove_outliers(np.random.default_rng(0).gamma(2, 0.5, 2000))
+        report = fit_ph_em(samples, 3)
+        assert len(report.log_likelihood_trace) == 452
+        assert report.log_likelihood == pytest.approx(-1482.2452483693, rel=1e-9)
+        assert report.converged
+
+    def test_iteration_limit_not_converged(self, rng):
+        report = fit_ph_em(rng.gamma(2.0, 0.5, 300), 3, max_iters=3)
+        assert len(report.log_likelihood_trace) == 3
+        assert not report.converged
+
+    @pytest.mark.parametrize("grid_steps", [3, 1, 0, -2, 2.5, 4.0, True])
+    def test_bad_grid_steps_rejected(self, grid_steps):
+        with pytest.raises(FitError, match="grid_steps"):
+            fit_ph_em([1.0, 2.0], 1, grid_steps=grid_steps)
+
+    def test_smallest_grid_accepted(self):
+        assert fit_ph_em([1.0, 2.0], 1, grid_steps=2).phases == 1
 
 
 class TestSelectPhases:

@@ -21,7 +21,6 @@ from ttldelay.errors import (
     ConditioningError,
     ConfigError,
     DegenerateProcessError,
-    NotSymmetricError,
     ReducibleChainError,
     TTLDelayError,
     UnsupportedDistributionError,
@@ -33,7 +32,6 @@ __all__ = [
     "ConditioningError",
     "ConfigError",
     "DegenerateProcessError",
-    "NotSymmetricError",
     "NumericSettings",
     "ReducibleChainError",
     "TTLDelayError",

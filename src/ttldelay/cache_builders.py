@@ -110,20 +110,6 @@ def _reversed_ph(d):
     return alpha[perm], s[np.ix_(perm, perm)]
 
 
-def ph_renewal_map(d):
-    """Renewal MAP of a PH distribution: events at each absorption/restart."""
-    dist.require_ph(d, "renewal distribution")
-    alpha, s = d.ph()
-    exit_rates = -s.sum(axis=1)
-    d1 = np.outer(exit_rates, alpha)
-    n = len(alpha)
-    if n == 1:
-        labels = (StateLabel((arrival_node(1),)),)
-    else:
-        labels = tuple(StateLabel((arrival_node(i + 1),)) for i in range(n))
-    return LabeledMap(s, d1, labels)
-
-
 def build_cache_state_map(ttl, delay):
     """TTL-and-fetch MAP of one cache, without any request stream (d1 = 0).
 

@@ -44,12 +44,6 @@ class DegenerateProcessError(TTLDelayError):
     code = "E_DEGENERATE"
 
 
-class NotSymmetricError(TTLDelayError):
-    """Sibling sub-MAPs were expected to be identical but are not."""
-
-    code = "E_NOT_SYMMETRIC"
-
-
 class ConfigError(TTLDelayError):
     """A tree configuration or CLI argument is invalid."""
 

@@ -3,7 +3,8 @@
 Two operations build the system MAP bottom-up:
 
 * level superposition: independent sibling subtrees combine via the
-  Kronecker sum,
+  Kronecker sum; with per-level lumping, runs of identical siblings are
+  built directly as a lumped level (:mod:`ttldelay.lumping`),
 * line superposition: a parent cache joins the MAP of its children in four
   steps: Kronecker sum, removal of causally impossible states, demotion of
   active transitions that no longer escape the tree, and rewiring of the
@@ -338,14 +339,12 @@ def _superpose_with_lumping(child_maps, lump_per_level, settings):
             groups[-1].append(m)
         else:
             groups.append([m])
-    parts = []
-    for group in groups:
-        combined = level_superpose(group, settings=settings)
-        if len(group) > 1:
-            combined = lump_symmetric_level(
-                combined, [group[0].size] * len(group), settings=settings
-            ).map
-        parts.append(combined)
+    parts = [
+        lump_symmetric_level(group[0], len(group), settings).map
+        if len(group) > 1
+        else group[0]
+        for group in groups
+    ]
     return level_superpose(parts, settings=settings)
 
 

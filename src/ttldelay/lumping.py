@@ -2,20 +2,25 @@
 
 When the level superposition combines ``n`` identical sub-MAPs, permuting the
 siblings leaves the dynamics unchanged, so states that are permutations of
-one another can be merged without approximation.  The orbit invariant is the
-multiset of sibling sub-labels; each block of the resulting partition is
-characterised by a frequency vector over sub-states, which is why the block
-count is the number of weak compositions ``C(n + m_S - 1, m_S - 1)``.
+one another can be merged without approximation (Buchholz, J. Appl. Prob.
+1994).  The lumped level is built directly over multisets of sibling
+sub-states, without the ``m_S**n`` product: each block is a frequency vector
+over sub-states, which is why the block count is the number of weak
+compositions ``C(n + m_S - 1, m_S - 1)``.  :func:`verify_lumpability` checks a
+partition of a full product and serves as the test oracle.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 from scipy import sparse
 
-from ttldelay.errors import NotSymmetricError
+from ttldelay.errors import CapacityError
 from ttldelay.map_algebra import LabeledMap, StateLabel, off_diagonal
+from ttldelay.settings import default_settings
 
 
 @dataclass(frozen=True)
@@ -33,10 +38,9 @@ class Partition:
 
 @dataclass(frozen=True)
 class LumpedMap:
-    """A MAP over partition blocks, next to the partition that produced it."""
+    """The MAP of a lumped sibling level."""
 
     map: LabeledMap
-    partition: Partition
 
 
 def partition_count(m_s, n):
@@ -50,37 +54,6 @@ def partition_count(m_s, n):
     return comb(n + m_s - 1, m_s - 1)
 
 
-def _sibling_parts(label, n):
-    if len(label.forest) != n:
-        raise NotSymmetricError(
-            f"state label has {len(label.forest)} sibling components, expected {n}"
-        )
-    return label.forest
-
-
-def _verify_identical_factors(m, widths, tol=1e-12):
-    """Check that the Kronecker factors of a full level superposition match."""
-    n = len(widths)
-    w = widths[0]
-    strides = [w ** (n - 1 - k) for k in range(n)]
-    ref_d0 = ref_d1 = None
-    for k, stride in enumerate(strides):
-        idx = np.arange(w) * stride
-        # The diagonal of a Kronecker-sum slice mixes every factor's diagonal,
-        # so compare off-diagonal structure only.
-        f_d0, f_d1 = (_off_diagonal_part(x[idx][:, idx]) for x in (m.d0, m.d1))
-        if ref_d0 is None:
-            ref_d0, ref_d1 = f_d0, f_d1
-        elif abs(f_d0 - ref_d0).max() > tol or abs(f_d1 - ref_d1).max() > tol:
-            raise NotSymmetricError(
-                f"sibling {k} differs from sibling 0 by more than {tol}"
-            )
-
-
-def _off_diagonal_part(x):
-    return x - sparse.diags_array(x.diagonal())
-
-
 def _block_indicator(block_of, nb):
     """Sparse 0/1 matrix mapping each state to its block."""
     n = len(block_of)
@@ -89,64 +62,45 @@ def _block_indicator(block_of, nb):
     )
 
 
-def lump_symmetric_level(m, sibling_block_widths, settings=None):
-    """Lump a level superposition of identical siblings by label multisets.
+def lump_symmetric_level(sibling, n, settings=None):
+    """Superpose ``n`` copies of ``sibling``, lumped over sibling permutations.
 
-    ``sibling_block_widths`` lists the per-sibling state counts; all entries
-    must agree.  Works on full products and on products from which invalid
-    states were already removed (the blocks simply shrink).
+    Sub-states are ranked by label; a block is a nondecreasing ``n``-tuple of
+    ranks, blocks come in lexicographic order and each block's label
+    concatenates its sub-state forests in that order.  A sub-state move
+    ``a -> b`` of rate ``r`` taken by one of the ``c`` siblings in ``a`` moves
+    the block to the one with ``a`` replaced by ``b`` at rate ``c * r``.
     """
-    widths = list(sibling_block_widths)
-    n = len(widths)
-    if n == 0:
-        raise ValueError("need at least one sibling")
-    if len(set(widths)) != 1:
-        raise NotSymmetricError(f"sibling widths differ: {widths}")
-    if n == 1:
-        partition = Partition(
-            blocks=tuple((i,) for i in range(m.size)),
-            block_of=tuple(range(m.size)),
-            representatives=tuple(range(m.size)),
-        )
-        return LumpedMap(m, partition)
+    settings = settings or default_settings()
+    count = partition_count(sibling.size, n)
+    if count > settings.state_cap:
+        raise CapacityError(count, settings.state_cap, hint="the level is too wide even lumped")
+    order = sorted(range(sibling.size), key=lambda s: sibling.labels[s].forest)
+    blocks = list(combinations_with_replacement(range(sibling.size), n))
+    index = {block: i for i, block in enumerate(blocks)}
 
-    if widths[0] ** n == m.size:
-        _verify_identical_factors(m, widths)
+    def lumped(d):
+        ranked = d[order][:, order].tocoo()
+        moves = [[] for _ in order]
+        for a, b, r in zip(ranked.row.tolist(), ranked.col.tolist(), ranked.data.tolist()):
+            moves[a].append((b, r))
+        rows, cols, rates = [], [], []
+        for i, block in enumerate(blocks):
+            for a, c in Counter(block).items():
+                rest = list(block)
+                rest.remove(a)
+                for b, r in moves[a]:
+                    rows.append(i)
+                    cols.append(index[tuple(sorted(rest + [b]))])
+                    rates.append(c * r)
+        return sparse.csr_array((rates, (rows, cols)), shape=(count, count))
 
-    by_signature = {}
-    for idx, label in enumerate(m.labels):
-        signature = tuple(sorted(_sibling_parts(label, n)))
-        by_signature.setdefault(signature, []).append(idx)
-
-    signatures = sorted(by_signature)
-    blocks = []
-    block_of = [0] * m.size
-    reps = []
-    for b, signature in enumerate(signatures):
-        members = tuple(by_signature[signature])
-        blocks.append(members)
-        for s in members:
-            block_of[s] = b
-        reps.append(min(members, key=lambda s: m.labels[s].forest))
-
-    # Lumped rates: the representative's rates summed per target block.
-    indicator = _block_indicator(block_of, len(blocks))
-    rep_rows = np.asarray(reps)
-    ld0 = m.d0[rep_rows] @ indicator
-    ld1 = m.d1[rep_rows] @ indicator
-
-    labels = tuple(StateLabel(sig) for sig in signatures)
-    lumped = LabeledMap(ld0, ld1, labels)
-    partition = Partition(tuple(blocks), tuple(block_of), tuple(reps))
-
-    if widths[0] ** n != m.size:
-        report = verify_lumpability(m, partition)
-        if not report.passed:
-            raise NotSymmetricError(
-                "sibling permutation partition is not lumpable on this "
-                f"reduced product (worst deviation {report.worst_deviation:.3e})"
-            )
-    return LumpedMap(lumped, partition)
+    forests = [sibling.labels[s].forest for s in order]
+    labels = tuple(
+        StateLabel(tuple(node for a in block for node in forests[a]))
+        for block in blocks
+    )
+    return LumpedMap(LabeledMap(lumped(sibling.d0), lumped(sibling.d1), labels))
 
 
 @dataclass(frozen=True)

@@ -224,22 +224,29 @@ class _Run:
             return False, stopper.id
         return all(c.status == FETCHING for c in rest), None
 
-    def advance(self):
-        """Process one event; returns the leaf on a request, else None."""
-        time, _, kind, cache, version = heapq.heappop(self.heap)
-        self.now = time
-        if kind == _ARRIVAL:
-            if self.trace is None:
-                self._push(self.now + cache.arrival(), _ARRIVAL, cache, 0)
-            else:
-                self._push_next_trace_arrival()
-            return cache
-        if version != cache.version:
-            return None
-        if kind == _EXPIRY:
-            cache.status = ABSENT
-        else:
-            self._admit(cache)
+    def next_request(self, horizon=math.inf):
+        """Process events up to the next request and return its leaf.
+
+        Returns None when the heap runs dry or once an event other than a
+        request lands at or past ``horizon``.
+        """
+        heap = self.heap
+        while heap:
+            time, _, kind, cache, version = heapq.heappop(heap)
+            self.now = time
+            if kind == _ARRIVAL:
+                if self.trace is None:
+                    self._push(time + cache.arrival(), _ARRIVAL, cache, 0)
+                else:
+                    self._push_next_trace_arrival()
+                return cache
+            if version == cache.version:
+                if kind == _EXPIRY:
+                    cache.status = ABSENT
+                else:
+                    self._admit(cache)
+            if time >= horizon:
+                return None
         return None
 
 
@@ -249,30 +256,31 @@ def _confidence(batch_means):
     return 1.96 * float(np.std(batch_means, ddof=1)) / math.sqrt(len(batch_means))
 
 
-def _run_replication(spec, rng, requests, time_horizon, warmup_fraction, batches=20):
-    run = _Run(spec, rng)
+def _run_replication(run, requests, time_horizon, warmup_fraction, batches=20):
+    """Drive ``run`` until its budget is spent; counts and batch tallies.
+
+    A zero ``requests`` or ``time_horizon`` sets no limit of that kind.  The
+    warmup is the first requests of a request budget, else the first stretch
+    of the time horizon.
+    """
     observed = counted = misses = 0
     hits_per_cache = {c: 0 for c in run.caches}
+    budget = requests or math.inf
+    horizon = time_horizon or math.inf
     warmup = int(requests * warmup_fraction) if requests else 0
+    warmup_until = 0.0 if requests else warmup_fraction * time_horizon
     batch_miss, batch_n = [], []
     cur_miss = cur_n = 0
-    per_batch = max(1, (requests - warmup) // batches) if requests else 0
+    per_batch = max(1, (requests - warmup) // batches) if requests else math.inf
 
-    while run.heap:
-        if requests and observed >= requests:
-            break
-        if time_horizon and run.now >= time_horizon:
-            break
-        leaf = run.advance()
+    while observed < budget and run.now < horizon:
+        leaf = run.next_request(horizon)
         if leaf is None:
-            continue
+            break
         observed += 1
         # Warmup requests drive the caches but are not counted.
         miss, serving = run.handle_request(leaf)
-        in_warmup = (requests and observed <= warmup) or (
-            time_horizon and not requests and run.now < warmup_fraction * time_horizon
-        )
-        if in_warmup:
+        if observed <= warmup or run.now < warmup_until:
             continue
         counted += 1
         cur_n += 1
@@ -281,7 +289,7 @@ def _run_replication(spec, rng, requests, time_horizon, warmup_fraction, batches
             cur_miss += 1
         elif serving is not None:
             hits_per_cache[serving] += 1
-        if per_batch and cur_n >= per_batch:
+        if cur_n >= per_batch:
             batch_miss.append(cur_miss)
             batch_n.append(cur_n)
             cur_miss = cur_n = 0
@@ -291,19 +299,14 @@ def _run_replication(spec, rng, requests, time_horizon, warmup_fraction, batches
     return counted, misses, hits_per_cache, run.origin_fetches, batch_miss, batch_n
 
 
-def simulate(cfg):
-    """Estimate hit probabilities for a cache tree by discrete-event runs."""
-    cfg.validate()
+def _pooled(replications):
+    """One estimate from the tallies of one or more replications."""
     total_counted = 0
     total_miss = 0
     hits = None
     origin = 0
     batch_fracs = []
-    for rep in range(cfg.replications):
-        rng = np.random.default_rng([cfg.seed, rep])
-        counted, misses, per_cache, origin_fetches, bm, bn = _run_replication(
-            cfg.spec, rng, cfg.requests, cfg.time_horizon, cfg.warmup_fraction
-        )
+    for counted, misses, per_cache, origin_fetches, bm, bn in replications:
         if counted == 0:
             raise ConfigError("no requests survived the warmup period")
         total_counted += counted
@@ -321,11 +324,26 @@ def simulate(cfg):
     return SimEstimate(p_hit, half, rates, origin, total_counted)
 
 
+def simulate(cfg):
+    """Estimate hit probabilities for a cache tree by discrete-event runs."""
+    cfg.validate()
+    return _pooled(
+        _run_replication(
+            _Run(cfg.spec, np.random.default_rng([cfg.seed, rep])),
+            cfg.requests,
+            cfg.time_horizon,
+            cfg.warmup_fraction,
+        )
+        for rep in range(cfg.replications)
+    )
+
+
 def simulate_trace(timestamps, spec, seed=0, warmup_fraction=0.1):
     """Replay recorded request timestamps against a single cache.
 
     ``spec`` must be a single-cache tree; TTLs and delays are sampled, the
-    arrival process is ignored in favour of the trace.
+    arrival process is ignored in favour of the trace.  A replay is one
+    replication whose request budget is the trace length.
     """
     timestamps = np.asarray(timestamps, dtype=float)
     if timestamps.size == 0:
@@ -333,39 +351,5 @@ def simulate_trace(timestamps, spec, seed=0, warmup_fraction=0.1):
     if np.any(np.diff(timestamps) < 0):
         raise ConfigError("trace timestamps must be ascending")
     spec.validate(exact=False)
-    rng = np.random.default_rng([seed, 0])
-    run = _Run(spec, rng, arrivals=timestamps)
-    warmup = int(len(timestamps) * warmup_fraction)
-    observed = counted = misses = 0
-    hits_per_cache = {c: 0 for c in run.caches}
-    batch_miss, batch_n = [], []
-    per_batch = max(1, (len(timestamps) - warmup) // 20)
-    cur_miss = cur_n = 0
-    while run.heap:
-        leaf = run.advance()
-        if leaf is None:
-            continue
-        observed += 1
-        miss, serving = run.handle_request(leaf)
-        if observed <= warmup:
-            continue
-        counted += 1
-        cur_n += 1
-        if miss:
-            misses += 1
-            cur_miss += 1
-        elif serving is not None:
-            hits_per_cache[serving] += 1
-        if cur_n >= per_batch:
-            batch_miss.append(cur_miss)
-            batch_n.append(cur_n)
-            cur_miss = cur_n = 0
-    if cur_n:
-        batch_miss.append(cur_miss)
-        batch_n.append(cur_n)
-    if counted == 0:
-        raise ConfigError("no requests survived the warmup period")
-    p_hit = 1.0 - misses / counted
-    half = _confidence([1.0 - m / n for m, n in zip(batch_miss, batch_n) if n])
-    rates = {k: v / counted for k, v in hits_per_cache.items()}
-    return SimEstimate(p_hit, half, rates, run.origin_fetches, counted)
+    run = _Run(spec, np.random.default_rng([seed, 0]), arrivals=timestamps)
+    return _pooled([_run_replication(run, timestamps.size, 0.0, warmup_fraction)])

@@ -156,8 +156,12 @@ def _estep(samples, rates, probs, grid_steps):
     q_end, pair_sums = _block_power(q2, panel, grid_steps // 2)
 
     a_end = q_end[:, :, 0]  # a_K = alpha P^K
-    density = np.maximum(a_end @ exit_rates, 1e-300)
-    loglik = float(np.log(density).sum())
+    density = a_end @ exit_rates
+    # A negative density means an unstable RK4 step: the NaN loglik makes EM
+    # restart.  Only densities that underflow to zero are clamped.
+    unstable = np.any(density < 0)
+    density = np.maximum(density, 1e-300)
+    loglik = math.nan if unstable else float(np.log(density).sum())
     # Pair integrals int a_i(u) c_j(x - u) du over samples, each with its
     # Simpson factor h/3 and density normalization.
     t = np.einsum("mij,m->ij", pair_sums, samples / (3.0 * grid_steps) / density)

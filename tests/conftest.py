@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ttldelay.cache_builders import CacheNode, CacheTreeSpec
-from ttldelay.distributions import Erlang, Exponential
+from ttldelay.distributions import Erlang, Exponential, require_ph
+from ttldelay.map_algebra import LabeledMap, StateLabel, arrival_node
 
 
 def single_mmm(tau_delta, tau_t=2.0, rate=1.0):
@@ -42,6 +43,15 @@ def e20_cache(tau_delta, tau_t=2.0):
             arrival=Erlang(20, 20.0),
         )
     )
+
+
+def ph_renewal_map(d):
+    """Renewal MAP of a PH distribution: events at each absorption/restart."""
+    require_ph(d, "renewal distribution")
+    alpha, s = d.ph()
+    exit_rates = -s.sum(axis=1)
+    labels = tuple(StateLabel((arrival_node(i + 1),)) for i in range(len(alpha)))
+    return LabeledMap(s, np.outer(exit_rates, alpha), labels)
 
 
 @pytest.fixture

@@ -8,14 +8,13 @@ from ttldelay.cache_builders import (
     build_parent_cache,
     build_single_cache,
     fetch_entry_distribution,
-    ph_renewal_map,
 )
 from ttldelay.distributions import Coxian, Deterministic, Erlang, Exponential, GeneralPH
 from ttldelay.errors import ConfigError, UnsupportedDistributionError
 from ttldelay.map_algebra import event_rate, steady_state, validate_map
 from ttldelay.metrics import hit_probability
 
-from conftest import single_mmm
+from conftest import ph_renewal_map, single_mmm
 
 # Pinned by a 10^7-request discrete-event run (seed 20250809):
 # single cache, Poisson(1) input, exponential TTL mean 2, Erlang-2 delay mean 1.

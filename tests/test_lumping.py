@@ -4,21 +4,204 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from ttldelay.cache_builders import build_single_cache
-from ttldelay.distributions import Exponential
-from ttldelay.errors import NotSymmetricError
-from ttldelay.hierarchy import level_superpose
+from ttldelay.cache_builders import (
+    CacheNode,
+    CacheTreeSpec,
+    build_parent_cache,
+    build_single_cache,
+    fetch_entry_distribution,
+)
+from ttldelay.distributions import Coxian, Erlang, Exponential
+from ttldelay.errors import CapacityError
+from ttldelay.hierarchy import level_superpose, line_superpose
 from ttldelay.lumping import (
     Partition,
+    _block_indicator,
     lump_symmetric_level,
     partition_count,
     verify_lumpability,
 )
-from ttldelay.map_algebra import event_rate, steady_state, validate_map
+from ttldelay.map_algebra import (
+    LabeledMap,
+    StateLabel,
+    event_rate,
+    validate_map,
+)
+from ttldelay.metrics import tree_hit_probability
+from ttldelay.settings import NumericSettings
 
 
 def leaf_map(rate=1.0):
     return build_single_cache(Exponential(rate), Exponential(0.5), Exponential(1.0))
+
+
+def coxian_leaf():
+    return build_single_cache(Coxian((2.0, 1.0), (0.4,)), Exponential(0.5), Erlang(2, 2.0))
+
+
+def line_subtree():
+    """A parent over two different leaves: one sibling with a nested label."""
+    children = level_superpose([leaf_map(1.0), leaf_map(2.0)])
+    delay = Erlang(2, 2.0)
+    return line_superpose(
+        build_parent_cache(Exponential(0.25), delay),
+        children,
+        parent_entry=fetch_entry_distribution(delay),
+    )
+
+
+def product_then_lump(sibling, n):
+    """Reference: lump the full product of ``n`` siblings by sorted labels.
+
+    Returns the product, its sibling-permutation partition and the lumped
+    MAP, whose rows are the representatives' rates summed per target block.
+    """
+    product = level_superpose([sibling] * n)
+    signature = [tuple(sorted(label.forest)) for label in product.labels]
+    signatures = sorted(set(signature))
+    block_index = {sig: b for b, sig in enumerate(signatures)}
+    block_of = tuple(block_index[sig] for sig in signature)
+    blocks = [[] for _ in signatures]
+    for s, b in enumerate(block_of):
+        blocks[b].append(s)
+    reps = [min(members, key=lambda s: product.labels[s].forest) for members in blocks]
+    partition = Partition(tuple(map(tuple, blocks)), block_of, tuple(reps))
+    indicator = _block_indicator(block_of, len(blocks))
+    lumped = LabeledMap(
+        product.d0[reps] @ indicator,
+        product.d1[reps] @ indicator,
+        tuple(StateLabel(sig) for sig in signatures),
+    )
+    return product, partition, lumped
+
+
+CONSTRUCTION_CASES = [
+    *((leaf_map, n) for n in (2, 3, 4)),
+    *((coxian_leaf, n) for n in (2, 3, 4)),
+    (line_subtree, 2),
+]
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "make, n", CONSTRUCTION_CASES,
+        ids=[f"{make.__name__}-{n}" for make, n in CONSTRUCTION_CASES],
+    )
+    def test_matches_product_then_lump(self, make, n):
+        sibling = make()
+        product, partition, reference = product_then_lump(sibling, n)
+        lumped = lump_symmetric_level(sibling, n).map
+        assert lumped.labels == reference.labels
+        assert abs(lumped.d0 - reference.d0).max() <= 1e-12
+        assert abs(lumped.d1 - reference.d1).max() <= 1e-12
+        assert lumped.size == partition.size == partition_count(sibling.size, n)
+        assert verify_lumpability(product, partition).passed
+        assert validate_map(lumped) == []
+
+    def test_capacity_checked_before_enumeration(self):
+        sibling = leaf_map()
+        with pytest.raises(CapacityError):
+            lump_symmetric_level(sibling, 10**9)  # 5e17 blocks, never listed
+        tight = NumericSettings(state_cap=partition_count(3, 40) - 1)
+        with pytest.raises(CapacityError):
+            lump_symmetric_level(sibling, 40, tight)
+        loose = NumericSettings(state_cap=partition_count(3, 40))
+        assert lump_symmetric_level(sibling, 40, loose).map.size == 861
+
+    def test_flat_fifty_leaves_solve(self):
+        leaves = tuple(
+            CacheNode(f"leaf{i}", ttl=Exponential(0.5), delay=Exponential(1.0),
+                      arrival=Exponential(1.0))
+            for i in range(50)
+        )
+        spec = CacheTreeSpec(
+            CacheNode("root", ttl=Exponential(0.25), delay=Exponential(1.0),
+                      children=leaves)
+        )
+        p_hit = tree_hit_probability(spec, lump_per_level=True)
+        assert 0.0 <= p_hit <= 1.0
+
+
+class TestLumpSymmetricLevel:
+    def test_pair_of_identical_caches(self):
+        pair, partition, _ = product_then_lump(leaf_map(), 2)
+        lumped = lump_symmetric_level(leaf_map(), 2)
+        assert [label.encode() for label in lumped.map.labels] == [
+            "F1F1", "F1I", "F1O", "II", "IO", "OO",
+        ]
+        blocks = {
+            frozenset(pair.labels[s].encode() for s in block)
+            for block in partition.blocks
+        }
+        assert blocks == {
+            frozenset({"OO"}), frozenset({"OI", "IO"}), frozenset({"OF1", "F1O"}),
+            frozenset({"II"}), frozenset({"IF1", "F1I"}), frozenset({"F1F1"}),
+        }
+        assert validate_map(lumped.map) == []
+
+    def test_identity_for_single_sibling(self):
+        # One sibling lumps to itself, its states in label order.
+        m = leaf_map()
+        lumped = lump_symmetric_level(m, 1).map
+        order = sorted(range(m.size), key=lambda s: m.labels[s].forest)
+        assert lumped.labels == tuple(m.labels[s] for s in order)
+        assert (lumped.d0 != m.d0[order][:, order]).nnz == 0
+        assert (lumped.d1 != m.d1[order][:, order]).nnz == 0
+
+    def test_block_count_law(self):
+        lumped = lump_symmetric_level(leaf_map(), 3)
+        assert lumped.map.size == partition_count(3, 3) == 10
+
+    def test_lumped_chain_preserves_hit_metrics(self):
+        pair = level_superpose([leaf_map(), leaf_map()])
+        lumped = lump_symmetric_level(leaf_map(), 2)
+        assert event_rate(lumped.map) == pytest.approx(event_rate(pair), abs=1e-12)
+
+    def test_canonical_representatives_sorted(self):
+        # Each block's label is the sorted forest of its smallest member.
+        pair, partition, _ = product_then_lump(leaf_map(), 2)
+        lumped = lump_symmetric_level(leaf_map(), 2).map
+        for block, rep, label in zip(
+            partition.blocks, partition.representatives, lumped.labels
+        ):
+            rep_forest = pair.labels[rep].forest
+            assert rep_forest == min(pair.labels[s].forest for s in block)
+            assert label.forest == rep_forest == tuple(sorted(rep_forest))
+
+
+class TestVerifyLumpability:
+    def test_symmetric_partition_passes(self):
+        pair, partition, _ = product_then_lump(leaf_map(), 2)
+        report = verify_lumpability(pair, partition)
+        assert report.passed
+        assert report.worst_deviation < 1e-12
+
+    def test_bad_merge_fails_with_named_blocks(self):
+        pair, partition, _ = product_then_lump(leaf_map(), 2)
+        blocks = list(partition.blocks)
+        # Merge the all-out block with the all-in block.
+        out_b = next(i for i, b in enumerate(blocks)
+                     if pair.labels[b[0]].encode() == "OO")
+        in_b = next(i for i, b in enumerate(blocks)
+                    if pair.labels[b[0]].encode() == "II")
+        merged = blocks[out_b] + blocks[in_b]
+        new_blocks = [b for i, b in enumerate(blocks) if i not in (out_b, in_b)]
+        new_blocks.append(merged)
+        block_of = [0] * pair.size
+        for i, b in enumerate(new_blocks):
+            for s in b:
+                block_of[s] = i
+        bad = Partition(tuple(new_blocks), tuple(block_of),
+                        tuple(b[0] for b in new_blocks))
+        report = verify_lumpability(pair, bad)
+        assert not report.passed
+        assert any("block" in f for f in report.failures)
+
+    def test_asymmetric_siblings_fail_symmetric_partition(self):
+        _, partition, _ = product_then_lump(leaf_map(), 2)
+        asym = level_superpose([leaf_map(1.0), leaf_map(2.0)])
+        report = verify_lumpability(asym, partition)
+        assert not report.passed
 
 
 class TestPartitionCount:
@@ -51,88 +234,6 @@ class TestPartitionCount:
     def test_huge_counts_are_exact_integers(self):
         assert partition_count(27, 10) == 254186856
         assert partition_count(100, 50) > 10**40  # arbitrary precision
-
-
-class TestLumpSymmetricLevel:
-    def test_pair_of_identical_caches(self):
-        pair = level_superpose([leaf_map(), leaf_map()])
-        lumped = lump_symmetric_level(pair, [3, 3])
-        assert lumped.partition.size == 6
-        blocks = {
-            frozenset(pair.labels[s].encode() for s in block)
-            for block in lumped.partition.blocks
-        }
-        assert blocks == {
-            frozenset({"OO"}), frozenset({"OI", "IO"}), frozenset({"OF1", "F1O"}),
-            frozenset({"II"}), frozenset({"IF1", "F1I"}), frozenset({"F1F1"}),
-        }
-        assert validate_map(lumped.map) == []
-
-    def test_identity_for_single_sibling(self):
-        m = leaf_map()
-        lumped = lump_symmetric_level(m, [3])
-        assert lumped.map is m
-        assert lumped.partition.size == 3
-
-    def test_block_count_law(self):
-        triple = level_superpose([leaf_map()] * 3)
-        lumped = lump_symmetric_level(triple, [3, 3, 3])
-        assert lumped.partition.size == partition_count(3, 3) == 10
-
-    def test_asymmetric_siblings_rejected(self):
-        pair = level_superpose([leaf_map(1.0), leaf_map(2.0)])
-        with pytest.raises(NotSymmetricError):
-            lump_symmetric_level(pair, [3, 3])
-
-    def test_lumped_chain_preserves_hit_metrics(self):
-        pair = level_superpose([leaf_map(), leaf_map()])
-        lumped = lump_symmetric_level(pair, [3, 3])
-        assert event_rate(lumped.map) == pytest.approx(event_rate(pair), abs=1e-12)
-
-    def test_canonical_representatives_sorted(self):
-        pair = level_superpose([leaf_map(), leaf_map()])
-        lumped = lump_symmetric_level(pair, [3, 3])
-        for block, rep in zip(lumped.partition.blocks, lumped.partition.representatives):
-            rep_forest = pair.labels[rep].forest
-            assert rep_forest == min(pair.labels[s].forest for s in block)
-
-
-class TestVerifyLumpability:
-    def test_symmetric_partition_passes(self):
-        pair = level_superpose([leaf_map(), leaf_map()])
-        lumped = lump_symmetric_level(pair, [3, 3])
-        report = verify_lumpability(pair, lumped.partition)
-        assert report.passed
-        assert report.worst_deviation < 1e-12
-
-    def test_bad_merge_fails_with_named_blocks(self):
-        pair = level_superpose([leaf_map(), leaf_map()])
-        lumped = lump_symmetric_level(pair, [3, 3])
-        blocks = list(lumped.partition.blocks)
-        # Merge the all-out block with the all-in block.
-        out_b = next(i for i, b in enumerate(blocks)
-                     if pair.labels[b[0]].encode() == "OO")
-        in_b = next(i for i, b in enumerate(blocks)
-                    if pair.labels[b[0]].encode() == "II")
-        merged = blocks[out_b] + blocks[in_b]
-        new_blocks = [b for i, b in enumerate(blocks) if i not in (out_b, in_b)]
-        new_blocks.append(merged)
-        block_of = [0] * pair.size
-        for i, b in enumerate(new_blocks):
-            for s in b:
-                block_of[s] = i
-        bad = Partition(tuple(new_blocks), tuple(block_of),
-                        tuple(b[0] for b in new_blocks))
-        report = verify_lumpability(pair, bad)
-        assert not report.passed
-        assert any("block" in f for f in report.failures)
-
-    def test_asymmetric_siblings_fail_symmetric_partition(self):
-        sym = level_superpose([leaf_map(), leaf_map()])
-        partition = lump_symmetric_level(sym, [3, 3]).partition
-        asym = level_superpose([leaf_map(1.0), leaf_map(2.0)])
-        report = verify_lumpability(asym, partition)
-        assert not report.passed
 
 
 class TestPermutationCovariance:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from ttldelay.cache_builders import build_single_cache, ph_renewal_map
+from ttldelay.cache_builders import build_single_cache
 from ttldelay.distributions import Coxian, Erlang, Exponential
 from ttldelay.errors import CapacityError, ReducibleChainError
 from ttldelay.map_algebra import (
@@ -16,7 +16,7 @@ from ttldelay.map_algebra import (
 )
 from ttldelay.settings import NumericSettings
 
-from conftest import single_mmm
+from conftest import ph_renewal_map, single_mmm
 
 
 def mmm_map():

@@ -59,7 +59,7 @@ class TestChainCausality:
         rng = np.random.default_rng([99, 0])
         run = Instrumented(two_level_tree(2.0), rng)
         for _ in range(200_000):
-            leaf = run.advance()
+            leaf = run.next_request()
             if leaf is not None:
                 run.handle_request(leaf)
         from ttldelay.simulator import FETCHING
@@ -71,6 +71,9 @@ class TestReplications:
     def test_bit_identical_reruns(self):
         cfg = SimConfig(spec=single_mmm(1.0), requests=20_000, seed=5)
         assert simulate(cfg) == simulate(cfg)
+        timestamps = np.cumsum(np.random.default_rng(5).exponential(1.0, 20_000))
+        replay = simulate_trace(timestamps, single_mmm(1.0), seed=5)
+        assert replay == simulate_trace(timestamps, single_mmm(1.0), seed=5)
 
     def test_seeds_induce_different_paths(self):
         runs = {

@@ -140,10 +140,9 @@ def parse_sweep(text):
 def _raw_state_count(spec):
     count = 1
     for node in spec.nodes():
-        states = 2 + len(node.delay.ph()[0]) if dist.is_ph(node.delay) else 3
-        if node.arrival is not None and dist.is_ph(node.arrival):
-            phases = len(node.arrival.ph()[0])
-            states *= phases
+        states = 2 + len(node.delay.ph()[0])
+        if node.arrival is not None:
+            states *= len(node.arrival.ph()[0])
         count *= states
     return count
 

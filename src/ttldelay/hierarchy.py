@@ -3,15 +3,20 @@
 Two operations build the system MAP bottom-up:
 
 * level superposition: independent sibling subtrees combine via the
-  Kronecker sum; with per-level lumping, runs of identical siblings are
-  built directly as a lumped level (:mod:`ttldelay.lumping`),
+  Kronecker sum; with per-level lumping, each run of adjacent siblings whose
+  specs are equal up to cache ids is built once and expanded directly as a
+  lumped level (:mod:`ttldelay.lumping`),
 * line superposition: a parent cache joins the MAP of its children in four
   steps: Kronecker sum, removal of causally impossible states, demotion of
   active transitions that no longer escape the tree, and rewiring of the
   all-out miss so the parent fetches from the origin alongside its child.
 
-After the full composition the active transitions of the system MAP are
-exactly the requests answered by an origin fetch (system misses).
+What the tree spec states is taken from it, not recovered from the composed
+matrices: sibling runs are runs of equal node specs, and the phases a fresh
+fetch enters are the initial vector of each cache's delay
+(:func:`ttldelay.cache_builders.fetch_entry_distribution`).  After the full
+composition the active transitions of the system MAP are exactly the
+requests answered by an origin fetch (system misses).
 
 Every step works on sparse matrices: a Kronecker sum of sparse factors, a
 state mask, and the reclassified child events as COO triplets.  The cost
@@ -21,8 +26,7 @@ whose fill per-level lumping keeps small for symmetric trees.
 """
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 from scipy import sparse
@@ -77,96 +81,15 @@ def _moved_root_pair(forest_a, forest_b):
     return None
 
 
-@dataclass(frozen=True)
-class InvalidStateRule:
-    """Causality predicate for composite (children, parent) states.
-
-    A fetching parent implies an ongoing chain through some child, and every
-    fetching child waits at a fetch entry phase until the parent admits (its
-    delay clock only starts then).  A state with the parent in a fetch phase
-    is therefore invalid unless at least one child subtree root is fetching
-    and every fetching child sits at one of its entry phases.
-    ``entry_supports`` lists, per child, the phases a fresh miss can enter.
-    """
-
-    entry_supports: tuple
-
-    def pair_blocks(self, child_index, symbol):
-        """True when this child alone cannot justify a fetching parent."""
-        if symbol[0] in ("O", "I"):
-            return True
-        return symbol[1] not in self.entry_supports[child_index]
-
-    def invalid(self, children_label, parent_symbol):
-        if parent_symbol[0] != "F":
-            return False
-        roots = children_label.root_symbols()
-        some_fetching_at_entry = False
-        for c, s in enumerate(roots):
-            if s[0] != "F":
-                continue
-            if s[1] not in self.entry_supports[c]:
-                return True  # a pinned child cannot sit mid-fetch
-            some_fetching_at_entry = True
-        return not some_fetching_at_entry
+def _invalid(roots, supports):
+    """True when no fetching parent fits these child root symbols: some child
+    must be fetching, and a fetching child waits at one of its entry phases
+    until the parent admits (its delay clock only starts then)."""
+    at_entry = [s[1] in support for s, support in zip(roots, supports) if s[0] == "F"]
+    return not at_entry or not all(at_entry)
 
 
-def _child_entry_distributions(children):
-    """Per child, the distribution of fetch phases a fresh miss enters.
-
-    Derived from the children MAP itself: chain-start transitions are the
-    active transitions that flip a subtree root from out to fetching, and
-    their rates split proportionally to the entry distribution.
-    """
-    n = {len(label.forest) for label in children.labels}
-    if len(n) != 1:
-        raise ConfigError("children MAP labels do not expose per-child symbols")
-    n = n.pop()
-    records = {}  # (source, child or "*") -> {phase: rate}
-    active = children.d1.tocoo()
-    for i, j, rate in zip(active.row.tolist(), active.col.tolist(), active.data.tolist()):
-        if rate <= 0:
-            continue
-        fi, fj = children.labels[i].forest, children.labels[j].forest
-        diffs = [c for c in range(n) if fi[c] != fj[c]]
-        if len(diffs) == 1:
-            c = diffs[0]
-            si, sj = fi[c][1], fj[c][1]
-            key = (i, c)
-        else:
-            # Lumped labels stay sorted, so a flip can reorder positions;
-            # siblings are then identical and share one entry distribution.
-            move = _moved_root_pair(fi, fj)
-            if move is None:
-                continue
-            si, sj = move
-            key = (i, "*")
-        if si[0] == "O" and sj[0] == "F":
-            bucket = records.setdefault(key, {})
-            bucket[sj[1]] = bucket.get(sj[1], 0.0) + rate
-
-    def normalized(bucket):
-        total = sum(bucket.values())
-        return {ph: r / total for ph, r in bucket.items()}
-
-    shared = next(
-        (normalized(b) for (_, who), b in records.items() if who == "*"), None
-    )
-    dists = []
-    for c in range(n):
-        bucket = next(
-            (b for (_, who), b in records.items() if who == c), None
-        )
-        if bucket is not None:
-            dists.append(normalized(bucket))
-        elif shared is not None:
-            dists.append(shared)
-        else:
-            dists.append({})
-    return dists
-
-
-def _snap_to_entry(forest, rule, entry_dists, children_index):
+def _snap_to_entry(forest, entries, children_index):
     """Targets and weights after mid-fetch children restart at their entry.
 
     A chain start freezes running child fetches; frozen clocks restart from
@@ -174,12 +97,10 @@ def _snap_to_entry(forest, rule, entry_dists, children_index):
     irrelevant and the state collapses onto the entry distribution.
     """
     options = []
-    for c, node in enumerate(forest):
+    for node, entry in zip(forest, entries):
         symbol = node[1]
-        if symbol[0] == "F" and symbol[1] not in rule.entry_supports[c]:
-            options.append(
-                [((node[0], ("F", ph)), w) for ph, w in entry_dists[c].items()]
-            )
+        if symbol[0] == "F" and symbol[1] not in entry:
+            options.append([((node[0], ("F", ph)), w) for ph, w in entry.items()])
         else:
             options.append([(node, 1.0)])
     for combo in product(*options):
@@ -192,14 +113,14 @@ def _snap_to_entry(forest, rule, entry_dists, children_index):
         yield children_index[nodes], share
 
 
-def line_superpose(parent, children, parent_entry=None, settings=None):
+def line_superpose(parent, children, parent_entry, child_entries, settings=None):
     """Join a parent cache MAP with the superposed MAP of its children.
 
     ``parent`` must come from :func:`build_parent_cache` (no active
-    transitions of its own).  ``parent_entry`` gives the probability split of
-    a fresh parent fetch over its fetch phases; when omitted, the fetch
-    enters at the highest phase, which is exact for exponential, Erlang and
-    Coxian delays.
+    transitions of its own).  ``parent_entry`` and each of ``child_entries``
+    (one per subtree root of ``children``, in label order) give the
+    probability split of a fresh fetch over the fetch phases ``F_1..F_f`` of
+    that cache, as :func:`fetch_entry_distribution` returns it for its delay.
     """
     settings = settings or default_settings()
     if parent.d1.count_nonzero():
@@ -207,16 +128,18 @@ def line_superpose(parent, children, parent_entry=None, settings=None):
     p_syms = [label.forest[0][1] for label in parent.labels]
     if p_syms[:2] != [("O", 0), ("I", 0)] or any(s[0] != "F" for s in p_syms[2:]):
         raise ConfigError("parent MAP states must be ordered [Out, In, F_1..F_f]")
-    n_fetch = len(p_syms) - 2
-    if parent_entry is None:
-        parent_entry = np.zeros(n_fetch)
-        parent_entry[-1] = 1.0
     parent_entry = np.asarray(parent_entry, dtype=float)
-
-    entry_dists = _child_entry_distributions(children)
-    rule = InvalidStateRule(tuple(frozenset(d) for d in entry_dists))
-    nc, npar = children.size, parent.size
     forests = [label.forest for label in children.labels]
+    widths = {len(forest) for forest in forests}
+    if widths != {len(child_entries)}:
+        raise ConfigError(
+            f"{len(child_entries)} child entry distributions for children MAP "
+            f"labels of width {sorted(widths)}"
+        )
+    entries = [
+        {k + 1: float(w) for k, w in enumerate(e) if w > 0} for e in child_entries
+    ]
+    nc, npar = children.size, parent.size
 
     # Step (a): Kronecker sum, children index varying slowest.  State
     # (child ci, parent pi) has index ci * npar + pi.
@@ -226,7 +149,7 @@ def line_superpose(parent, children, parent_entry=None, settings=None):
     # treats all fetch phases of the parent alike.
     valid = np.ones((nc, npar), dtype=bool)
     for ci, label in enumerate(children.labels):
-        if rule.invalid(label, p_syms[2]):
+        if _invalid(label.root_symbols(), entries):
             valid[ci, 2:] = False
     valid = valid.ravel()
 
@@ -257,7 +180,7 @@ def line_superpose(parent, children, parent_entry=None, settings=None):
         if move is None or move[0][0] != "O" or move[1][0] != "F":
             continue
         starts_chain[e] = True
-        for target, share in _snap_to_entry(forests[cj], rule, entry_dists, children_index):
+        for target, share in _snap_to_entry(forests[cj], entries, children_index):
             for k, weight in enumerate(parent_entry):
                 if weight:
                     esc_rows.append(ci * npar)
@@ -320,50 +243,42 @@ def _restrict(valid, rows, cols, vals):
     )
 
 
-def _matrices_match(a, b, tol=1e-12):
-    return (
-        a.size == b.size
-        and a.labels == b.labels
-        and abs(a.d0 - b.d0).max() <= tol
-        and abs(a.d1 - b.d1).max() <= tol
-    )
-
-
-def _superpose_with_lumping(child_maps, lump_per_level, settings):
-    """Level-superpose children, lumping runs of identical siblings."""
-    if not lump_per_level:
-        return level_superpose(child_maps, settings=settings)
-    groups = []
-    for m in child_maps:
-        if groups and _matrices_match(groups[-1][0], m):
-            groups[-1].append(m)
-        else:
-            groups.append([m])
-    parts = [
-        lump_symmetric_level(group[0], len(group), settings).map
-        if len(group) > 1
-        else group[0]
-        for group in groups
-    ]
-    return level_superpose(parts, settings=settings)
+def _shape(node):
+    """A node's spec without its cache ids: equal shapes build equal MAPs."""
+    return (node.ttl, node.delay, node.arrival, tuple(map(_shape, node.children)))
 
 
 def build_tree(spec, lump_per_level=False, settings=None):
-    """Build the full system MAP of a cache tree by post-order composition."""
+    """Build the full system MAP of a cache tree by post-order composition.
+
+    With ``lump_per_level``, each run of adjacent siblings of equal shape is
+    built once and expanded as a lumped level; runs keep their positions, so
+    state order and labels follow the spec either way.
+    """
     settings = settings or default_settings()
     spec.validate(exact=True)
+
+    def level(children):
+        if not lump_per_level:
+            return level_superpose(map(build, children), settings=settings)
+        parts = []
+        for _, run in groupby(children, key=_shape):
+            first, *rest = run
+            sibling = build(first)
+            if rest:
+                sibling = lump_symmetric_level(sibling, 1 + len(rest), settings).map
+            parts.append(sibling)
+        return level_superpose(parts, settings=settings)
 
     def build(node):
         if node.is_leaf:
             return build_single_cache(node.arrival, node.ttl, node.delay)
-        children = _superpose_with_lumping(
-            [build(child) for child in node.children], lump_per_level, settings
-        )
-        parent = build_parent_cache(node.ttl, node.delay)
+        children = level(node.children)
         return line_superpose(
-            parent,
+            build_parent_cache(node.ttl, node.delay),
             children,
-            parent_entry=fetch_entry_distribution(node.delay),
+            fetch_entry_distribution(node.delay),
+            [fetch_entry_distribution(child.delay) for child in node.children],
             settings=settings,
         )
 

@@ -10,6 +10,8 @@ fetch delay.
 import logging
 import math
 
+import numpy as np
+
 from ttldelay import distributions as dist
 from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 from ttldelay.errors import DegenerateProcessError
@@ -180,8 +182,6 @@ def optimal_delay(p_hit_of_delay, lo, hi, tol=1e-3, coarse_points=81):
     """
     if hi <= lo:
         raise ValueError("empty search range")
-    import numpy as np
-
     grid = np.linspace(lo, hi, coarse_points)
     values = [p_hit_of_delay(g) for g in grid]
     k = int(np.argmax(values))
@@ -203,7 +203,6 @@ def optimal_delay(p_hit_of_delay, lo, hi, tol=1e-3, coarse_points=81):
             fd = p_hit_of_delay(d)
     delta_star = 0.5 * (a + b)
     p_max = p_hit_of_delay(delta_star)
-    best = max(values[k], p_max)
     if values[k] > p_max:
         delta_star, p_max = grid[k], values[k]
     p0 = p_hit_of_delay(lo)

@@ -3,14 +3,18 @@ from itertools import product
 import numpy as np
 import pytest
 
+from ttldelay import hierarchy
 from ttldelay.cache_builders import (
     CacheNode,
     CacheTreeSpec,
     build_parent_cache,
     build_single_cache,
+    fetch_entry_distribution,
 )
 from ttldelay.distributions import Erlang, Exponential
+from ttldelay.errors import ConfigError
 from ttldelay.hierarchy import build_tree, level_superpose, line_superpose
+from ttldelay.lumping import lump_symmetric_level
 from ttldelay.map_algebra import (
     empty_map,
     event_rate,
@@ -62,13 +66,13 @@ class TestLevelSuperpose:
 
 class TestLineSuperpose:
     def test_two_caches_in_line_state_set(self):
-        line = line_superpose(mmm_parent(), mmm_leaf())
+        line = line_superpose(mmm_parent(), mmm_leaf(), [1.0], [[1.0]])
         names = {lab.encode() for lab in line.labels}
         assert names == {"(O)O", "(O)I", "(I)O", "(I)I", "(F1)O", "(F1)I", "(F1)F1"}
         assert validate_map(line) == []
 
     def test_two_caches_in_line_active_transitions(self):
-        line = line_superpose(mmm_parent(), mmm_leaf())
+        line = line_superpose(mmm_parent(), mmm_leaf(), [1.0], [[1.0]])
         actives = {
             (line.labels[i].encode(), line.labels[j].encode())
             for i, j in zip(*np.nonzero(line.d1.toarray()))
@@ -77,14 +81,14 @@ class TestLineSuperpose:
 
     def test_erlang_parent_delay_valid_states(self):
         parent = build_parent_cache(Exponential(0.25), Erlang(2, 2.0))
-        line = line_superpose(parent, mmm_leaf())
+        line = line_superpose(parent, mmm_leaf(), [0.0, 1.0], [[1.0]])
         # Enumerate: child in {O, I, F1} x parent in {O, I, F1, F2}; a fetching
         # parent requires the child fetching, so {O,I} x {F1,F2} drop out.
         assert line.size == 12 - 4
 
     def test_pair_plus_parent_valid_states(self):
         pair = level_superpose([mmm_leaf(), mmm_leaf()])
-        tree = line_superpose(mmm_parent(), pair)
+        tree = line_superpose(mmm_parent(), pair, [1.0], [[1.0], [1.0]])
         # Invalid states: parent fetching while both children are in {O, I}.
         expected = 27 - 4
         assert tree.size == expected
@@ -99,7 +103,7 @@ class TestLineSuperpose:
         # Every active transition runs under a fetching parent or starts the
         # parent's fetch chain.
         pair = level_superpose([mmm_leaf(), mmm_leaf()])
-        tree = line_superpose(mmm_parent(), pair)
+        tree = line_superpose(mmm_parent(), pair, [1.0], [[1.0], [1.0]])
         for i, j in zip(*np.nonzero(tree.d1.toarray())):
             src_parent = tree.labels[i].forest[0][1]
             dst_parent = tree.labels[j].forest[0][1]
@@ -109,7 +113,7 @@ class TestLineSuperpose:
 
     def test_no_invalid_state_survives(self):
         pair = level_superpose([mmm_leaf(), mmm_leaf()])
-        tree = line_superpose(mmm_parent(), pair)
+        tree = line_superpose(mmm_parent(), pair, [1.0], [[1.0], [1.0]])
         for lab in tree.labels:
             children, parent_sym = lab.forest[0]
             if parent_sym[0] == "F":
@@ -119,7 +123,13 @@ class TestLineSuperpose:
         for delay in (Exponential(1.0), Erlang(3, 3.0)):
             parent = build_parent_cache(Exponential(0.25), delay)
             pair = level_superpose([mmm_leaf(), mmm_leaf()])
-            assert validate_map(line_superpose(parent, pair)) == []
+            entry = fetch_entry_distribution(delay)
+            assert validate_map(line_superpose(parent, pair, entry, [[1.0], [1.0]])) == []
+
+    def test_child_entry_count_must_match_children(self):
+        pair = level_superpose([mmm_leaf(), mmm_leaf()])
+        with pytest.raises(ConfigError, match="child entry distributions"):
+            line_superpose(mmm_parent(), pair, [1.0], [[1.0]])
 
 
 class TestBuildTree:
@@ -182,3 +192,59 @@ class TestBuildTree:
         est = simulate(SimConfig(spec=spec, requests=200_000, seed=5))
         se = est.half_width_95 / 1.96
         assert abs(est.p_hit - exact) <= 3 * se
+
+
+def leaf_node(name, ttl_rate=0.5):
+    return CacheNode(name, ttl=Exponential(ttl_rate), delay=Exponential(1.0),
+                     arrival=Exponential(1.0))
+
+
+def star(leaves):
+    return CacheTreeSpec(
+        CacheNode("root", ttl=Exponential(0.25), delay=Exponential(1.0),
+                  children=tuple(leaves))
+    )
+
+
+class TestSiblingRuns:
+    """Per-level lumping groups adjacent siblings by their id-free spec."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"build": 0, "lump": []}
+
+        def counting_build(*args):
+            calls["build"] += 1
+            return build_single_cache(*args)
+
+        def recording_lump(sibling, n, settings=None):
+            calls["lump"].append(n)
+            return lump_symmetric_level(sibling, n, settings)
+
+        monkeypatch.setattr(hierarchy, "build_single_cache", counting_build)
+        monkeypatch.setattr(hierarchy, "lump_symmetric_level", recording_lump)
+        return calls
+
+    def test_leaves_differing_only_in_id_are_built_once(self, calls):
+        system = build_tree(star(leaf_node(f"l{i}") for i in range(8)), lump_per_level=True)
+        assert calls == {"build": 1, "lump": [8]}
+        # 45 blocks of 8 three-state leaves times 3 root states, less the 9
+        # blocks without a fetching leaf under a fetching root.
+        assert system.size == 126
+
+    def test_non_adjacent_equal_siblings_are_not_merged(self, calls):
+        spec = star([leaf_node("a1"), leaf_node("b", ttl_rate=1.0), leaf_node("a2")])
+        lumped = build_tree(spec, lump_per_level=True)
+        assert calls == {"build": 3, "lump": []}
+        plain = build_tree(spec, lump_per_level=False)
+        assert lumped.labels == plain.labels
+        np.testing.assert_array_equal(lumped.d0.toarray(), plain.d0.toarray())
+        np.testing.assert_array_equal(lumped.d1.toarray(), plain.d1.toarray())
+
+    def test_different_ttl_breaks_a_run(self, calls):
+        leaves = [leaf_node("a1"), leaf_node("a2"), leaf_node("c", ttl_rate=0.6),
+                  leaf_node("a3"), leaf_node("a4")]
+        lumped = tree_hit_probability(star(leaves), lump_per_level=True)
+        assert calls == {"build": 3, "lump": [2, 2]}
+        plain = tree_hit_probability(star(leaves), lump_per_level=False)
+        assert lumped == pytest.approx(plain, abs=1e-10)

@@ -46,7 +46,8 @@ def line_subtree():
     return line_superpose(
         build_parent_cache(Exponential(0.25), delay),
         children,
-        parent_entry=fetch_entry_distribution(delay),
+        fetch_entry_distribution(delay),
+        [fetch_entry_distribution(Exponential(1.0))] * 2,
     )
 
 

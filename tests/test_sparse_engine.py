@@ -1,11 +1,14 @@
 """The sparse exact engine against dense oracles computed here.
 
 Generated trees (arity 1-3, depth up to 2, exponential, Erlang and Coxian
-arrivals and delays with up to 3 phases) are composed, and the stationary
-vector of the sparse solver is compared with a dense solve of the same
-generator.  ``pytest -m slow`` runs the same property on more examples.
+arrivals and delays with up to 3 phases, two-phase hyperexponential delays
+whose entry is spread over both phases, and siblings repeated as copies of a
+drawn subtree) are composed, and the stationary vector of the sparse solver
+is compared with a dense solve of the same generator.  ``pytest -m slow``
+runs the same property on more examples.
 """
 
+from dataclasses import replace
 from itertools import count
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.linalg import lapack
 
 from ttldelay.cache_builders import CacheNode, CacheTreeSpec, build_single_cache
-from ttldelay.distributions import Coxian, Erlang, Exponential
+from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH
 from ttldelay.errors import ConditioningError
 from ttldelay.hierarchy import build_tree
 from ttldelay.map_algebra import steady_state
@@ -26,13 +29,19 @@ from conftest import two_level_tree
 
 MAX_STATES = 600  # bound on the raw product of per-cache state counts
 MIN_CACHE = 3  # Out, In and one fetch phase
+ARRIVAL_KINDS = ("exp", "erlang", "coxian")
+DELAY_KINDS = ARRIVAL_KINDS + ("hyper",)
 
 
-def _ph(draw, max_phases):
-    kind = draw(st.sampled_from(["exp", "erlang", "coxian"]))
+def _ph(draw, max_phases, kinds):
+    kind = draw(st.sampled_from(kinds))
     rate = draw(st.floats(0.2, 5.0))
     if kind == "exp" or max_phases < 2:
         return Exponential(rate)
+    if kind == "hyper":
+        p = draw(st.floats(0.05, 0.95))
+        other = draw(st.floats(0.2, 5.0))
+        return GeneralPH((p, 1.0 - p), ((-rate, 0.0), (0.0, -other)))
     k = draw(st.integers(2, max_phases))
     if kind == "erlang":
         return Erlang(k, rate)
@@ -45,6 +54,12 @@ def _phases(d):
     return len(d.ph()[0])
 
 
+def _fresh_ids(node, ids):
+    """A copy of the subtree under new cache ids."""
+    children = tuple(_fresh_ids(child, ids) for child in node.children)
+    return replace(node, id=f"c{next(ids)}", children=children)
+
+
 def _node(draw, depth, budget, ids, root=False):
     """A subtree whose raw product state count stays within ``budget``.
 
@@ -55,23 +70,29 @@ def _node(draw, depth, budget, ids, root=False):
     name = f"c{next(ids)}"
     inner = depth > 0 and budget >= MIN_CACHE**2 and (root or draw(st.booleans()))
     if not inner:
-        delay = _ph(draw, min(3, budget - 2))
+        delay = _ph(draw, min(3, budget - 2), DELAY_KINDS)
         own = 2 + _phases(delay)
-        arrival = _ph(draw, min(3, budget // own))
+        arrival = _ph(draw, min(3, budget // own), ARRIVAL_KINDS)
         return CacheNode(name, ttl, delay, arrival=arrival), own * _phases(arrival)
-    delay = _ph(draw, min(3, budget // MIN_CACHE - 2))
+    delay = _ph(draw, min(3, budget // MIN_CACHE - 2), DELAY_KINDS)
     own = 2 + _phases(delay)
     remaining = budget // own
     arity = draw(st.integers(1, 3))
     while remaining < MIN_CACHE**arity:
         arity -= 1
     children, total = [], own
-    for i in range(arity):
+    while len(children) < arity:
         # Leave room for the remaining siblings at their smallest size.
-        child, size = _node(draw, depth - 1, remaining // MIN_CACHE ** (arity - 1 - i), ids)
+        left = arity - 1 - len(children)
+        child, size = _node(draw, depth - 1, remaining // MIN_CACHE**left, ids)
         children.append(child)
         remaining //= size
         total *= size
+        # An identical next sibling, which per-level lumping merges.
+        if left and remaining // size >= MIN_CACHE ** (left - 1) and draw(st.booleans()):
+            children.append(_fresh_ids(child, ids))
+            remaining //= size
+            total *= size
     return CacheNode(name, ttl, delay, children=tuple(children)), total
 
 

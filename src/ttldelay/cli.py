@@ -107,7 +107,7 @@ def load_config(path):
         raise ConfigError(f"cannot parse config {path}{where}: {exc}") from exc
     if not isinstance(raw, dict) or "tree" not in raw:
         raise ConfigError(f"config {path} must contain a top-level 'tree' mapping")
-    spec = CacheTreeSpec(parse_node(raw["tree"]))
+    spec = CacheTreeSpec(parse_node(raw["tree"])).validate(exact=False)
     ref = raw.get("reference_interarrival")
     if ref is None:
         leaves = spec.leaves()
@@ -203,7 +203,6 @@ def cmd_analyze(args):
 
 def cmd_simulate(args):
     spec, ref = load_config(args.config)
-    spec.validate(exact=False)
     values = parse_sweep(args.sweep)
     seed = args.seed if args.seed is not None else secrets.randbits(31)
     rows = []
@@ -275,7 +274,10 @@ def _lump_plus_width(node):
 def cmd_lump_stats(args):
     spec, _ = load_config(args.config)
     spec.validate(exact=True)
-    n_values = [int(v) for v in parse_sweep(f"tau_delta={args.n}")]
+    values = parse_sweep(f"tau_delta={args.n}")
+    if not all(v.is_integer() for v in values):
+        raise ConfigError("subtree counts must be integers")
+    n_values = [int(v) for v in values]
     m_s = _raw_state_count(spec)
     m_plus = _lump_plus_width(spec.root)
     rows = []

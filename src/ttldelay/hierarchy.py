@@ -19,13 +19,15 @@ composition the active transitions of the system MAP are exactly the
 requests answered by an origin fetch (system misses).
 
 Every step works on sparse matrices: a Kronecker sum of sparse factors, a
-state mask, and the reclassified child events as COO triplets.  The cost
-grows with the nonzeros of the composed MAP and the label scans over child
-transitions; the dominating cost is the sparse LU of the steady-state solve,
-whose fill per-level lumping keeps small for symmetric trees.
+state mask, and the reclassified child events as COO triplets.  Child events
+are classified from per-state root codes (each child's kind and whether it
+sits at an entry phase), as masks over all nonzeros at once.  The cost grows
+with the nonzeros of the composed MAP and the labels it builds; the
+dominating cost is the sparse LU of the steady-state solve, whose fill
+per-level lumping keeps small for symmetric trees.
 """
 
-from collections import Counter
+import math
 from itertools import groupby, product
 
 import numpy as np
@@ -42,7 +44,6 @@ from ttldelay.map_algebra import (
     StateLabel,
     empty_map,
     kronecker_sum,
-    off_diagonal,
 )
 from ttldelay.lumping import lump_symmetric_level
 from ttldelay.settings import default_settings
@@ -59,66 +60,41 @@ def level_superpose(maps, settings=None):
     return result
 
 
-def _moved_root_pair(forest_a, forest_b):
-    """Root symbols (before, after) of the single child that moved.
-
-    Compares forests as multisets so it also works on lumped, canonically
-    sorted labels.  Returns ``None`` when no single-child move explains the
-    difference (e.g. identical forests).
+def _snap_matrix(targets, forests, restart, entries, bounds):
+    """Rows ``targets`` of the children's snap matrix: the ``restart``
+    (mid-fetch) children collapse onto their entry distribution, since a
+    chain start freezes their clocks and the parent's admission restarts
+    them from scratch.  Snapped roots are re-sorted within each sibling run
+    (between consecutive ``bounds``), as a lumped level labels its states.
     """
-    if forest_a == forest_b:
-        return None
-    if len(forest_a) == len(forest_b):
-        # One differing position is one moved child under either reading.
-        diffs = [k for k, (a, b) in enumerate(zip(forest_a, forest_b)) if a != b]
-        if len(diffs) == 1:
-            return forest_a[diffs[0]][1], forest_b[diffs[0]][1]
-    ca, cb = Counter(forest_a), Counter(forest_b)
-    removed = list((ca - cb).elements())
-    added = list((cb - ca).elements())
-    if len(removed) == 1 and len(added) == 1:
-        return removed[0][1], added[0][1]
-    return None
+    index = {forest: i for i, forest in enumerate(forests)}
+    rows, cols, shares = [], [], []
+    for t in targets.tolist():
+        options = [
+            [((node[0], ("F", k + 1)), w) for k, w in enumerate(entry) if w > 0]
+            if snap else [(node, 1.0)]
+            for node, snap, entry in zip(forests[t], restart[t], entries)
+        ]
+        for combo in product(*options):
+            nodes, weights = zip(*combo)
+            forest = tuple(
+                node for a, b in zip(bounds, bounds[1:]) for node in sorted(nodes[a:b])
+            )
+            rows.append(t)
+            cols.append(index[forest])
+            shares.append(math.prod(weights))
+    n = len(forests)
+    return sparse.csr_array((shares, (rows, cols)), shape=(n, n))
 
 
-def _invalid(roots, supports):
-    """True when no fetching parent fits these child root symbols: some child
-    must be fetching, and a fetching child waits at one of its entry phases
-    until the parent admits (its delay clock only starts then)."""
-    at_entry = [s[1] in support for s, support in zip(roots, supports) if s[0] == "F"]
-    return not at_entry or not all(at_entry)
-
-
-def _snap_to_entry(forest, entries, children_index):
-    """Targets and weights after mid-fetch children restart at their entry.
-
-    A chain start freezes running child fetches; frozen clocks restart from
-    scratch on the parent's admission, so the phase a child was caught in is
-    irrelevant and the state collapses onto the entry distribution.
-    """
-    options = []
-    for node, entry in zip(forest, entries):
-        symbol = node[1]
-        if symbol[0] == "F" and symbol[1] not in entry:
-            options.append([((node[0], ("F", ph)), w) for ph, w in entry.items()])
-        else:
-            options.append([(node, 1.0)])
-    for combo in product(*options):
-        nodes = tuple(item[0] for item in combo)
-        share = 1.0
-        for _, w in combo:
-            share *= w
-        if nodes not in children_index:
-            nodes = tuple(sorted(nodes))  # lumped labels are kept sorted
-        yield children_index[nodes], share
-
-
-def line_superpose(parent, children, parent_entry, child_entries, settings=None):
+def line_superpose(parent, children, parent_entry, child_runs, settings=None):
     """Join a parent cache MAP with the superposed MAP of its children.
 
     ``parent`` must come from :func:`build_parent_cache` (no active
-    transitions of its own).  ``parent_entry`` and each of ``child_entries``
-    (one per subtree root of ``children``, in label order) give the
+    transitions of its own).  ``child_runs`` holds one ``(entry, n)`` per
+    part of ``children``, in label order: a part is one child subtree
+    (``n = 1``) or a lumped level of ``n`` identical siblings, whose labels
+    keep their roots sorted.  ``parent_entry`` and each ``entry`` give the
     probability split of a fresh fetch over the fetch phases ``F_1..F_f`` of
     that cache, as :func:`fetch_entry_distribution` returns it for its delay.
     """
@@ -128,29 +104,44 @@ def line_superpose(parent, children, parent_entry, child_entries, settings=None)
     p_syms = [label.forest[0][1] for label in parent.labels]
     if p_syms[:2] != [("O", 0), ("I", 0)] or any(s[0] != "F" for s in p_syms[2:]):
         raise ConfigError("parent MAP states must be ordered [Out, In, F_1..F_f]")
-    parent_entry = np.asarray(parent_entry, dtype=float)
     forests = [label.forest for label in children.labels]
+    entries = [entry for entry, n in child_runs for _ in range(n)]
     widths = {len(forest) for forest in forests}
-    if widths != {len(child_entries)}:
+    if widths != {len(entries)}:
         raise ConfigError(
-            f"{len(child_entries)} child entry distributions for children MAP "
+            f"{len(entries)} child entry distributions for children MAP "
             f"labels of width {sorted(widths)}"
         )
-    entries = [
-        {k + 1: float(w) for k, w in enumerate(e) if w > 0} for e in child_entries
-    ]
-    nc, npar = children.size, parent.size
+    bounds = np.cumsum([0] + [n for _, n in child_runs]).tolist()
+    nc, npar, width = children.size, parent.size, len(entries)
+
+    # Root codes of every children state, one per child: its kind, and
+    # whether it is at an entry phase of its delay (a fetching child waits
+    # there until the parent admits; its delay clock only starts then).
+    roots = [(node[1], e) for forest in forests for node, e in zip(forest, entries)]
+    kind = np.array([s[0] for s, _ in roots]).reshape(nc, width)  # O, I or F
+    at_entry = np.array([s[0] == "F" and e[s[1] - 1] > 0 for s, e in roots])
+    at_entry = at_entry.reshape(nc, width)
+    fetching = kind == "F"
+
+    # Every child transition moves exactly one child, so the change in how
+    # many children are out, in and fetching names that child's root move,
+    # for plain and sorted labels alike.
+    counts = {k: (kind == k).sum(axis=1) for k in "OIF"}
+
+    def moves(src, dst, leaving, entering):
+        change = {k: counts[k][dst] - counts[k][src] for k in (leaving, entering)}
+        return (change[leaving] == -1) & (change[entering] == 1)
 
     # Step (a): Kronecker sum, children index varying slowest.  State
     # (child ci, parent pi) has index ci * npar + pi.
     combo = kronecker_sum(children, parent, settings=settings)
 
-    # Step (b), states: drop everything the causality rule forbids.  The rule
-    # treats all fetch phases of the parent alike.
+    # Step (b), states: a fetching parent needs some child fetching and every
+    # fetching child at an entry phase.  The rule treats all fetch phases of
+    # the parent alike.
     valid = np.ones((nc, npar), dtype=bool)
-    for ci, label in enumerate(children.labels):
-        if _invalid(label.root_symbols(), entries):
-            valid[ci, 2:] = False
+    valid[~(fetching.any(axis=1) & (at_entry == fetching).all(axis=1)), 2:] = False
     valid = valid.ravel()
 
     # Steps (c) and (d): reclassify the children's miss events.
@@ -158,51 +149,39 @@ def line_superpose(parent, children, parent_entry, child_entries, settings=None)
     # Under a fetching parent they stay active: the object is coming from the
     # origin, so these requests remain system misses.  Under a present parent
     # they are hits and become hidden.  Under an idle parent, an event that
-    # starts a fresh fetch chain (it flips some child root from out to
+    # starts a fresh fetch chain (it moves one child root from out to
     # fetching) escalates: the parent begins fetching from the origin and the
     # event stays an active system miss; an event that merely joins an
     # ongoing child fetch becomes hidden.
     #
-    # A chain start freezes every running child fetch: the frozen clock
-    # restarts from scratch when the parent admits, so the target snaps any
-    # mid-fetch sibling back to its entry distribution.
+    # A chain start freezes every running child fetch, so the escalated
+    # target snaps any mid-fetch sibling back to its entry distribution.
     #
     # The Kronecker sum places every child event under every parent state
     # unchanged; those under an idle or present parent are masked out below
-    # and re-added as the hidden and escalated triplets collected here.
-    children_index = {forest: i for i, forest in enumerate(forests)}
+    # and re-added as the hidden and escalated triplets built here.
     events = children.d1.tocoo()
     src, dst, rates = events.row.astype(np.int64), events.col.astype(np.int64), events.data
-    starts_chain = np.zeros(len(rates), dtype=bool)
-    esc_rows, esc_cols, esc_rates = [], [], []
-    for e, (ci, cj, rate) in enumerate(zip(src.tolist(), dst.tolist(), rates.tolist())):
-        move = _moved_root_pair(forests[ci], forests[cj])
-        if move is None or move[0][0] != "O" or move[1][0] != "F":
-            continue
-        starts_chain[e] = True
-        for target, share in _snap_to_entry(forests[cj], entries, children_index):
-            for k, weight in enumerate(parent_entry):
-                if weight:
-                    esc_rows.append(ci * npar)
-                    esc_cols.append(target * npar + 2 + k)
-                    esc_rates.append(rate * share * weight)
+    starts_chain = moves(src, dst, "O", "F")
+    chain = sparse.csr_array(
+        (rates[starts_chain], (src[starts_chain], dst[starts_chain])), shape=(nc, nc)
+    )
+    snap = _snap_matrix(
+        np.unique(dst[starts_chain]), forests, fetching & ~at_entry, entries, bounds
+    )
+    origin_fetch = np.zeros((npar, npar))
+    origin_fetch[0, 2:] = parent_entry  # Out -> F_k: the parent fetches too
+    escalated = sparse.kron(chain @ snap, origin_fetch, format="coo")
     # Hidden self-loops change nothing: the diagonal is rebuilt below.
     moved = src != dst
     absorbed = moved & ~starts_chain
 
     # Step (b), transitions: a child cannot be admitted while the parent is
     # still fetching, whatever the surrounding states look like.
-    blocked = []
-    a_rows, a_cols, _ = off_diagonal(children.d0)
-    for a, b in zip(a_rows.tolist(), a_cols.tolist()):
-        move = _moved_root_pair(forests[a], forests[b])
-        if move is not None and move[0][0] == "F" and move[1][0] == "I":
-            blocked.append(a * nc + b)
-
     hidden = combo.d0.tocoo()
     row_child, row_parent = np.divmod(hidden.row.astype(np.int64), npar)
-    admission_blocked = (row_parent >= 2) & np.isin(
-        row_child * nc + hidden.col // npar, blocked
+    admission_blocked = (row_parent >= 2) & moves(
+        row_child, hidden.col.astype(np.int64) // npar, "F", "I"
     )
     keep0 = (hidden.row != hidden.col) & ~admission_blocked
     active = combo.d1.tocoo()
@@ -216,9 +195,9 @@ def line_superpose(parent, children, parent_entry, child_entries, settings=None)
     )
     d1 = _restrict(
         valid,
-        [active.row[keep1], np.array(esc_rows, dtype=np.int64)],
-        [active.col[keep1], np.array(esc_cols, dtype=np.int64)],
-        [active.data[keep1], np.array(esc_rates, dtype=float)],
+        [active.row[keep1], escalated.row],
+        [active.col[keep1], escalated.col],
+        [active.data[keep1], escalated.data],
     )
 
     # Deleted transitions freeze the affected clocks: restore conservation.
@@ -258,27 +237,24 @@ def build_tree(spec, lump_per_level=False, settings=None):
     settings = settings or default_settings()
     spec.validate(exact=True)
 
-    def level(children):
-        if not lump_per_level:
-            return level_superpose(map(build, children), settings=settings)
+    def build(node):
+        if node.is_leaf:
+            return build_single_cache(node.arrival, node.ttl, node.delay)
+        if lump_per_level:
+            runs = [list(run) for _, run in groupby(node.children, key=_shape)]
+        else:
+            runs = [[child] for child in node.children]
         parts = []
-        for _, run in groupby(children, key=_shape):
-            first, *rest = run
+        for first, *rest in runs:
             sibling = build(first)
             if rest:
                 sibling = lump_symmetric_level(sibling, 1 + len(rest), settings).map
             parts.append(sibling)
-        return level_superpose(parts, settings=settings)
-
-    def build(node):
-        if node.is_leaf:
-            return build_single_cache(node.arrival, node.ttl, node.delay)
-        children = level(node.children)
         return line_superpose(
             build_parent_cache(node.ttl, node.delay),
-            children,
+            level_superpose(parts, settings=settings),
             fetch_entry_distribution(node.delay),
-            [fetch_entry_distribution(child.delay) for child in node.children],
+            [(fetch_entry_distribution(run[0].delay), len(run)) for run in runs],
             settings=settings,
         )
 

@@ -55,10 +55,6 @@ class StateLabel:
 
     forest: tuple
 
-    def root_symbols(self):
-        """Symbols of the top-level subtree roots."""
-        return tuple(node[1] for node in self.forest)
-
     def encode(self):
         """Compact, invertible text form, e.g. ``((O|A2)F1)I``."""
         return "".join(_encode_node(node) for node in self.forest)

@@ -150,6 +150,11 @@ class TestLumpStats:
         assert int(table[2]["lump_plus_states"]) == 171
         assert int(table[3]["lumped_states"]) == 3654
 
+    def test_fractional_counts_rejected(self, tree_cfg, capsys):
+        assert main(["lump-stats", "--config", tree_cfg, "--n", "1:0.5:3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG:") and "integers" in err
+
 
 class TestFitTrace:
     def test_report_and_density(self, tmp_path, rng):
@@ -234,6 +239,18 @@ class TestErrors:
         )
         assert main(["analyze", "--config", str(path)]) == 1
         assert "E_CONFIG" in capsys.readouterr().err
+
+
+    def test_leaf_without_arrival(self, tmp_path, capsys):
+        path = tmp_path / "no_arrival.yaml"
+        path.write_text(
+            "tree:\n  id: c\n  ttl: {kind: exponential, mean: 1.0}\n"
+            "  delay: {kind: exponential, mean: 1.0}\n"
+        )
+        assert main(["analyze", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "E_CONFIG: leaf cache 'c' has no arrival process"
+        )
 
 
 class TestSweepParsing:

@@ -11,7 +11,7 @@ from ttldelay.cache_builders import (
     build_single_cache,
     fetch_entry_distribution,
 )
-from ttldelay.distributions import Erlang, Exponential
+from ttldelay.distributions import Erlang, Exponential, GeneralPH
 from ttldelay.errors import ConfigError
 from ttldelay.hierarchy import build_tree, level_superpose, line_superpose
 from ttldelay.lumping import lump_symmetric_level
@@ -66,13 +66,13 @@ class TestLevelSuperpose:
 
 class TestLineSuperpose:
     def test_two_caches_in_line_state_set(self):
-        line = line_superpose(mmm_parent(), mmm_leaf(), [1.0], [[1.0]])
+        line = line_superpose(mmm_parent(), mmm_leaf(), [1.0], [([1.0], 1)])
         names = {lab.encode() for lab in line.labels}
         assert names == {"(O)O", "(O)I", "(I)O", "(I)I", "(F1)O", "(F1)I", "(F1)F1"}
         assert validate_map(line) == []
 
     def test_two_caches_in_line_active_transitions(self):
-        line = line_superpose(mmm_parent(), mmm_leaf(), [1.0], [[1.0]])
+        line = line_superpose(mmm_parent(), mmm_leaf(), [1.0], [([1.0], 1)])
         actives = {
             (line.labels[i].encode(), line.labels[j].encode())
             for i, j in zip(*np.nonzero(line.d1.toarray()))
@@ -81,14 +81,14 @@ class TestLineSuperpose:
 
     def test_erlang_parent_delay_valid_states(self):
         parent = build_parent_cache(Exponential(0.25), Erlang(2, 2.0))
-        line = line_superpose(parent, mmm_leaf(), [0.0, 1.0], [[1.0]])
+        line = line_superpose(parent, mmm_leaf(), [0.0, 1.0], [([1.0], 1)])
         # Enumerate: child in {O, I, F1} x parent in {O, I, F1, F2}; a fetching
         # parent requires the child fetching, so {O,I} x {F1,F2} drop out.
         assert line.size == 12 - 4
 
     def test_pair_plus_parent_valid_states(self):
         pair = level_superpose([mmm_leaf(), mmm_leaf()])
-        tree = line_superpose(mmm_parent(), pair, [1.0], [[1.0], [1.0]])
+        tree = line_superpose(mmm_parent(), pair, [1.0], [([1.0], 1)] * 2)
         # Invalid states: parent fetching while both children are in {O, I}.
         expected = 27 - 4
         assert tree.size == expected
@@ -103,7 +103,7 @@ class TestLineSuperpose:
         # Every active transition runs under a fetching parent or starts the
         # parent's fetch chain.
         pair = level_superpose([mmm_leaf(), mmm_leaf()])
-        tree = line_superpose(mmm_parent(), pair, [1.0], [[1.0], [1.0]])
+        tree = line_superpose(mmm_parent(), pair, [1.0], [([1.0], 1)] * 2)
         for i, j in zip(*np.nonzero(tree.d1.toarray())):
             src_parent = tree.labels[i].forest[0][1]
             dst_parent = tree.labels[j].forest[0][1]
@@ -113,7 +113,7 @@ class TestLineSuperpose:
 
     def test_no_invalid_state_survives(self):
         pair = level_superpose([mmm_leaf(), mmm_leaf()])
-        tree = line_superpose(mmm_parent(), pair, [1.0], [[1.0], [1.0]])
+        tree = line_superpose(mmm_parent(), pair, [1.0], [([1.0], 1)] * 2)
         for lab in tree.labels:
             children, parent_sym = lab.forest[0]
             if parent_sym[0] == "F":
@@ -124,12 +124,12 @@ class TestLineSuperpose:
             parent = build_parent_cache(Exponential(0.25), delay)
             pair = level_superpose([mmm_leaf(), mmm_leaf()])
             entry = fetch_entry_distribution(delay)
-            assert validate_map(line_superpose(parent, pair, entry, [[1.0], [1.0]])) == []
+            assert validate_map(line_superpose(parent, pair, entry, [([1.0], 1)] * 2)) == []
 
     def test_child_entry_count_must_match_children(self):
         pair = level_superpose([mmm_leaf(), mmm_leaf()])
         with pytest.raises(ConfigError, match="child entry distributions"):
-            line_superpose(mmm_parent(), pair, [1.0], [[1.0]])
+            line_superpose(mmm_parent(), pair, [1.0], [([1.0], 1)])
 
 
 class TestBuildTree:
@@ -246,5 +246,23 @@ class TestSiblingRuns:
                   leaf_node("a3"), leaf_node("a4")]
         lumped = tree_hit_probability(star(leaves), lump_per_level=True)
         assert calls == {"build": 3, "lump": [2, 2]}
+        plain = tree_hit_probability(star(leaves), lump_per_level=False)
+        assert lumped == pytest.approx(plain, abs=1e-10)
+
+    @pytest.mark.parametrize("order", ["AAB", "BAA", "AA"])
+    def test_snapped_targets_sorted_within_runs(self, order):
+        # A's delay enters at F_1 or F_3, never F_2: a chain start snaps an A
+        # caught in F_2 back to an entry phase, and the snapped lumped label
+        # is sorted within the A run, not across the whole level.
+        chain = GeneralPH(
+            (0.5, 0.0, 0.5),
+            ((-3.0, 3.0, 0.0), (0.0, -3.0, 3.0), (0.0, 0.0, -3.0)),
+        )
+        leaves = [
+            CacheNode(f"{kind}{i}", ttl=Exponential(0.5), delay=chain,
+                      arrival=Exponential(1.0)) if kind == "A" else leaf_node(f"{kind}{i}")
+            for i, kind in enumerate(order)
+        ]
+        lumped = tree_hit_probability(star(leaves), lump_per_level=True)
         plain = tree_hit_probability(star(leaves), lump_per_level=False)
         assert lumped == pytest.approx(plain, abs=1e-10)

@@ -47,7 +47,7 @@ def line_subtree():
         build_parent_cache(Exponential(0.25), delay),
         children,
         fetch_entry_distribution(delay),
-        [fetch_entry_distribution(Exponential(1.0))] * 2,
+        [(fetch_entry_distribution(Exponential(1.0)), 1)] * 2,
     )
 
 

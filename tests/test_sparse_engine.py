@@ -2,10 +2,13 @@
 
 Generated trees (arity 1-3, depth up to 2, exponential, Erlang and Coxian
 arrivals and delays with up to 3 phases, two-phase hyperexponential delays
-whose entry is spread over both phases, and siblings repeated as copies of a
-drawn subtree) are composed, and the stationary vector of the sparse solver
-is compared with a dense solve of the same generator.  ``pytest -m slow``
-runs the same property on more examples.
+whose entry is spread over both phases, three-phase chain delays whose entry
+skips the middle phase, and siblings repeated as copies of a drawn subtree)
+are composed, and the stationary vector of the sparse solver is compared
+with a dense solve of the same generator.  A chain start snaps a sibling
+caught in a skipped phase back to its entry, which in a lumped run must keep
+the run's roots sorted.  ``pytest -m slow`` runs the same property on more
+examples.
 """
 
 from dataclasses import replace
@@ -30,18 +33,23 @@ from conftest import two_level_tree
 MAX_STATES = 600  # bound on the raw product of per-cache state counts
 MIN_CACHE = 3  # Out, In and one fetch phase
 ARRIVAL_KINDS = ("exp", "erlang", "coxian")
-DELAY_KINDS = ARRIVAL_KINDS + ("hyper",)
+DELAY_KINDS = ARRIVAL_KINDS + ("hyper", "skip")
 
 
 def _ph(draw, max_phases, kinds):
     kind = draw(st.sampled_from(kinds))
     rate = draw(st.floats(0.2, 5.0))
-    if kind == "exp" or max_phases < 2:
+    if kind == "exp" or max_phases < 2 or (kind == "skip" and max_phases < 3):
         return Exponential(rate)
     if kind == "hyper":
         p = draw(st.floats(0.05, 0.95))
         other = draw(st.floats(0.2, 5.0))
         return GeneralPH((p, 1.0 - p), ((-rate, 0.0), (0.0, -other)))
+    if kind == "skip":
+        p = draw(st.floats(0.05, 0.95))
+        r2, r3 = (draw(st.floats(0.2, 5.0)) for _ in range(2))
+        chain = ((-rate, rate, 0.0), (0.0, -r2, r2), (0.0, 0.0, -r3))
+        return GeneralPH((p, 0.0, 1.0 - p), chain)
     k = draw(st.integers(2, max_phases))
     if kind == "erlang":
         return Erlang(k, rate)

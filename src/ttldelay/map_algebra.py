@@ -2,10 +2,12 @@
 
 A MAP is stored as a pair of sparse CSR matrices: ``d0`` holds hidden
 transition rates and ``d1`` active (event-emitting) ones.  Composition keeps
-them sparse (a Kronecker sum of sparse factors is sparse), and the steady
-state comes from a sparse LU factorization.  Every state carries a
-:class:`StateLabel` describing what the state means in terms of the cache
-tree: one symbol per cache plus the phase of each phase-type arrival process.
+them sparse (a Kronecker sum of sparse factors is sparse).  The steady state
+of a large chain comes from GMRES on the embedded-chain scaling of the
+balance equations; a small chain, or one where GMRES misses, is solved by a
+sparse LU factorization.  Every state carries a :class:`StateLabel`
+describing what the state means in terms of the cache tree: one symbol per
+cache plus the phase of each phase-type arrival process.
 
 Labels are nested tuples so that composition operations (Kronecker sums, line
 superposition, lumping) can manipulate them structurally:
@@ -20,18 +22,31 @@ A :class:`StateLabel` is a tuple of such nodes (a forest): level superposition
 concatenates forests, line superposition wraps a forest under a new root.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
+from scipy.sparse.linalg import LinearOperator, gmres, onenormest, splu
 
 from ttldelay.errors import CapacityError, ConditioningError, ReducibleChainError
 from ttldelay.settings import default_settings
 
+log = logging.getLogger(__name__)
+
 OUT = ("O", 0)
 IN = ("I", 0)
+
+# Chains above this size are solved by GMRES first.  Below it the LU is as
+# fast or faster: its fill is still small, and GMRES pays a fixed cost of
+# about ten solves for the condition estimate.
+KRYLOV_MIN_STATES = 2000
+KRYLOV_RESTART = 60
+# GMRES residuals relative to the right-hand side: pi must pass the residual
+# check; the condition estimate needs only its leading digits.
+PI_RTOL = 1e-13
+CONDITION_RTOL = 1e-4
 
 
 def fetch(phase):
@@ -185,11 +200,14 @@ class LabeledMap:
 class SteadyState:
     """Stationary distribution of a MAP's background process.
 
-    ``condition`` is the 1-norm condition estimate of the solved system.
+    ``condition`` is the 1-norm condition estimate of the solved system and
+    ``method`` the path that solved it: ``"direct"`` (sparse LU) or
+    ``"krylov"`` (GMRES).
     """
 
     pi: np.ndarray
     condition: float = 1.0
+    method: str = "direct"
 
     def __post_init__(self):
         object.__setattr__(self, "pi", np.asarray(self.pi, dtype=float))
@@ -283,11 +301,13 @@ def _recurrent_class_count(q):
 def steady_state(m, settings=None):
     """Solve pi (d0 + d1) = 0 with pi >= 0 summing to one.
 
-    One balance equation is replaced by the normalization constraint and the
-    system is solved by a sparse LU factorization (SuperLU with a minimum
-    degree ordering on A^T + A, which keeps the fill of composed generators
-    low).  The 1-norm condition number is estimated with Hager's method, as
-    LAPACK's ``dgecon`` does; see :class:`NumericSettings` for the limits.
+    One balance equation is replaced by the normalization constraint.  A
+    chain of more than ``KRYLOV_MIN_STATES`` states is first solved by
+    :func:`krylov_steady_state`; when GMRES misses, the miss is logged and
+    the system goes to :func:`direct_steady_state`, as every smaller chain
+    does.  Both paths estimate the 1-norm condition number the same way and
+    check the result against the same limits (see :class:`NumericSettings`);
+    ``SteadyState.method`` tells which path answered.
     """
     settings = settings or default_settings()
     q = m.generator()
@@ -300,40 +320,122 @@ def steady_state(m, settings=None):
         raise ReducibleChainError(
             f"generator has {n_rec} recurrent classes; steady state is not unique"
         )
+    if n > KRYLOV_MIN_STATES:
+        try:
+            return krylov_steady_state(q, settings)
+        except KrylovMiss as miss:
+            log.info("steady state of %d states falls back to LU: %s", n, miss)
+    return direct_steady_state(q, settings)
 
+
+def _balance_system(q):
+    """A = [q^T without its last row; 1^T]; A pi = e_n is the steady state."""
+    n = q.shape[0]
     a = sparse.vstack([q.T.tocsr()[:-1], np.ones((1, n))], format="csc")
     b = np.zeros(n)
     b[-1] = 1.0
-    try:
-        lu = splu(a, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-        raise ConditioningError(f"steady-state system is singular: {exc}") from exc
-    anorm = abs(a).sum(axis=0).max()
-    inverse = LinearOperator(
-        (n, n),
-        matvec=lu.solve,
-        rmatvec=lambda x: lu.solve(x, trans="T"),
-        dtype=float,
-    )
+    return a, b
+
+
+def _condition(a, solve, solve_transposed, settings):
+    """Hager's 1-norm condition estimate of ``a``, as LAPACK's ``dgecon``.
+
+    ``solve`` and ``solve_transposed`` apply the inverse of ``a`` and of its
+    transpose.  An estimate above ``cond_limit`` raises.
+    """
+    n = a.shape[0]
+    inverse = LinearOperator((n, n), matvec=solve, rmatvec=solve_transposed, dtype=float)
     # t=1 keeps the estimate deterministic: larger t draws random columns.
-    cond = anorm * onenormest(inverse, t=1)
+    cond = abs(a).sum(axis=0).max() * onenormest(inverse, t=1)
     if not np.isfinite(cond) or cond > settings.cond_limit:
         raise ConditioningError(
             f"steady-state condition estimate {cond:.2e} "
             f"exceeds limit {settings.cond_limit:.2e}"
         )
-    pi = lu.solve(b)
+    return float(cond)
 
+
+def _checked_pi(pi, q, settings):
+    """``pi`` clipped at zero and normalised; raises if it is not a steady state."""
     if np.any(pi < -settings.residual_tol):
         raise ConditioningError("steady-state solution has negative components")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    residual = q.T @ pi
-    if np.max(np.abs(residual)) > settings.residual_tol * max(abs(q).max(), 1.0):
-        raise ConditioningError(
-            f"steady-state residual {np.max(np.abs(residual)):.3e} above tolerance"
-        )
-    return SteadyState(pi, float(cond))
+    residual = np.max(np.abs(q.T @ pi))
+    # Written so that a NaN residual fails too.
+    if not residual <= settings.residual_tol * max(abs(q).max(), 1.0):
+        raise ConditioningError(f"steady-state residual {residual:.3e} above tolerance")
+    return pi
+
+
+def direct_steady_state(q, settings=None):
+    """Steady state of the irreducible generator ``q`` by sparse LU.
+
+    SuperLU with a minimum degree ordering on A^T + A, which keeps the fill
+    of composed generators low; the condition estimate solves with the same
+    factors.
+    """
+    settings = settings or default_settings()
+    a, b = _balance_system(q)
+    try:
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+        raise ConditioningError(f"steady-state system is singular: {exc}") from exc
+    cond = _condition(a, lu.solve, lambda x: lu.solve(x, trans="T"), settings)
+    return SteadyState(_checked_pi(lu.solve(b), q, settings), cond, "direct")
+
+
+class KrylovMiss(Exception):
+    """GMRES gave no steady state that passes the checks."""
+
+
+def _gmres(a, b, rtol):
+    """x with |a x - b| <= rtol |b| by restarted GMRES, or raise KrylovMiss.
+
+    A restart cycle that does not halve the residual counts as a stall, so a
+    solve runs at most log2(1 / rtol) cycles.
+    """
+    b = np.ravel(b)
+    x, last = None, np.linalg.norm(b)
+    while True:
+        x, info = gmres(a, b, x0=x, rtol=rtol, atol=0.0, restart=KRYLOV_RESTART, maxiter=1)
+        if info == 0:
+            return x
+        residual = np.linalg.norm(b - a @ x)
+        if not residual <= last / 2:
+            raise KrylovMiss(
+                f"GMRES stalled at relative residual {residual / np.linalg.norm(b):.1e}"
+            )
+        last = residual
+
+
+def krylov_steady_state(q, settings=None):
+    """Steady state of the irreducible generator ``q`` by GMRES.
+
+    GMRES runs on the embedded-chain scaling of the balance system: with
+    D = diag(-q_ii), A = S D where S = [(D^-1 q)^T without its last row;
+    (D^-1 1)^T], which takes the spread of the rates (such as the 1e6
+    zero-delay emulation) out of the system.  So A^-1 x = D^-1 S^-1 x and
+    A^-T x = S^-T D^-1 x, and the condition estimate of A runs on solves
+    with S and S^T to ``CONDITION_RTOL``.  Raises :class:`KrylovMiss` when a
+    solve stalls or pi fails the negativity or residual check.
+    """
+    settings = settings or default_settings()
+    a, b = _balance_system(q)
+    d = -q.diagonal()
+    scaled = (a @ sparse.diags_array(1.0 / d)).tocsr()
+    scaled_t = scaled.T.tocsr()
+    try:
+        pi = _checked_pi(_gmres(scaled, b, PI_RTOL) / d, q, settings)
+    except ConditioningError as exc:
+        raise KrylovMiss(str(exc)) from exc
+    cond = _condition(
+        a,
+        lambda x: _gmres(scaled, x, CONDITION_RTOL) / d,
+        lambda x: _gmres(scaled_t, np.ravel(x) / d, CONDITION_RTOL),
+        settings,
+    )
+    return SteadyState(pi, cond, "krylov")
 
 
 def event_rate(m, ss=None, settings=None):

@@ -1,3 +1,4 @@
+import logging
 import math
 from itertools import permutations
 
@@ -13,7 +14,7 @@ from ttldelay.cache_builders import (
 )
 from ttldelay.distributions import Coxian, Erlang, Exponential
 from ttldelay.errors import CapacityError
-from ttldelay.hierarchy import level_superpose, line_superpose
+from ttldelay.hierarchy import build_tree, level_superpose, line_superpose
 from ttldelay.lumping import (
     Partition,
     _block_indicator,
@@ -22,12 +23,13 @@ from ttldelay.lumping import (
     verify_lumpability,
 )
 from ttldelay.map_algebra import (
+    KRYLOV_MIN_STATES,
     LabeledMap,
     StateLabel,
     event_rate,
+    steady_state,
     validate_map,
 )
-from ttldelay.metrics import tree_hit_probability
 from ttldelay.settings import NumericSettings
 
 
@@ -109,7 +111,7 @@ class TestConstruction:
         loose = NumericSettings(state_cap=partition_count(3, 40))
         assert lump_symmetric_level(sibling, 40, loose).map.size == 861
 
-    def test_flat_fifty_leaves_solve(self):
+    def test_flat_fifty_leaves_solve(self, caplog):
         leaves = tuple(
             CacheNode(f"leaf{i}", ttl=Exponential(0.5), delay=Exponential(1.0),
                       arrival=Exponential(1.0))
@@ -119,8 +121,17 @@ class TestConstruction:
             CacheNode("root", ttl=Exponential(0.25), delay=Exponential(1.0),
                       children=leaves)
         )
-        p_hit = tree_hit_probability(spec, lump_per_level=True)
-        assert 0.0 <= p_hit <= 1.0
+        system = build_tree(spec, lump_per_level=True)
+        assert system.size == 3927 > KRYLOV_MIN_STATES
+        # GMRES stalls on this chain, so the LU answers and the fallback is
+        # logged once; p_hit is the LU's value from before GMRES existed.
+        with caplog.at_level(logging.INFO, logger="ttldelay.map_algebra"):
+            ss = steady_state(system)
+        assert ss.method == "direct"
+        (record,) = caplog.records
+        assert "3927 states falls back to LU" in record.getMessage()
+        p_hit = 1.0 - event_rate(system, ss) / spec.total_request_rate()
+        assert p_hit == pytest.approx(0.8632834559919254, rel=0, abs=1e-12)
 
 
 class TestLumpSymmetricLevel:

@@ -4,15 +4,18 @@ Generated trees (arity 1-3, depth up to 2, exponential, Erlang and Coxian
 arrivals and delays with up to 3 phases, two-phase hyperexponential delays
 whose entry is spread over both phases, three-phase chain delays whose entry
 skips the middle phase, and siblings repeated as copies of a drawn subtree)
-are composed, and the stationary vector of the sparse solver is compared
-with a dense solve of the same generator.  A chain start snaps a sibling
-caught in a skipped phase back to its entry, which in a lumped run must keep
-the run's roots sorted.  ``pytest -m slow`` runs the same property on more
-examples.
+are composed, and the stationary vector of the sparse solver, and of GMRES
+whenever it does not report a miss, is compared with a dense solve of the
+same generator.  A chain start snaps a sibling caught in a skipped phase
+back to its entry, which in a lumped run must keep the run's roots sorted.
+``pytest -m slow`` runs the same property on more examples.  GMRES is also
+checked against the subtraction-free GTH elimination on small and stiff
+chains, and on two lumped trees large enough to take the GMRES path.
 """
 
 from dataclasses import replace
 from itertools import count
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,15 +24,23 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.linalg import lapack
 
 from ttldelay.cache_builders import CacheNode, CacheTreeSpec, build_single_cache
+from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH
 from ttldelay.errors import ConditioningError
 from ttldelay.hierarchy import build_tree
-from ttldelay.map_algebra import steady_state
+from ttldelay.map_algebra import (
+    KrylovMiss,
+    direct_steady_state,
+    event_rate,
+    krylov_steady_state,
+    steady_state,
+)
 from ttldelay.metrics import tree_hit_probability, zero_delay_variant
 from ttldelay.settings import NumericSettings
 
 from conftest import two_level_tree
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MAX_STATES = 600  # bound on the raw product of per-cache state counts
 MIN_CACHE = 3  # Out, In and one fetch phase
 ARRIVAL_KINDS = ("exp", "erlang", "coxian")
@@ -124,6 +135,26 @@ def dense_stationary(q):
     return scipy.linalg.solve(*balance_system(q))
 
 
+def gth_stationary(q):
+    """The stationary vector by Grassmann-Taksar-Heyman state reduction.
+
+    Only sums and products of nonnegative off-diagonal rates occur, so no
+    digits cancel, however stiff the chain (Grassmann, Taksar & Heyman,
+    Oper. Res. 1985).
+    """
+    a = np.array(q, dtype=float)
+    np.fill_diagonal(a, 0.0)
+    n = a.shape[0]
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
+
+
 def dense_condition(q):
     """1-norm condition estimate of the same system from LAPACK ``dgecon``."""
     a, _ = balance_system(q)
@@ -135,10 +166,15 @@ def dense_condition(q):
 def check_against_dense(spec):
     system = build_tree(spec, lump_per_level=False)
     assert system.size <= MAX_STATES
-    pi = steady_state(system).pi
-    np.testing.assert_allclose(
-        pi, dense_stationary(system.generator().toarray()), rtol=0, atol=1e-12
-    )
+    q = system.generator()
+    dense = dense_stationary(q.toarray())
+    np.testing.assert_allclose(steady_state(system).pi, dense, rtol=0, atol=1e-12)
+    try:
+        krylov = krylov_steady_state(q)
+    except KrylovMiss:
+        pass
+    else:
+        np.testing.assert_allclose(krylov.pi, dense, rtol=0, atol=1e-10)
     p_plain = tree_hit_probability(spec, lump_per_level=False)
     p_lumped = tree_hit_probability(spec, lump_per_level=True)
     assert p_lumped == pytest.approx(p_plain, abs=1e-10)
@@ -193,3 +229,55 @@ def test_steady_state_leaves_global_random_state_alone():
     assert before[0] == after[0]
     assert np.array_equal(before[1], after[1])
     assert before[2:] == after[2:]
+
+
+GTH_CASES = {
+    "single_cache": ("single_cache_mmm", False),
+    "two_level": ("binary_two_level_mmm", False),
+    "three_level": ("binary_three_level_mme2", True),
+}
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["delayed", "zero_delay"])
+@pytest.mark.parametrize("case", sorted(GTH_CASES))
+def test_krylov_matches_gth(case, zero):
+    name, lump = GTH_CASES[case]
+    spec, _ = load_config(CONFIGS / f"{name}.yaml")
+    q = build_tree(zero_delay_variant(spec) if zero else spec, lump_per_level=lump).generator()
+    krylov = krylov_steady_state(q)
+    assert krylov.method == "krylov"
+    np.testing.assert_allclose(krylov.pi, gth_stationary(q.toarray()), rtol=0, atol=1e-12)
+    assert krylov.condition == pytest.approx(direct_steady_state(q).condition, rel=0.01)
+
+
+def _uniform_tree(arity, depth, delay, arrival):
+    """An arity-ary tree of the given depth; TTL means 2, 4, 6 from the leaves up."""
+
+    def node(name, level):
+        ttl = Exponential(1.0 / (2.0 * (level + 1)))
+        if level == 0:
+            return CacheNode(name, ttl, delay, arrival=arrival)
+        children = tuple(node(f"{name}{i}", level - 1) for i in range(arity))
+        return CacheNode(name, ttl, delay, children=children)
+
+    return CacheTreeSpec(node("c", depth))
+
+
+LARGE_CASES = {
+    "ternary_depth2": _uniform_tree(3, 2, Exponential(1.0), Exponential(1.0)),
+    "coxian_three_level": _uniform_tree(2, 2, Erlang(2, 2.0), Coxian((1.5, 0.75), (0.5,))),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", sorted(LARGE_CASES))
+def test_large_lumped_trees_take_krylov(case):
+    spec = LARGE_CASES[case]
+    system = build_tree(spec, lump_per_level=True)
+    krylov = steady_state(system)
+    assert krylov.method == "krylov"
+    direct = direct_steady_state(system.generator())
+    rate = spec.total_request_rate()
+    p_krylov = 1.0 - event_rate(system, krylov) / rate
+    p_direct = 1.0 - event_rate(system, direct) / rate
+    assert p_krylov == pytest.approx(p_direct, rel=0, abs=1e-12)

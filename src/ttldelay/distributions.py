@@ -119,8 +119,18 @@ class GeneralPH:
         if np.any(off < 0) or np.any(np.diag(s) > 0):
             raise ValueError("subgenerator has invalid signs")
         rows = s.sum(axis=1)
-        if np.any(rows > 1e-12) or not np.any(rows < -1e-12):
-            raise ValueError("subgenerator rows must sum <= 0 with an absorbing exit")
+        if np.any(rows > 1e-12):
+            raise ValueError("subgenerator rows must sum <= 0")
+        # Absorption must be certain from every phase, i.e. S nonsingular:
+        # every phase reaches an exiting one within len(alpha) - 1 jumps.
+        reach = rows < -1e-12
+        for _ in range(alpha.size - 1):
+            reach = reach | ((off > 0) @ reach)
+        if not reach.all():
+            raise ValueError(
+                "subgenerator is singular: absorption is not certain from "
+                f"phases {np.flatnonzero(~reach).tolist()}"
+            )
         object.__setattr__(self, "initial", tuple(alpha))
         object.__setattr__(self, "subgenerator", tuple(map(tuple, s)))
 
@@ -194,28 +204,33 @@ def ph_moment(alpha, s, k):
 
 
 def sample_ph(rng, alpha, s, size=None):
-    """Draw absorption times of the PH Markov chain."""
-    scalar = size is None
-    n = 1 if scalar else int(np.prod(size))
+    """Draw absorption times of the PH Markov chain, a whole block at once.
+
+    Runs the embedded jump chain (Bladt & Nielsen, *Matrix-Exponential
+    Distributions in Applied Probability*, Springer 2017) in lockstep over
+    every draw: the initial phases come by inverse CDF on ``cumsum(alpha)``;
+    each round adds an exponential holding time to every live draw and moves
+    it with one uniform against its phase's cumulative jump row, whose last
+    column (absorption) is ``+inf`` so rounding cannot carry a draw past it.
+    Absorbed draws leave the live index; the loop ends when none is left.
+    ``size=None`` gives a Python float, else an array of shape ``size``.
+    """
+    n = 1 if size is None else int(np.prod(size))
     k = len(alpha)
-    exit_rates = -s.sum(axis=1)
     totals = -np.diag(s)
-    # Jump chain probabilities: row i lists phases 0..k-1 then absorption.
-    jump = np.zeros((k, k + 1))
-    for i in range(k):
-        jump[i, :k] = np.where(np.arange(k) == i, 0.0, s[i] / totals[i])
-        jump[i, k] = exit_rates[i] / totals[i]
-    out = np.empty(n)
-    for idx in range(n):
-        t = 0.0
-        phase = rng.choice(k, p=alpha)
-        while True:
-            t += rng.exponential(1.0 / totals[phase])
-            nxt = rng.choice(k + 1, p=jump[phase])
-            if nxt == k:
-                break
-            phase = nxt
-        out[idx] = t
-    if scalar:
+    # Row i: cumulative probabilities of jumping to phases 0..k-1, then +inf.
+    jump = np.where(np.eye(k, dtype=bool), 0.0, s) / totals[:, None]
+    cum = np.hstack([np.cumsum(jump, axis=1), np.full((k, 1), np.inf)])
+    start = np.cumsum(alpha)
+    start[-1] = np.inf
+    phase = np.searchsorted(start, rng.random(n), side="right")
+    out = np.zeros(n)
+    live = np.arange(n)
+    while live.size:
+        out[live] += rng.standard_exponential(live.size) / totals[phase]
+        phase = (rng.random(live.size)[:, None] >= cum[phase]).sum(axis=1)
+        going = phase < k
+        live, phase = live[going], phase[going]
+    if size is None:
         return float(out[0])
     return out.reshape(size)

@@ -17,7 +17,12 @@ Event semantics (the same sample-path rules the exact engine encodes):
   the serving cache's TTL.  Pending fetches survive TTL events above them.
 
 Deterministic distributions are allowed everywhere.  Identical
-(configuration, seed) pairs give bit-identical estimates.
+(configuration, seed) pairs give bit-identical estimates.  Coxian and
+general phase-type draws are taken a block at a time by the lockstep
+:func:`ttldelay.distributions.sample_ph`, which consumes the RNG stream
+differently from the per-draw loop it replaced: on trees with such
+distributions, estimates differ from that earlier sampler's within their
+noise.
 """
 
 import heapq

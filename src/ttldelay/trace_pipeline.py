@@ -26,6 +26,9 @@ from ttldelay.errors import FitError
 log = logging.getLogger(__name__)
 
 BOXCOX_GRID = tuple(np.arange(-2.0, 2.01, 0.5))
+# RK4 is stable for h * rate up to this bound on the negative real axis; the
+# eigenvalues of a Coxian subgenerator are its negated rates.
+RK4_STABILITY_LIMIT = 2.785
 
 
 def interarrivals(timestamps):
@@ -157,9 +160,13 @@ def _estep(samples, rates, probs, grid_steps):
 
     a_end = q_end[:, :, 0]  # a_K = alpha P^K
     density = a_end @ exit_rates
-    # A negative density means an unstable RK4 step: the NaN loglik makes EM
-    # restart.  Only densities that underflow to zero are clamped.
-    unstable = np.any(density < 0)
+    # An RK4 step past the real-axis stability limit, or a negative density,
+    # gives a NaN loglik, which makes EM restart.  Only densities that
+    # underflow to zero are clamped.
+    unstable = (
+        max(rates) * samples.max() / grid_steps > RK4_STABILITY_LIMIT
+        or np.any(density < 0)
+    )
     density = np.maximum(density, 1e-300)
     loglik = math.nan if unstable else float(np.log(density).sum())
     # Pair integrals int a_i(u) c_j(x - u) du over samples, each with its

@@ -240,6 +240,17 @@ class TestErrors:
         assert main(["analyze", "--config", str(path)]) == 1
         assert "E_CONFIG" in capsys.readouterr().err
 
+    def test_singular_general_ph_rejected(self, tmp_path, capsys):
+        path = tmp_path / "trap.yaml"
+        path.write_text(
+            "tree:\n  id: c\n  ttl: {kind: exponential, mean: 1.0}\n"
+            "  delay: {kind: general-ph, initial: [0.5, 0.5],\n"
+            "          subgenerator: [[-1.0, 0.0], [0.0, 0.0]]}\n"
+            "  arrival: {kind: exponential, mean: 1.0}\n"
+        )
+        assert main(["simulate", "--config", str(path), "--requests", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG:") and "singular" in err
 
     def test_leaf_without_arrival(self, tmp_path, capsys):
         path = tmp_path / "no_arrival.yaml"

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
 
 from ttldelay.cache_builders import CacheNode, CacheTreeSpec
-from ttldelay.distributions import Deterministic, Erlang, Exponential
+from ttldelay.distributions import Coxian, Deterministic, Erlang, Exponential
 from ttldelay.errors import ConfigError
 from ttldelay.metrics import tree_hit_probability
 from ttldelay.simulator import _Run, SimConfig, SimEstimate, simulate, simulate_trace
 
 from conftest import two_level_tree, single_mmm
+from test_sparse_engine import trees
 
 
 class TestSingleCache:
@@ -46,6 +48,16 @@ class TestTreeAgreement:
         assert 0 < est.origin_fetch_count < est.request_count
 
 
+@pytest.mark.slow
+@hyp_settings(max_examples=20, deadline=None, derandomize=True)
+@given(trees())
+def test_generated_trees_match_exact_engine(spec):
+    exact = tree_hit_probability(spec, lump_per_level=True)
+    est = simulate(SimConfig(spec=spec, requests=200_000, seed=1))
+    se = est.half_width_95 / 1.96
+    assert abs(est.p_hit - exact) <= 4 * se
+
+
 class TestChainCausality:
     def test_child_admission_never_under_fetching_parent(self):
         admissions = []
@@ -74,6 +86,19 @@ class TestReplications:
         timestamps = np.cumsum(np.random.default_rng(5).exponential(1.0, 20_000))
         replay = simulate_trace(timestamps, single_mmm(1.0), seed=5)
         assert replay == simulate_trace(timestamps, single_mmm(1.0), seed=5)
+        # Coxian-2 arrivals and Erlang-2 delays: block phase-type draws.
+        arrival = Coxian((1.5, 0.75), (0.5,))
+        leaves = tuple(
+            CacheNode(f"leaf{i}", ttl=Exponential(0.5), delay=Erlang(2, 2.0),
+                      arrival=arrival)
+            for i in (1, 2)
+        )
+        ph_tree = CacheTreeSpec(
+            CacheNode("root", ttl=Exponential(0.25), delay=Erlang(2, 2.0),
+                      children=leaves)
+        )
+        cfg = SimConfig(spec=ph_tree, requests=20_000, seed=5)
+        assert simulate(cfg) == simulate(cfg)
 
     def test_seeds_induce_different_paths(self):
         runs = {

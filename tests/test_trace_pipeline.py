@@ -160,8 +160,14 @@ class TestEstep:
         unstable = (phases, grid_steps) in {(2, 2), (2, 4), (3, 2)}
         assert np.isnan(want[3]) == unstable
         assert all(np.all(np.isfinite(w)) for w in want[:3])
-        for g, w in zip(got, want):
+        for g, w in zip(got[:3], want[:3]):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+        # The step-size bound also rejects (5, 2), whose step is unstable
+        # (h * rate up to 4.6) before any density has turned negative.
+        guarded = unstable or (phases, grid_steps) == (5, 2)
+        assert np.isnan(got[3]) == guarded
+        if not guarded:
+            assert got[3] == pytest.approx(want[3], rel=1e-12)
 
     def test_stiff_overflow_stays_non_finite(self):
         samples = np.random.default_rng(1).gamma(2.0, 0.5, 200)
@@ -179,6 +185,13 @@ class TestEstep:
         with np.errstate(all="ignore"):
             loglik = _estep(samples, np.array([38.0, 38.0]), np.array([0.1]), 2)[3]
         assert math.isnan(loglik)
+
+    def test_unstable_step_with_positive_densities_gives_nan_loglik(self):
+        # One phase at rate 38 and two steps: h * rate reaches 84, far past
+        # RK4's limit of 2.785, yet every density stays positive and the
+        # clamped loglik used to read +36,336.
+        samples = np.random.default_rng(0).gamma(2.0, 0.5, 2000)
+        assert math.isnan(_estep(samples, np.array([38.0]), np.array([]), 2)[3])
 
     def test_underflowing_density_is_clamped(self):
         # exp(-2000) underflows to zero; the clamp keeps the loglik finite.

@@ -36,6 +36,8 @@ def interarrivals(timestamps):
     t = np.asarray(timestamps, dtype=float)
     if t.size < 2:
         raise ValueError("need at least two timestamps")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("timestamps must be finite")
     gaps = np.diff(t)
     if np.any(gaps < 0):
         raise ValueError("timestamps must be sorted ascending")

@@ -174,6 +174,13 @@ class TestFitTrace:
         rows = read_csv(str(dens))
         assert set(rows[0]) == {"bin_center", "empirical_density", "fitted_density"}
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_timestamp_rejected(self, tmp_path, capsys, bad):
+        trace = tmp_path / "trace.txt"
+        trace.write_text(f"0.0\n0.5\n{bad}\n1.5\n2.0\n")
+        assert main(["fit-trace", "--trace", str(trace), "--phases", "1"]) == 1
+        assert capsys.readouterr().err == "E_VALUE: timestamps must be finite\n"
+
     def test_iteration_limit_warns(self, tmp_path, rng, monkeypatch, caplog):
         import functools
 

@@ -1,15 +1,34 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 
 from ttldelay.cache_builders import CacheNode, CacheTreeSpec
+from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Deterministic, Erlang, Exponential
 from ttldelay.errors import ConfigError
 from ttldelay.metrics import tree_hit_probability
-from ttldelay.simulator import _Run, SimConfig, SimEstimate, simulate, simulate_trace
+from ttldelay.simulator import _Run, SimConfig, simulate, simulate_trace
 
 from conftest import two_level_tree, single_mmm
 from test_sparse_engine import trees
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def ph_tree():
+    """Two leaves with Coxian-2 arrivals, Erlang-2 delays on every link."""
+    arrival = Coxian((1.5, 0.75), (0.5,))
+    leaves = tuple(
+        CacheNode(f"leaf{i}", ttl=Exponential(0.5), delay=Erlang(2, 2.0),
+                  arrival=arrival)
+        for i in (1, 2)
+    )
+    return CacheTreeSpec(
+        CacheNode("root", ttl=Exponential(0.25), delay=Erlang(2, 2.0),
+                  children=leaves)
+    )
 
 
 class TestSingleCache:
@@ -87,17 +106,7 @@ class TestReplications:
         replay = simulate_trace(timestamps, single_mmm(1.0), seed=5)
         assert replay == simulate_trace(timestamps, single_mmm(1.0), seed=5)
         # Coxian-2 arrivals and Erlang-2 delays: block phase-type draws.
-        arrival = Coxian((1.5, 0.75), (0.5,))
-        leaves = tuple(
-            CacheNode(f"leaf{i}", ttl=Exponential(0.5), delay=Erlang(2, 2.0),
-                      arrival=arrival)
-            for i in (1, 2)
-        )
-        ph_tree = CacheTreeSpec(
-            CacheNode("root", ttl=Exponential(0.25), delay=Erlang(2, 2.0),
-                      children=leaves)
-        )
-        cfg = SimConfig(spec=ph_tree, requests=20_000, seed=5)
+        cfg = SimConfig(spec=ph_tree(), requests=20_000, seed=5)
         assert simulate(cfg) == simulate(cfg)
 
     def test_seeds_induce_different_paths(self):
@@ -114,6 +123,36 @@ class TestReplications:
                                   replications=4))
         assert four.half_width_95 < one.half_width_95
         assert four.half_width_95 == pytest.approx(one.half_width_95 / 2.0, rel=0.5)
+
+
+class TestPinnedEstimates:
+    """Estimates recorded from an earlier build of the simulator.
+
+    Exact float equality: any change in event order or RNG use moves them.
+    """
+
+    @staticmethod
+    def fields(est):
+        return (est.p_hit, est.half_width_95, est.origin_fetch_count,
+                est.request_count)
+
+    def test_phase_type_tree(self):
+        est = simulate(SimConfig(spec=ph_tree(), requests=20_000, seed=5))
+        assert self.fields(est) == (0.7781666666666667, 0.008290134127181154,
+                                    1922, 18000)
+
+    def test_three_level_config_two_replications(self):
+        spec, _ = load_config(CONFIGS / "binary_three_level_mme2.yaml")
+        est = simulate(SimConfig(spec=spec, requests=20_000, seed=3,
+                                 replications=2))
+        assert self.fields(est) == (0.8875277777777778, 0.005081374286618642,
+                                    2036, 36000)
+
+    def test_trace_replay(self):
+        timestamps = np.cumsum(np.random.default_rng(5).exponential(1.0, 20_000))
+        est = simulate_trace(timestamps, single_mmm(1.0), seed=5)
+        assert self.fields(est) == (0.4982777777777778, 0.0069668737949193545,
+                                    5035, 18000)
 
 
 class TestTraceReplay:
@@ -134,6 +173,12 @@ class TestTraceReplay:
     def test_unsorted_trace_rejected(self):
         with pytest.raises(ConfigError, match="ascending"):
             simulate_trace([1.0, 0.5], single_mmm(1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_trace_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            simulate_trace([0.0, bad, 1.0, 2.0, 3.0], single_mmm(1.0),
+                           warmup_fraction=0.0)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigError, match="empty"):

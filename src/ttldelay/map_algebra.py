@@ -3,8 +3,8 @@
 A MAP is stored as a pair of sparse CSR matrices: ``d0`` holds hidden
 transition rates and ``d1`` active (event-emitting) ones.  Composition keeps
 them sparse (a Kronecker sum of sparse factors is sparse).  The steady state
-of a large chain comes from GMRES on the embedded-chain scaling of the
-balance equations; a small chain, or one where GMRES misses, is solved by a
+of a large chain comes from GCROT(m,k) on the embedded-chain scaling of the
+balance equations; a small chain, or one where GCROT misses, is solved by a
 sparse LU factorization.  Every state carries a :class:`StateLabel`
 describing what the state means in terms of the cache tree: one symbol per
 cache plus the phase of each phase-type arrival process.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, gmres, onenormest, splu
+from scipy.sparse.linalg import LinearOperator, gcrotmk, onenormest, splu
 
 from ttldelay.errors import CapacityError, ConditioningError, ReducibleChainError
 from ttldelay.settings import default_settings
@@ -38,12 +38,19 @@ log = logging.getLogger(__name__)
 OUT = ("O", 0)
 IN = ("I", 0)
 
-# Chains above this size are solved by GMRES first.  Below it the LU is as
-# fast or faster: its fill is still small, and GMRES pays a fixed cost of
-# about ten solves for the condition estimate.
+# Chains above this size are solved by GCROT first.  Below it the LU is
+# about as fast: its fill is still small, GCROT pays a fixed cost of about
+# ten solves for the condition estimate, and GCROT misses on lumped wide flat
+# levels, which are about this size.
 KRYLOV_MIN_STATES = 2000
-KRYLOV_RESTART = 60
-# GMRES residuals relative to the right-hand side: pi must pass the residual
+# GCROT(m,k): m inner FGMRES steps per cycle, k recycled vectors kept.
+KRYLOV_M = 20
+KRYLOV_K = 10
+# A solve stalls when its residual has not halved over this many cycles
+# (about 60 matvecs) and is above STALL_BAND times the target.
+STALL_CYCLES = 3
+STALL_BAND = 10.0
+# GCROT residuals relative to the right-hand side: pi must pass the residual
 # check; the condition estimate needs only its leading digits.
 PI_RTOL = 1e-13
 CONDITION_RTOL = 1e-4
@@ -202,7 +209,7 @@ class SteadyState:
 
     ``condition`` is the 1-norm condition estimate of the solved system and
     ``method`` the path that solved it: ``"direct"`` (sparse LU) or
-    ``"krylov"`` (GMRES).
+    ``"krylov"`` (GCROT(m,k)).
     """
 
     pi: np.ndarray
@@ -303,7 +310,7 @@ def steady_state(m, settings=None):
 
     One balance equation is replaced by the normalization constraint.  A
     chain of more than ``KRYLOV_MIN_STATES`` states is first solved by
-    :func:`krylov_steady_state`; when GMRES misses, the miss is logged and
+    :func:`krylov_steady_state`; when GCROT misses, the miss is logged and
     the system goes to :func:`direct_steady_state`, as every smaller chain
     does.  Both paths estimate the 1-norm condition number the same way and
     check the result against the same limits (see :class:`NumericSettings`);
@@ -386,53 +393,71 @@ def direct_steady_state(q, settings=None):
 
 
 class KrylovMiss(Exception):
-    """GMRES gave no steady state that passes the checks."""
+    """GCROT gave no steady state that passes the checks."""
 
 
-def _gmres(a, b, rtol):
-    """x with |a x - b| <= rtol |b| by restarted GMRES, or raise KrylovMiss.
+def _gcrotmk(a, b, rtol, cu):
+    """x with |a x - b| <= rtol |b| by GCROT(m,k), or raise KrylovMiss.
 
-    A restart cycle that does not halve the residual counts as a stall, so a
-    solve runs at most log2(1 / rtol) cycles.
+    ``cu`` is the recycle list of ``a``: it seeds the solve and holds the
+    subspace the solve leaves behind for the next one.  Each cycle is one
+    ``gcrotmk`` call, and the true residual is tested after it.  A residual
+    that has not halved over the last ``STALL_CYCLES`` cycles is a stall,
+    unless it is within ``STALL_BAND`` times the target, so a slow solve
+    close to the target keeps going.  A solve that halves its residual at
+    that rate reaches the target within ``max_cycles``, which caps the rest.
     """
     b = np.ravel(b)
-    x, last = None, np.linalg.norm(b)
-    while True:
-        x, info = gmres(a, b, x0=x, rtol=rtol, atol=0.0, restart=KRYLOV_RESTART, maxiter=1)
-        if info == 0:
-            return x
+    target = rtol * np.linalg.norm(b)
+    max_cycles = STALL_CYCLES * int(np.ceil(np.log2(1.0 / rtol)))
+    x, history = None, []
+    for cycle in range(max_cycles):
+        # The first cycle recomputes C = a U: stale (c, u) pairs from an
+        # earlier solve break the projection on stiff chains.
+        x, _ = gcrotmk(a, b, x0=x, rtol=rtol, atol=0.0, maxiter=1, m=KRYLOV_M,
+                       k=KRYLOV_K, CU=cu, discard_C=cycle == 0)
         residual = np.linalg.norm(b - a @ x)
-        if not residual <= last / 2:
-            raise KrylovMiss(
-                f"GMRES stalled at relative residual {residual / np.linalg.norm(b):.1e}"
-            )
-        last = residual
+        if residual <= target:
+            return x
+        history.append(residual)
+        if (len(history) > STALL_CYCLES and not residual <= STALL_BAND * target
+                and not residual <= history[-1 - STALL_CYCLES] / 2):
+            break
+    raise KrylovMiss(
+        f"GCROT stalled at relative residual {residual / np.linalg.norm(b):.1e} "
+        f"after {len(history)} cycles"
+    )
 
 
 def krylov_steady_state(q, settings=None):
-    """Steady state of the irreducible generator ``q`` by GMRES.
+    """Steady state of the irreducible generator ``q`` by GCROT(m,k).
 
-    GMRES runs on the embedded-chain scaling of the balance system: with
+    GCROT runs on the embedded-chain scaling of the balance system: with
     D = diag(-q_ii), A = S D where S = [(D^-1 q)^T without its last row;
     (D^-1 1)^T], which takes the spread of the rates (such as the 1e6
     zero-delay emulation) out of the system.  So A^-1 x = D^-1 S^-1 x and
     A^-T x = S^-T D^-1 x, and the condition estimate of A runs on solves
-    with S and S^T to ``CONDITION_RTOL``.  Raises :class:`KrylovMiss` when a
-    solve stalls or pi fails the negativity or residual check.
+    with S and S^T to ``CONDITION_RTOL``.  The solves with S share one
+    recycled subspace, so the forward condition solves start from the
+    subspace the pi solve built, and the solves with S^T share another; both
+    are dropped on return, so each call depends on ``q`` alone.  Raises
+    :class:`KrylovMiss` when a solve stalls or pi fails the negativity or
+    residual check.
     """
     settings = settings or default_settings()
     a, b = _balance_system(q)
     d = -q.diagonal()
     scaled = (a @ sparse.diags_array(1.0 / d)).tocsr()
     scaled_t = scaled.T.tocsr()
+    cu, cu_t = [], []
     try:
-        pi = _checked_pi(_gmres(scaled, b, PI_RTOL) / d, q, settings)
+        pi = _checked_pi(_gcrotmk(scaled, b, PI_RTOL, cu) / d, q, settings)
     except ConditioningError as exc:
         raise KrylovMiss(str(exc)) from exc
     cond = _condition(
         a,
-        lambda x: _gmres(scaled, x, CONDITION_RTOL) / d,
-        lambda x: _gmres(scaled_t, np.ravel(x) / d, CONDITION_RTOL),
+        lambda x: _gcrotmk(scaled, x, CONDITION_RTOL, cu) / d,
+        lambda x: _gcrotmk(scaled_t, np.ravel(x) / d, CONDITION_RTOL, cu_t),
         settings,
     )
     return SteadyState(pi, cond, "krylov")

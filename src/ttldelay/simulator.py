@@ -61,12 +61,16 @@ class SimConfig:
     def validate(self):
         if self.requests <= 0:
             raise ConfigError("need a positive request budget")
-        if not 0 <= self.warmup_fraction < 1:
-            raise ConfigError("warmup fraction must lie in [0, 1)")
+        _check_warmup(self.warmup_fraction)
         if self.replications < 1:
             raise ConfigError("need at least one replication")
         self.spec.validate(exact=False)
         return self
+
+
+def _check_warmup(fraction):
+    if not 0 <= fraction < 1:
+        raise ConfigError("warmup fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -305,6 +309,7 @@ def simulate_trace(timestamps, spec, seed=0, warmup_fraction=0.1):
         raise ConfigError("trace timestamps must be finite")
     if np.any(np.diff(timestamps) < 0):
         raise ConfigError("trace timestamps must be ascending")
+    _check_warmup(warmup_fraction)
     spec.validate(exact=False)
     if not spec.root.is_leaf:
         raise ConfigError("trace replay requires a single-cache spec")

@@ -123,8 +123,8 @@ class TestConstruction:
         )
         system = build_tree(spec, lump_per_level=True)
         assert system.size == 3927 > KRYLOV_MIN_STATES
-        # GMRES stalls on this chain, so the LU answers and the fallback is
-        # logged once; p_hit is the LU's value from before GMRES existed.
+        # GCROT stalls on this chain, so the LU answers and the fallback is
+        # logged once; p_hit is the LU's value from before the Krylov path existed.
         with caplog.at_level(logging.INFO, logger="ttldelay.map_algebra"):
             ss = steady_state(system)
         assert ss.method == "direct"

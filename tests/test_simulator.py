@@ -184,6 +184,15 @@ class TestTraceReplay:
         with pytest.raises(ConfigError, match="empty"):
             simulate_trace([], single_mmm(1.0))
 
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5])
+    def test_warmup_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ConfigError, match=r"warmup fraction must lie in \[0, 1\)"):
+            simulate_trace(np.arange(100.0), single_mmm(1.0), warmup_fraction=fraction)
+
+    def test_zero_warmup_counts_every_request(self):
+        est = simulate_trace(np.arange(100.0), single_mmm(1.0), warmup_fraction=0.0)
+        assert est.request_count == 100
+
     def test_multi_cache_trace_rejected(self):
         with pytest.raises(ConfigError, match="single-cache"):
             simulate_trace([0.0, 1.0], two_level_tree(1.0))

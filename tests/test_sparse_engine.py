@@ -4,15 +4,18 @@ Generated trees (arity 1-3, depth up to 2, exponential, Erlang and Coxian
 arrivals and delays with up to 3 phases, two-phase hyperexponential delays
 whose entry is spread over both phases, three-phase chain delays whose entry
 skips the middle phase, and siblings repeated as copies of a drawn subtree)
-are composed, and the stationary vector of the sparse solver, and of GMRES
+are composed, and the stationary vector of the sparse solver, and of GCROT
 whenever it does not report a miss, is compared with a dense solve of the
 same generator.  A chain start snaps a sibling caught in a skipped phase
 back to its entry, which in a lumped run must keep the run's roots sorted.
-``pytest -m slow`` runs the same property on more examples.  GMRES is also
+``pytest -m slow`` runs the same property on more examples.  GCROT is also
 checked against the subtraction-free GTH elimination on small and stiff
-chains, and on two lumped trees large enough to take the GMRES path.
+chains, and on three lumped trees large enough to take the GCROT path; its
+stall rule and the independence of its results from earlier calls are
+checked directly.
 """
 
+import logging
 from dataclasses import replace
 from itertools import count
 from pathlib import Path
@@ -23,19 +26,22 @@ import scipy.linalg
 from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.linalg import lapack
 
+from ttldelay import map_algebra
 from ttldelay.cache_builders import CacheNode, CacheTreeSpec, build_single_cache
 from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH
 from ttldelay.errors import ConditioningError
 from ttldelay.hierarchy import build_tree
 from ttldelay.map_algebra import (
+    CONDITION_RTOL,
+    STALL_CYCLES,
     KrylovMiss,
     direct_steady_state,
     event_rate,
     krylov_steady_state,
     steady_state,
 )
-from ttldelay.metrics import tree_hit_probability, zero_delay_variant
+from ttldelay.metrics import tree_hit_probability, with_delay_means, zero_delay_variant
 from ttldelay.settings import NumericSettings
 
 from conftest import two_level_tree
@@ -263,10 +269,60 @@ def _uniform_tree(arity, depth, delay, arrival):
     return CacheTreeSpec(node("c", depth))
 
 
+TERNARY = _uniform_tree(3, 2, Exponential(1.0), Exponential(1.0))
+# At this delay mean GMRES(60) reached relative residuals 1.11e-13, 1.003e-13
+# and 9.8e-14 against PI_RTOL = 1e-13, and its stall rule sent the solve to LU.
+TERNARY_SLOW_CYCLE = with_delay_means(TERNARY, 3.0)
+
 LARGE_CASES = {
-    "ternary_depth2": _uniform_tree(3, 2, Exponential(1.0), Exponential(1.0)),
+    "ternary_depth2": TERNARY,
+    "ternary_depth2_tau3": TERNARY_SLOW_CYCLE,
     "coxian_three_level": _uniform_tree(2, 2, Erlang(2, 2.0), Coxian((1.5, 0.75), (0.5,))),
 }
+
+
+def test_slow_cycle_near_target_is_not_a_miss(caplog):
+    system = build_tree(TERNARY_SLOW_CYCLE, lump_per_level=True)
+    with caplog.at_level(logging.DEBUG, logger="ttldelay.map_algebra"):
+        ss = steady_state(system)
+    assert ss.method == "krylov"
+    assert caplog.records == []
+
+
+# A residual stuck far from the target stalls once STALL_CYCLES cycles pass
+# without halving it; one stuck within STALL_BAND times the target runs to
+# the cap, 3 * ceil(log2(1 / CONDITION_RTOL)) = 42 cycles.
+@pytest.mark.parametrize("stuck_at, cycles", [(0.5, STALL_CYCLES + 1), (5 * CONDITION_RTOL, 42)])
+def test_stuck_solve_is_a_miss(monkeypatch, stuck_at, cycles):
+    calls = []
+
+    def stuck(a, b, **kwargs):
+        calls.append(kwargs["discard_C"])
+        return (1.0 - stuck_at) * b, 1
+
+    monkeypatch.setattr(map_algebra, "gcrotmk", stuck)
+    with pytest.raises(KrylovMiss, match=f"after {cycles} cycles"):
+        map_algebra._gcrotmk(np.eye(3), np.ones(3), CONDITION_RTOL, [])
+    assert calls == [True] + [False] * (cycles - 1)
+
+
+def test_krylov_results_depend_on_the_generator_alone():
+    spec, _ = load_config(CONFIGS / "binary_three_level_mme2.yaml")
+    first, other = (
+        build_tree(with_delay_means(spec, mean), lump_per_level=True).generator()
+        for mean in (1.0, 2.0)
+    )
+    np.random.seed(12345)
+    before = np.random.get_state()
+    a = krylov_steady_state(first)
+    krylov_steady_state(other)
+    again = krylov_steady_state(first)
+    assert np.array_equal(a.pi, again.pi)
+    assert a.condition == again.condition
+    after = np.random.get_state()
+    assert before[0] == after[0]
+    assert np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
 
 
 @pytest.mark.slow

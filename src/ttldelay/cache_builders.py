@@ -12,6 +12,7 @@ transition of its own: the refreshed TTL is statistically indistinguishable
 from the running one, so hits only show up as arrival-phase resets.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,10 @@ class CacheTreeSpec:
     def leaves(self):
         return [n for n in self.nodes() if n.is_leaf]
 
+    def state_count(self):
+        """Size of the unlumped product space, before invalid-state removal."""
+        return math.prod(map(cache_state_count, self.nodes()))
+
     def total_request_rate(self):
         return sum(1.0 / leaf.arrival.mean() for leaf in self.leaves())
 
@@ -101,6 +106,14 @@ class CacheTreeSpec:
                     f"TTL of cache {node.id!r} must be exponential for the exact engine"
                 )
         return self
+
+
+def cache_state_count(node):
+    """States of one cache's own MAP: (Out, In, F_1..F_f) x arrival phases."""
+    states = 2 + len(node.delay.ph()[0])
+    if node.arrival is not None:
+        states *= len(node.arrival.ph()[0])
+    return states
 
 
 def _reversed_ph(d):

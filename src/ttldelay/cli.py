@@ -28,7 +28,7 @@ from ttldelay import distributions as dist
 from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 from ttldelay.approximation import hierarchy_approx
 from ttldelay.errors import ConfigError, TTLDelayError
-from ttldelay.hierarchy import build_tree
+from ttldelay.hierarchy import build_tree, lump_plus_width
 from ttldelay.lumping import partition_count
 from ttldelay.metrics import (
     delay_upper_bound,
@@ -137,28 +137,20 @@ def parse_sweep(text):
     return values or [start]
 
 
-def _raw_state_count(spec):
-    count = 1
-    for node in spec.nodes():
-        states = 2 + len(node.delay.ph()[0])
-        if node.arrival is not None:
-            states *= len(node.arrival.ph()[0])
-        count *= states
-    return count
-
-
-def _swept_specs(spec, ref, values):
-    if values is None:
-        return [(None, spec)]
-    return [(v, with_delay_means(spec, v * ref)) for v in values]
-
-
-def _decide_lump(mode, spec):
-    if mode == "on":
-        return True
-    if mode == "off":
-        return False
-    return _raw_state_count(spec) > LUMP_AUTO_THRESHOLD
+def parse_counts(text):
+    """Parse the ``start:step:stop`` range of subtree counts for ``lump-stats``."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError("count range must be start:step:stop")
+    try:
+        start, step, stop = (int(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"subtree counts must be integers: {text!r}") from exc
+    if start < 1 or step < 1:
+        raise ConfigError("subtree counts and their step must be positive")
+    if stop < start:
+        raise ConfigError("count stop must not precede start")
+    return range(start, stop + 1, step)
 
 
 def _write_csv(path, header, rows):
@@ -172,32 +164,41 @@ def _write_csv(path, header, rows):
             out.close()
 
 
+def _write_sweep(path, header, spec, ref, values, point):
+    """One CSV row per sweep value: the value, then ``point`` of the tree
+    with every delay mean at ``value * ref``.  No sweep is one row at ``ref``
+    for the tree as configured."""
+    if values is None:
+        swept = [(ref, spec)]
+    else:
+        swept = [(v, with_delay_means(spec, v * ref)) for v in values]
+    rows = [[_num(value), *point(tree)] for value, tree in swept]
+    _write_csv(path, ["sweep_value", *header], rows)
+
+
 def cmd_analyze(args):
     spec, ref = load_config(args.config)
     spec.validate(exact=True)
     values = parse_sweep(args.sweep)
-    lump = _decide_lump(args.lump, spec)
+    if args.lump == "auto":
+        lump = spec.state_count() > LUMP_AUTO_THRESHOLD
+    else:
+        lump = args.lump == "on"
     settings = default_settings()
     total = spec.total_request_rate()
     zero = build_tree(zero_delay_variant(spec, settings), lump_per_level=lump)
     p_zero = hit_probability(zero, total)
-    rows = []
-    for value, swept in _swept_specs(spec, ref, values):
+
+    def point(swept):
         system = build_tree(swept, lump_per_level=lump, settings=settings)
         p = hit_probability(system, total)
-        rows.append(
-            [
-                _num(value if value is not None else ref),
-                _num(p),
-                _num(1.0 - p / p_zero if p_zero > 0 else math.nan),
-                _raw_state_count(swept),
-                system.size,
-            ]
-        )
-    _write_csv(
+        eta = 1.0 - p / p_zero if p_zero > 0 else math.nan
+        return [_num(p), _num(eta), swept.state_count(), system.size]
+
+    _write_sweep(
         args.out,
-        ["sweep_value", "p_hit_exact", "eta", "states_original", "states_lumped"],
-        rows,
+        ["p_hit_exact", "eta", "states_original", "states_lumped"],
+        spec, ref, values, point,
     )
 
 
@@ -205,8 +206,8 @@ def cmd_simulate(args):
     spec, ref = load_config(args.config)
     values = parse_sweep(args.sweep)
     seed = args.seed if args.seed is not None else secrets.randbits(31)
-    rows = []
-    for value, swept in _swept_specs(spec, ref, values):
+
+    def point(swept):
         est = simulate(
             SimConfig(
                 spec=swept,
@@ -216,19 +217,11 @@ def cmd_simulate(args):
                 replications=args.replications,
             )
         )
-        rows.append(
-            [
-                _num(value if value is not None else ref),
-                _num(est.p_hit),
-                _num(est.half_width_95),
-                seed,
-                est.request_count,
-            ]
-        )
-    _write_csv(
-        args.out,
-        ["sweep_value", "p_hit_sim", "ci_half_width", "seed", "requests"],
-        rows,
+        return [_num(est.p_hit), _num(est.half_width_95), seed, est.request_count]
+
+    _write_sweep(
+        args.out, ["p_hit_sim", "ci_half_width", "seed", "requests"],
+        spec, ref, values, point,
     )
 
 
@@ -236,66 +229,26 @@ def cmd_approx(args):
     spec, ref = load_config(args.config)
     spec.validate(exact=True)
     values = parse_sweep(args.sweep)
-    rows = []
-    for value, swept in _swept_specs(spec, ref, values):
+
+    def point(swept):
         result = hierarchy_approx(swept, strategy=args.strategy)
-        rows.append(
-            [
-                _num(value if value is not None else ref),
-                _num(result.p_hit_sys),
-                result.strategy,
-                ";".join(result.fallbacks),
-            ]
-        )
-    _write_csv(args.out, ["sweep_value", "p_hit_approx", "strategy", "fallbacks"], rows)
+        return [_num(result.p_hit_sys), result.strategy, ";".join(result.fallbacks)]
 
-
-def _lump_plus_width(node):
-    """Product-space width of one subtree after recursive sibling lumping."""
-    own = 2 + len(node.delay.ph()[0])
-    if node.arrival is not None:
-        phases = len(node.arrival.ph()[0])
-        if phases > 1:
-            own *= phases
-    if node.is_leaf:
-        return own
-    widths = [_lump_plus_width(c) for c in node.children]
-    total = 1
-    i = 0
-    while i < len(widths):
-        j = i
-        while j < len(widths) and widths[j] == widths[i]:
-            j += 1
-        total *= partition_count(widths[i], j - i)
-        i = j
-    return total * own
+    _write_sweep(
+        args.out, ["p_hit_approx", "strategy", "fallbacks"], spec, ref, values, point
+    )
 
 
 def cmd_lump_stats(args):
     spec, _ = load_config(args.config)
     spec.validate(exact=True)
-    values = parse_sweep(f"tau_delta={args.n}")
-    if not all(v.is_integer() for v in values):
-        raise ConfigError("subtree counts must be integers")
-    n_values = [int(v) for v in values]
-    m_s = _raw_state_count(spec)
-    m_plus = _lump_plus_width(spec.root)
-    rows = []
-    for n in n_values:
-        if n < 1:
-            raise ConfigError("subtree counts must be positive")
-        rows.append(
-            [
-                n,
-                m_s**n,
-                partition_count(m_s, n),
-                partition_count(m_plus, n),
-            ]
-        )
+    counts = parse_counts(args.n)
+    m_s = spec.state_count()
+    m_plus = lump_plus_width(spec.root)
     _write_csv(
         args.out,
         ["n", "raw_states", "lumped_states", "lump_plus_states"],
-        rows,
+        [[n, m_s**n, partition_count(m_s, n), partition_count(m_plus, n)] for n in counts],
     )
 
 

@@ -36,6 +36,7 @@ from scipy import sparse
 from ttldelay.cache_builders import (
     build_parent_cache,
     build_single_cache,
+    cache_state_count,
     fetch_entry_distribution,
 )
 from ttldelay.errors import ConfigError
@@ -45,7 +46,7 @@ from ttldelay.map_algebra import (
     empty_map,
     kronecker_sum,
 )
-from ttldelay.lumping import lump_symmetric_level
+from ttldelay.lumping import lump_symmetric_level, partition_count
 from ttldelay.settings import default_settings
 
 
@@ -227,6 +228,21 @@ def _shape(node):
     return (node.ttl, node.delay, node.arrival, tuple(map(_shape, node.children)))
 
 
+def sibling_runs(children):
+    """Runs of adjacent siblings of equal shape: the exchangeable sub-trees
+    that per-level lumping merges."""
+    return [list(run) for _, run in groupby(children, key=_shape)]
+
+
+def lump_plus_width(node):
+    """State count of a subtree with every sibling run lumped, at every level,
+    before invalid-state removal."""
+    width = cache_state_count(node)
+    for first, *rest in sibling_runs(node.children):
+        width *= partition_count(lump_plus_width(first), 1 + len(rest))
+    return width
+
+
 def build_tree(spec, lump_per_level=False, settings=None):
     """Build the full system MAP of a cache tree by post-order composition.
 
@@ -240,10 +256,7 @@ def build_tree(spec, lump_per_level=False, settings=None):
     def build(node):
         if node.is_leaf:
             return build_single_cache(node.arrival, node.ttl, node.delay)
-        if lump_per_level:
-            runs = [list(run) for _, run in groupby(node.children, key=_shape)]
-        else:
-            runs = [[child] for child in node.children]
+        runs = sibling_runs(node.children) if lump_per_level else [[c] for c in node.children]
         parts = []
         for first, *rest in runs:
             sibling = build(first)

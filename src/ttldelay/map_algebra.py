@@ -78,15 +78,8 @@ class StateLabel:
     forest: tuple
 
     def encode(self):
-        """Compact, invertible text form, e.g. ``((O|A2)F1)I``."""
+        """Compact text form, e.g. ``((O|A2)F1)I``."""
         return "".join(_encode_node(node) for node in self.forest)
-
-    @staticmethod
-    def decode(text):
-        forest, rest = _decode_forest(text)
-        if rest:
-            raise ValueError(f"trailing characters in label: {rest!r}")
-        return StateLabel(forest)
 
 
 def _encode_sym(symbol):
@@ -100,51 +93,6 @@ def _encode_node(node):
         inner = "|".join(_encode_node(c) for c in children)
         return f"({inner}){_encode_sym(symbol)}"
     return _encode_sym(symbol)
-
-
-def _decode_sym(text):
-    kind = text[0]
-    if kind in ("O", "I"):
-        return (kind, 0), text[1:]
-    digits = ""
-    rest = text[1:]
-    while rest and rest[0].isdigit():
-        digits += rest[0]
-        rest = rest[1:]
-    return (kind, int(digits)), rest
-
-
-def _decode_node(text):
-    if text.startswith("("):
-        depth, i = 1, 1
-        while depth:
-            depth += {"(": 1, ")": -1}.get(text[i], 0)
-            i += 1
-        inner = text[1 : i - 1]
-        children = []
-        seg, d = "", 0
-        for ch in inner + "|":
-            if ch == "|" and d == 0:
-                node, leftover = _decode_node(seg)
-                if leftover:
-                    raise ValueError(f"bad label segment: {seg!r}")
-                children.append(node)
-                seg = ""
-            else:
-                d += {"(": 1, ")": -1}.get(ch, 0)
-                seg += ch
-        symbol, rest = _decode_sym(text[i:])
-        return (tuple(children), symbol), rest
-    symbol, rest = _decode_sym(text)
-    return ((), symbol), rest
-
-
-def _decode_forest(text):
-    nodes = []
-    while text:
-        node, text = _decode_node(text)
-        nodes.append(node)
-    return tuple(nodes), text
 
 
 class RateMatrix(sparse.csr_array):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from ttldelay.cli import main, parse_sweep
+from ttldelay.cli import main, parse_counts, parse_sweep
 from ttldelay.errors import ConfigError
 
 SINGLE = """
@@ -28,6 +28,23 @@ tree:
       arrival: {kind: exponential, mean: 1.0}
     - id: leaf2
       ttl: {kind: exponential, mean: 2.0}
+      delay: {kind: exponential, mean: 1.0}
+      arrival: {kind: exponential, mean: 1.0}
+"""
+
+# Leaves of unequal TTL means are not exchangeable: no sibling run to lump.
+ASYMMETRIC = """
+tree:
+  id: root
+  ttl: {kind: exponential, mean: 4.0}
+  delay: {kind: exponential, mean: 1.0}
+  children:
+    - id: leaf1
+      ttl: {kind: exponential, mean: 2.0}
+      delay: {kind: exponential, mean: 1.0}
+      arrival: {kind: exponential, mean: 1.0}
+    - id: leaf2
+      ttl: {kind: exponential, mean: 8.0}
       delay: {kind: exponential, mean: 1.0}
       arrival: {kind: exponential, mean: 1.0}
 """
@@ -149,6 +166,16 @@ class TestLumpStats:
         assert int(table[2]["lumped_states"]) == 378
         assert int(table[2]["lump_plus_states"]) == 171
         assert int(table[3]["lumped_states"]) == 3654
+
+    def test_unequal_siblings_are_not_lumped(self, tmp_path):
+        cfg = tmp_path / "asymmetric.yaml"
+        cfg.write_text(ASYMMETRIC)
+        out = str(tmp_path / "out.csv")
+        main(["lump-stats", "--config", str(cfg), "--n", "1:1:2", "--out", out])
+        table = {int(r["n"]): r for r in read_csv(out)}
+        assert int(table[1]["raw_states"]) == 27
+        assert int(table[1]["lump_plus_states"]) == 27
+        assert int(table[2]["lump_plus_states"]) == 378
 
     def test_fractional_counts_rejected(self, tree_cfg, capsys):
         assert main(["lump-stats", "--config", tree_cfg, "--n", "1:0.5:3"]) == 1
@@ -284,6 +311,13 @@ class TestSweepParsing:
                      "other=0:1:2"):
             with pytest.raises(ConfigError):
                 parse_sweep(text)
+
+    def test_count_ranges(self):
+        assert list(parse_counts("2:3:11")) == [2, 5, 8, 11]
+        assert list(parse_counts("4:1:4")) == [4]
+        for text in ("0:1:3", "1:0:3", "3:1:1", "1:1", "1:1.5:4"):
+            with pytest.raises(ConfigError):
+                parse_counts(text)
 
 
 def test_numeric_settings_env_override(monkeypatch):

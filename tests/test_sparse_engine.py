@@ -8,11 +8,14 @@ are composed, and the stationary vector of the sparse solver, and of GCROT
 whenever it does not report a miss, is compared with a dense solve of the
 same generator.  A chain start snaps a sibling caught in a skipped phase
 back to its entry, which in a lumped run must keep the run's roots sorted.
-``pytest -m slow`` runs the same property on more examples.  GCROT is also
-checked against the subtraction-free GTH elimination on small and stiff
-chains, and on three lumped trees large enough to take the GCROT path; its
-stall rule and the independence of its results from earlier calls are
-checked directly.
+``pytest -m slow`` runs the same property on more examples, and checks that
+p_hit tends to the zero-delay variant's as the delay means go to 0.  On the
+same trees, each cache's state count matches the MAP its builder returns, and
+the recursively lumped count equals the raw product exactly when no two
+adjacent siblings are copies.  GCROT is also checked against the
+subtraction-free GTH elimination on small and stiff chains, and on three
+lumped trees large enough to take the GCROT path; its stall rule and the
+independence of its results from earlier calls are checked directly.
 """
 
 import logging
@@ -23,15 +26,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 from scipy.linalg import lapack
 
 from ttldelay import map_algebra
-from ttldelay.cache_builders import CacheNode, CacheTreeSpec, build_single_cache
+from ttldelay.cache_builders import (
+    CacheNode,
+    CacheTreeSpec,
+    build_parent_cache,
+    build_single_cache,
+    cache_state_count,
+)
 from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH
 from ttldelay.errors import ConditioningError
-from ttldelay.hierarchy import build_tree
+from ttldelay.hierarchy import build_tree, lump_plus_width
 from ttldelay.map_algebra import (
     CONDITION_RTOL,
     STALL_CYCLES,
@@ -41,7 +50,12 @@ from ttldelay.map_algebra import (
     krylov_steady_state,
     steady_state,
 )
-from ttldelay.metrics import tree_hit_probability, with_delay_means, zero_delay_variant
+from ttldelay.metrics import (
+    _max_tree_rate,
+    tree_hit_probability,
+    with_delay_means,
+    zero_delay_variant,
+)
 from ttldelay.settings import NumericSettings
 
 from conftest import two_level_tree
@@ -198,6 +212,70 @@ def test_sparse_engine_matches_dense_oracle(spec):
 @given(trees())
 def test_sparse_engine_matches_dense_oracle_many(spec):
     check_against_dense(spec)
+
+
+def _id_free(node):
+    """The subtree with its cache ids blanked, so copies compare equal."""
+    return replace(node, id="", children=tuple(map(_id_free, node.children)))
+
+
+def _has_sibling_run(node):
+    """Whether two adjacent siblings anywhere below ``node`` are copies."""
+    shapes = [_id_free(child) for child in node.children]
+    return any(a == b for a, b in zip(shapes, shapes[1:])) or any(
+        map(_has_sibling_run, node.children)
+    )
+
+
+@hyp_settings(max_examples=30, deadline=None)
+@given(trees())
+def test_state_counts_match_the_builders(spec):
+    for node in spec.nodes():
+        if node.is_leaf:
+            built = build_single_cache(node.arrival, node.ttl, node.delay)
+        else:
+            built = build_parent_cache(node.ttl, node.delay)
+        assert cache_state_count(node) == built.size
+    raw = spec.state_count()
+    if _has_sibling_run(spec.root):
+        assert lump_plus_width(spec.root) < raw
+    else:
+        assert lump_plus_width(spec.root) == raw
+
+
+# Small delays raise this cache's p_hit and larger ones lower it.  The gap
+# to the zero-delay limit changes sign between delay means 1e-2 and 3e-2 (in
+# units of the mean inter-request time), and at 1e-2 it is 4.3e-5, above the
+# 3.1e-5 at 1e-3.
+SIGN_CHANGE = CacheTreeSpec(
+    CacheNode(
+        "c0",
+        Exponential(1.05),
+        GeneralPH((0.05, 0.95), ((-0.2, 0.0), (0.0, -2.8))),
+        arrival=Coxian((2.8, 4.3), (0.83,)),
+    )
+)
+
+
+@pytest.mark.slow
+@hyp_settings(max_examples=200, deadline=None)
+@given(trees())
+@example(SIGN_CHANGE)
+def test_zero_delay_limit(spec):
+    """p_hit tends to the zero-delay variant's as every delay mean goes to 0.
+
+    Delay means are in units of the fastest TTL or arrival timescale.  Over
+    the decade from 1e-3 to 1e-4 the gap is in its linear regime and shrinks
+    at least 5x; the decade above can still hold a sign change of the gap.
+    """
+    p_zero = tree_hit_probability(zero_delay_variant(spec))
+    unit = 1.0 / _max_tree_rate(spec)
+    coarse, fine = (
+        abs(tree_hit_probability(with_delay_means(spec, eps * unit)) - p_zero)
+        for eps in (1e-3, 1e-4)
+    )
+    assert fine * 5 <= coarse
+    assert fine < 1e-4
 
 
 CONDITION_CASES = {

@@ -1,62 +1,44 @@
 """Transform-domain approximations of single caches and hierarchies.
 
-The inter-miss time of a single cache has a rational Laplace-Stieltjes
-transform when the request stream is phase-type and the TTL exponential; the
-fetch delay enters as a multiplicative factor.  Hierarchies are approximated
-bottom-up: each cache turns its input renewal process into a miss process,
-sibling miss streams are superposed either as a Poisson stream or as a
-moment-matched renewal stream, and the system-level hit probability follows
-from the root's output rate.
+Every transform here is held as a phase-type triple ``(alpha, S, exit)`` and
+evaluated as ``alpha (sI - S)^-1 exit`` (Bladt & Nielsen, *Matrix-Exponential
+Distributions in Applied Probability*, Springer 2017).  The inter-miss time
+of a single cache is phase-type when the request stream is phase-type and
+the TTL exponential; the fetch delay enters as a convolution.  Hierarchies
+are approximated bottom-up: each cache turns its input renewal process into
+a miss process, sibling miss streams are superposed either as a Poisson
+stream or as a moment-matched renewal stream, and the system-level hit
+probability follows from the root's output rate.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from ttldelay import distributions as dist
 from ttldelay.errors import DegenerateProcessError
 
 
 @dataclass(frozen=True)
-class RationalLst:
-    """A rational function of the transform variable, num(s) / den(s)."""
+class PhTransform:
+    """The transform ``alpha (sI - S)^-1 exit`` of a (possibly defective) PH law."""
 
-    num: Polynomial
-    den: Polynomial
+    alpha: np.ndarray
+    S: np.ndarray
+    exit: np.ndarray
 
     def __call__(self, s):
-        return self.num(s) / self.den(s)
+        shifted = s * np.eye(len(self.alpha)) - self.S
+        return float(self.alpha @ np.linalg.solve(shifted, self.exit))
 
     def at_zero(self):
-        return self.num(0.0) / self.den(0.0)
-
-    def multiply(self, other):
-        return RationalLst(self.num * other.num, self.den * other.den)
-
-    def shift(self, delta):
-        """Compose with s + delta."""
-        arg = Polynomial([delta, 1.0])
-        return RationalLst(self.num(arg), self.den(arg))
+        return self(0.0)
 
     def moments(self, count=3):
-        """Raw moments of the underlying distribution via the series at 0.
-
-        Only meaningful for proper transforms with value 1 at s = 0.
-        """
-        n = count + 1
-        num_c = np.zeros(n)
-        den_c = np.zeros(n)
-        nc, dc = self.num.coef, self.den.coef
-        num_c[: min(n, len(nc))] = nc[: min(n, len(nc))]
-        den_c[: min(n, len(dc))] = dc[: min(n, len(dc))]
-        # Series division: q such that num = q * den up to order `count`.
-        q = np.zeros(n)
-        for k in range(n):
-            q[k] = (num_c[k] - np.dot(q[:k], den_c[k:0:-1])) / den_c[0]
+        """Raw moments; only meaningful for a proper law, ``exit = -S 1``."""
         return tuple(
-            (-1.0) ** k * math.factorial(k) * q[k] for k in range(1, count + 1)
+            dist.ph_moment(self.alpha, self.S, k) for k in range(1, count + 1)
         )
 
     def mean(self):
@@ -64,26 +46,10 @@ class RationalLst:
 
 
 def lst_of_ph(d):
-    """Rational LST of a phase-type distribution.
-
-    Expanded from alpha (sI - S)^-1 exit via the Faddeev-LeVerrier recursion.
-    """
+    """Laplace-Stieltjes transform of a phase-type distribution."""
     dist.require_ph(d, "transformed distribution")
     alpha, s = d.ph()
-    n = s.shape[0]
-    exit_rates = -s.sum(axis=1)
-    # Faddeev-LeVerrier: adj(sI - S) = sum_k M_k s^(n-k), det has the c_k.
-    num = np.zeros(n)
-    mk = np.eye(n)
-    cks = [1.0]
-    for k in range(1, n + 1):
-        num[n - k] = float(alpha @ mk @ exit_rates)
-        ak = s @ mk
-        ck = -np.trace(ak) / k
-        cks.append(ck)
-        mk = ak + ck * np.eye(n)
-    den = np.array(list(reversed(cks)))  # increasing powers: [c_n, ..., 1]
-    return RationalLst(Polynomial(num), Polynomial(den))
+    return PhTransform(alpha, s, -s.sum(axis=1))
 
 
 def lst_L(fx, lambda_t):
@@ -92,22 +58,43 @@ def lst_L(fx, lambda_t):
     For an exponential TTL this is the inter-request transform shifted by the
     TTL rate; its value at zero is the per-request hit probability q.
     """
-    return fx.shift(lambda_t)
+    return PhTransform(fx.alpha, fx.S - lambda_t * np.eye(len(fx.alpha)), fx.exit)
 
 
 def miss_lst_no_delay(fx, l):
-    """Inter-miss transform of a cache with zero fetch delay."""
+    """Inter-miss transform of a cache with zero fetch delay.
+
+    ``(fx - l) / (1 - l)`` as a 2n-phase law: in the armed phases a request
+    completion is a hit and restarts the inter-request time, TTL expiry
+    moves to the disarmed copy, and the next completion there is the miss.
+    """
     q = l.at_zero()
     if q >= 1.0 - 1e-12:
         raise DegenerateProcessError("cache never misses (q = 1)")
-    num = fx.num * l.den - l.num * fx.den
-    den = fx.den * (l.den - l.num)
-    return RationalLst(num, den)
+    n = len(fx.alpha)
+    s = np.block([
+        [l.S + np.outer(l.exit, l.alpha), fx.S - l.S],
+        [np.zeros((n, n)), fx.S],
+    ])
+    return PhTransform(
+        np.concatenate([fx.alpha, np.zeros(n)]), s,
+        np.concatenate([np.zeros(n), fx.exit]),
+    )
 
 
 def miss_lst_with_delay(fx, l, fdelta):
-    """Inter-miss transform with a random fetch delay: the delay factors out."""
-    return fdelta.multiply(miss_lst_no_delay(fx, l))
+    """Inter-miss transform with a random fetch delay: the miss law
+    convolved with the delay's."""
+    miss = miss_lst_no_delay(fx, l)
+    n, m = len(miss.alpha), len(fdelta.alpha)
+    s = np.block([
+        [miss.S, np.outer(miss.exit, fdelta.alpha)],
+        [np.zeros((m, n)), fdelta.S],
+    ])
+    return PhTransform(
+        np.concatenate([miss.alpha, np.zeros(m)]), s,
+        np.concatenate([np.zeros(n), fdelta.exit]),
+    )
 
 
 def expected_renewals_during_delay(x, delta):
@@ -309,13 +296,12 @@ def hierarchy_approx(spec, strategy="renewal"):
             input_dist, lambda_t, node.delay, input_rate=input_rate
         )
         per_cache[node.id] = result
-        fx = lst_of_ph(input_dist)
-        miss = miss_lst_with_delay(fx, lst_L(fx, lambda_t), lst_of_ph(node.delay))
-        m1, m2, m3 = miss.moments(3)
         if strategy == "poisson":
             miss_dist = dist.Exponential(result.miss_rate_out)
         else:
-            miss_dist, note = fit_ph_moments(m1, m2, m3)
+            fx = lst_of_ph(input_dist)
+            miss = miss_lst_with_delay(fx, lst_L(fx, lambda_t), lst_of_ph(node.delay))
+            miss_dist, note = fit_ph_moments(*miss.moments(3))
             if note:
                 fallbacks.append(f"{node.id} miss stream: {note}")
         return miss_dist, result.miss_rate_out

@@ -123,8 +123,8 @@ def _reversed_ph(d):
     return alpha[perm], s[np.ix_(perm, perm)]
 
 
-def build_cache_state_map(ttl, delay):
-    """TTL-and-fetch MAP of one cache, without any request stream (d1 = 0).
+def build_parent_cache(ttl, delay):
+    """MAP of one cache without a direct request stream (d1 = 0).
 
     States are ordered ``[Out, In, F_1, ..., F_f]``; the only transitions are
     TTL expiry (In -> Out) and the fetch chain ending in admission
@@ -151,11 +151,6 @@ def build_cache_state_map(ttl, delay):
     return LabeledMap(d0, np.zeros((n, n)), labels)
 
 
-def build_parent_cache(ttl, delay):
-    """Cache MAP for a node without a direct request stream."""
-    return build_cache_state_map(ttl, delay)
-
-
 def fetch_entry_distribution(delay):
     """Entry probabilities over fetch phases F_1..F_f for a fresh miss."""
     alpha_rev, _ = _reversed_ph(delay)
@@ -166,34 +161,27 @@ def build_single_cache(arrival, ttl, delay):
     """MAP of a leaf cache fed by a PH renewal request stream.
 
     The state space is the product of cache states (slow index) and arrival
-    phases.  Arrival completions are active when the object is out of cache
-    or being fetched (misses) and hidden when it is in cache (hits).
+    phases.  With ``R`` the arrival's renewal matrix, a completion is hidden
+    in In (a hit: ``hit`` marks In -> In) and active elsewhere (a miss:
+    ``miss`` holds Out -> F by the fetch entry distribution and F_k -> F_k).
     """
     dist.require_ph(arrival, "arrival process")
-    cache = build_cache_state_map(ttl, delay)
+    cache = build_parent_cache(ttl, delay)
     alpha_a, s_a = arrival.ph()
-    exit_a = -s_a.sum(axis=1)
-    renewal = np.outer(exit_a, alpha_a)
+    renewal = np.outer(-s_a.sum(axis=1), alpha_a)
     na = len(alpha_a)
     nc = cache.size
-    entry = fetch_entry_distribution(delay)
-
-    n = nc * na
-    d0 = np.kron(cache.d0.toarray(), np.eye(na)) + np.kron(np.eye(nc), s_a)
-    d1 = np.zeros((n, n))
-
-    def block(ci, cj):
-        return slice(ci * na, (ci + 1) * na), slice(cj * na, (cj + 1) * na)
-
-    # Completions: hit at In (hidden), miss at Out (start a fetch), miss in F_k.
-    d0[block(1, 1)] += renewal
-    for k, weight in enumerate(entry):
-        if weight:
-            rows, cols = block(0, 2 + k)
-            d1[rows, cols] += weight * renewal
-    for k in range(nc - 2):
-        rows, cols = block(2 + k, 2 + k)
-        d1[rows, cols] += renewal
+    hit = np.zeros((nc, nc))
+    hit[1, 1] = 1.0
+    miss = np.zeros((nc, nc))
+    miss[0, 2:] = fetch_entry_distribution(delay)
+    miss[2:, 2:] = np.eye(nc - 2)
+    d0 = (
+        np.kron(cache.d0.toarray(), np.eye(na))
+        + np.kron(np.eye(nc), s_a)
+        + np.kron(hit, renewal)
+    )
+    d1 = np.kron(miss, renewal)
 
     labels = []
     for ci in range(nc):

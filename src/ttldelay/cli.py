@@ -111,8 +111,17 @@ def load_config(path):
     ref = raw.get("reference_interarrival")
     if ref is None:
         leaves = spec.leaves()
-        ref = sum(leaf.arrival.mean() for leaf in leaves) / len(leaves)
-    return spec, float(ref)
+        return spec, sum(leaf.arrival.mean() for leaf in leaves) / len(leaves)
+    try:
+        value = float(ref)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(
+            f"config {path}: reference_interarrival must be finite and positive, "
+            f"got {ref!r}"
+        )
+    return spec, value
 
 
 def parse_sweep(text):
@@ -128,6 +137,8 @@ def parse_sweep(text):
     start, step, stop = (float(p) for p in parts)
     if step <= 0 or not all(math.isfinite(v) for v in (start, step, stop)):
         raise ConfigError("sweep bounds must be finite with a positive step")
+    if start < 0:
+        raise ConfigError("sweep start must not be negative")
     if stop < start:
         raise ConfigError("sweep stop must not precede start")
     n = int(round((stop - start) / step))

@@ -110,15 +110,6 @@ class FitReport:
         return self.log_likelihood_trace[-1]
 
 
-def _coxian_matrices(rates, probs):
-    p = len(rates)
-    s = np.diag(-np.asarray(rates, dtype=float))
-    for i in range(p - 1):
-        s[i, i + 1] = rates[i] * probs[i]
-    exit_rates = -s.sum(axis=1)
-    return s, exit_rates
-
-
 def _block_power(q, x, n):
     """``Q^n`` and ``sum_{k<n} Q^k X Q^(n-1-k)`` for stacked ``(m, p, p)`` Q, X.
 
@@ -149,7 +140,8 @@ def _estep(samples, rates, probs, grid_steps):
     so the Simpson sum with weights 1, 4, 2, ..., 4, 1, grouped into K/2
     panels, is ``sum_j Q^2j (X Q^2 + 4 Q X Q + Q^2 X) Q^(K-2-2j)``.
     """
-    s_mat, exit_rates = _coxian_matrices(rates, probs)
+    _, s_mat = Coxian(rates, probs).ph()
+    exit_rates = -s_mat.sum(axis=1)
     p = len(rates)
     hs = (samples / grid_steps)[:, None, None] * s_mat.T  # h S^T per sample
     hs2 = hs @ hs
@@ -325,6 +317,7 @@ def select_phases(samples, candidate_range, **fit_kwargs):
 
 def coxian_pdf(cox, xs):
     """Density of a Coxian law on a grid (one stacked matrix exponential)."""
-    s_mat, exit_rates = _coxian_matrices(cox.rates, cox.continue_probs)
+    _, s_mat = cox.ph()
+    exit_rates = -s_mat.sum(axis=1)
     xs = np.asarray(xs, dtype=float)
     return expm(xs[:, None, None] * s_mat)[:, 0, :] @ exit_rates

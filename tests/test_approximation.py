@@ -95,6 +95,12 @@ class TestMissLst:
         assert fy.mean() == pytest.approx(4.0, abs=1e-10)
         assert fy.at_zero() == pytest.approx(1.0, abs=1e-12)
 
+    def test_moments_with_coxian_arrivals_and_erlang_delay(self):
+        fx = lst_of_ph(Coxian((3.0, 1.0), (0.5,)))
+        fy = miss_lst_with_delay(fx, lst_L(fx, 0.5), lst_of_ph(Erlang(2, 2.0)))
+        for got, want in zip(fy.moments(3), (47 / 12, 125 / 6, 10309 / 72)):
+            assert got == pytest.approx(want, rel=1e-12)
+
     def test_factorization_pointwise(self):
         fx = lst_of_ph(Erlang(2, 2.0))
         l = lst_L(fx, 0.5)
@@ -106,6 +112,28 @@ class TestMissLst:
             assert with_delay(s) == pytest.approx(
                 fdelta(s) * no_delay(s), abs=1e-10
             )
+
+
+@st.composite
+def ph_laws(draw):
+    rate = st.floats(0.2, 5.0)
+    kind = draw(st.sampled_from(["erlang", "coxian", "general"]))
+    if kind == "erlang":
+        return Erlang(draw(st.integers(1, 3)), draw(rate))
+    if kind == "coxian":
+        return Coxian((draw(rate), draw(rate)), (draw(st.floats(0.0, 1.0)),))
+    p, back = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 0.9))
+    r1, r2 = draw(rate), draw(rate)
+    return GeneralPH((p, 1.0 - p), ((-r1, 0.5 * r1), (back * r2, -r2)))
+
+
+@hyp_settings(max_examples=40, deadline=None)
+@given(ph_laws(), st.floats(0.05, 5.0), st.floats(0.0, 20.0))
+def test_miss_law_matches_rational_form(d, lambda_t, s):
+    fx = lst_of_ph(d)
+    l = lst_L(fx, lambda_t)
+    expected = (fx(s) - l(s)) / (1.0 - l(s))
+    assert miss_lst_no_delay(fx, l)(s) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 class TestExpectedRenewals:

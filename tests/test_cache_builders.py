@@ -4,7 +4,6 @@ import pytest
 from ttldelay.cache_builders import (
     CacheNode,
     CacheTreeSpec,
-    build_cache_state_map,
     build_parent_cache,
     build_single_cache,
     fetch_entry_distribution,
@@ -45,7 +44,7 @@ class TestPhRenewalMap:
 
 class TestCacheStateMap:
     def test_exponential_delay_three_states(self):
-        m = build_cache_state_map(Exponential(0.5), Exponential(1.0))
+        m = build_parent_cache(Exponential(0.5), Exponential(1.0))
         np.testing.assert_allclose(
             m.d0.toarray(), [[0.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 1.0, -1.0]]
         )
@@ -54,7 +53,7 @@ class TestCacheStateMap:
 
     def test_erlang_delay_downward_chain(self):
         f = 3
-        m = build_cache_state_map(Exponential(0.5), Erlang(f, 3.0))
+        m = build_parent_cache(Exponential(0.5), Erlang(f, 3.0))
         assert m.size == f + 2
         # Entry at F_f, chain F_k -> F_{k-1}, exit F_1 -> In.
         assert m.d0[2, 1] == pytest.approx(3.0)  # F_1 -> In
@@ -64,13 +63,13 @@ class TestCacheStateMap:
         np.testing.assert_allclose(entry, [0.0, 0.0, 1.0])
 
     def test_single_phase_consistency(self):
-        a = build_cache_state_map(Exponential(0.5), Exponential(2.0))
-        b = build_cache_state_map(Exponential(0.5), Erlang(1, 2.0))
+        a = build_parent_cache(Exponential(0.5), Exponential(2.0))
+        b = build_parent_cache(Exponential(0.5), Erlang(1, 2.0))
         np.testing.assert_allclose(a.d0.toarray(), b.d0.toarray())
 
     def test_ph_ttl_rejected(self):
         with pytest.raises(UnsupportedDistributionError):
-            build_cache_state_map(Erlang(2, 1.0), Exponential(1.0))
+            build_parent_cache(Erlang(2, 1.0), Exponential(1.0))
 
 
 class TestSingleCache:

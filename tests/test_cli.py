@@ -297,6 +297,15 @@ class TestErrors:
             "E_CONFIG: leaf cache 'c' has no arrival process"
         )
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("ref", ["0", "-1"])
+    def test_nonpositive_reference_interarrival(self, tmp_path, capsys, command, ref):
+        path = tmp_path / "ref.yaml"
+        path.write_text(f"reference_interarrival: {ref}\n" + SINGLE)
+        assert main([command, "--config", str(path), "--sweep", "tau_delta=0:1:1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG:") and "reference_interarrival" in err
+
 
 class TestSweepParsing:
     def test_inclusive_endpoints(self):
@@ -308,7 +317,7 @@ class TestSweepParsing:
 
     def test_invalid_ranges(self):
         for text in ("tau_delta=0:0:1", "tau_delta=2:1:0", "tau_delta=0:1",
-                     "other=0:1:2"):
+                     "other=0:1:2", "tau_delta=-1:1:2"):
             with pytest.raises(ConfigError):
                 parse_sweep(text)
 

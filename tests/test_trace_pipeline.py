@@ -6,7 +6,6 @@ import pytest
 from ttldelay.distributions import Coxian, ph_moment
 from ttldelay.errors import FitError
 from ttldelay.trace_pipeline import (
-    _coxian_matrices,
     _estep,
     canonical_coxian,
     fit_ph_em,
@@ -39,7 +38,8 @@ def _rk4_trajectory(v0, mat, h, steps):
 
 def reference_estep(samples, rates, probs, grid_steps):
     """The E-step by explicit RK4 trajectories and Simpson weights."""
-    s_mat, exit_rates = _coxian_matrices(rates, probs)
+    _, s_mat = Coxian(rates, probs).ph()
+    exit_rates = -s_mat.sum(axis=1)
     p = len(rates)
     m = samples.size
     h = samples / grid_steps

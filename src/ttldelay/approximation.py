@@ -97,6 +97,15 @@ def miss_lst_with_delay(fx, l, fdelta):
     )
 
 
+def _kron(a, b):
+    """``np.kron`` of two 1-d or two 2-d arrays, as one broadcast product:
+    the same products without its per-call shape handling."""
+    if a.ndim == 1:
+        return (a[:, None] * b).ravel()
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[:, None, :]).reshape(m * p, n * q)
+
+
 def expected_renewals_during_delay(x, delta):
     """Expected number of renewal arrivals within an independent PH delay.
 
@@ -111,9 +120,9 @@ def expected_renewals_during_delay(x, delta):
     exit_x = -s_x.sum(axis=1)
     generator_x = s_x + np.outer(exit_x, alpha_x)
     nx, nd = len(alpha_x), len(alpha_d)
-    q = np.kron(generator_x, np.eye(nd)) + np.kron(np.eye(nx), s_d)
-    reward = np.kron(exit_x, np.ones(nd))
-    start = np.kron(alpha_x, alpha_d)
+    q = _kron(generator_x, np.eye(nd)) + _kron(np.eye(nx), s_d)
+    reward = _kron(exit_x, np.ones(nd))
+    start = _kron(alpha_x, alpha_d)
     return float(start @ np.linalg.solve(-q, reward))
 
 
@@ -168,8 +177,8 @@ def superposed_palm_moments(components, count=3):
         g = np.zeros((1, 1))
         for j, (alpha, s) in enumerate(phs):
             start = alpha if j == k else _ph_equilibrium(alpha, s)
-            gamma = np.kron(gamma, start)
-            g = np.kron(g, np.eye(len(start))) + np.kron(np.eye(g.shape[0]), s)
+            gamma = _kron(gamma, start)
+            g = _kron(g, np.eye(len(start))) + _kron(np.eye(g.shape[0]), s)
         v = np.ones(len(gamma))
         weight = rate_k / total_rate
         for i in range(count):
@@ -267,15 +276,16 @@ def hierarchy_approx(spec, strategy="renewal"):
     spec.validate(exact=True)
     per_cache = {}
     fallbacks = []
+    by_shape = {}
 
-    def analyze(node):
-        """Returns (input_dist, input_rate) -> records results, returns
-        (miss_dist, miss_rate_out)."""
+    def cache_approx(node, streams):
+        """One cache's result, miss stream and fallback notes (each suffixed
+        to the cache id), from the miss streams of its children."""
+        notes = []
         if node.is_leaf:
             input_dist = node.arrival
             input_rate = 1.0 / node.arrival.mean()
         else:
-            streams = [analyze(child) for child in node.children]
             input_rate = sum(rate for _, rate in streams)
             if strategy == "poisson":
                 input_dist = dist.Exponential(input_rate)
@@ -289,13 +299,12 @@ def hierarchy_approx(spec, strategy="renewal"):
                     m1, m2, m3 = superposed_palm_moments(scaled)
                     input_dist, note = fit_ph_moments(m1, m2, m3)
                     if note:
-                        fallbacks.append(f"{node.id}: {note}")
+                        notes.append(f": {note}")
                     input_dist = input_dist.scaled_to_mean(1.0 / input_rate)
         lambda_t = 1.0 / node.ttl.mean()
         result = hit_prob_single_approx(
             input_dist, lambda_t, node.delay, input_rate=input_rate
         )
-        per_cache[node.id] = result
         if strategy == "poisson":
             miss_dist = dist.Exponential(result.miss_rate_out)
         else:
@@ -303,8 +312,21 @@ def hierarchy_approx(spec, strategy="renewal"):
             miss = miss_lst_with_delay(fx, lst_L(fx, lambda_t), lst_of_ph(node.delay))
             miss_dist, note = fit_ph_moments(*miss.moments(3))
             if note:
-                fallbacks.append(f"{node.id} miss stream: {note}")
-        return miss_dist, result.miss_rate_out
+                notes.append(f" miss stream: {note}")
+        return result, (miss_dist, result.miss_rate_out), notes
+
+    def analyze(node):
+        """Record ``node`` and its subtree, children first, in ``per_cache``
+        and ``fallbacks``; return its miss stream ``(miss_dist, rate)``.
+        Equal shapes give equal results, so each shape is computed once."""
+        streams = [analyze(child) for child in node.children]
+        shape = node.shape
+        if shape not in by_shape:
+            by_shape[shape] = cache_approx(node, streams)
+        result, stream, notes = by_shape[shape]
+        per_cache[node.id] = result
+        fallbacks.extend(node.id + note for note in notes)
+        return stream
 
     _, root_out = analyze(spec.root)
     total = spec.total_request_rate()

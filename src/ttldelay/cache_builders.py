@@ -52,6 +52,13 @@ class CacheNode:
     def is_leaf(self):
         return not self.children
 
+    @property
+    def shape(self):
+        """The node's spec without its cache ids: equal shapes build equal
+        MAPs and equal approximations."""
+        return (self.ttl, self.delay, self.arrival,
+                tuple(child.shape for child in self.children))
+
 
 @dataclass(frozen=True)
 class CacheTreeSpec:

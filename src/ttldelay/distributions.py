@@ -19,8 +19,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {self.rate}")
 
     def mean(self):
         return 1.0 / self.rate
@@ -43,8 +43,8 @@ class Erlang:
     def __post_init__(self):
         if self.phases < 1:
             raise ValueError(f"phase count must be >= 1, got {self.phases}")
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {self.rate}")
 
     def mean(self):
         return self.phases / self.rate
@@ -78,8 +78,8 @@ class Coxian:
         )
         if len(self.continue_probs) != len(self.rates) - 1:
             raise ValueError("need one continue probability per non-final phase")
-        if any(r <= 0 for r in self.rates):
-            raise ValueError("phase rates must be positive")
+        if not all(0 < r < math.inf for r in self.rates):
+            raise ValueError(f"phase rates must be finite and positive, got {self.rates}")
         if any(not 0.0 <= p <= 1.0 for p in self.continue_probs):
             raise ValueError("continue probabilities must lie in [0, 1]")
 
@@ -113,6 +113,8 @@ class GeneralPH:
         s = np.asarray(self.subgenerator, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] != alpha.size:
             raise ValueError("subgenerator must be square and match the initial vector")
+        if not (np.isfinite(alpha).all() and np.isfinite(s).all()):
+            raise ValueError("initial vector and subgenerator must be finite")
         if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-12:
             raise ValueError("initial vector must be a probability distribution")
         off = s - np.diag(np.diag(s))
@@ -154,8 +156,8 @@ class Deterministic:
     value: float
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"value must be nonnegative, got {self.value}")
+        if not 0 <= self.value < math.inf:
+            raise ValueError(f"value must be finite and nonnegative, got {self.value}")
 
     def mean(self):
         return self.value

@@ -223,15 +223,10 @@ def _restrict(valid, rows, cols, vals):
     )
 
 
-def _shape(node):
-    """A node's spec without its cache ids: equal shapes build equal MAPs."""
-    return (node.ttl, node.delay, node.arrival, tuple(map(_shape, node.children)))
-
-
 def sibling_runs(children):
     """Runs of adjacent siblings of equal shape: the exchangeable sub-trees
     that per-level lumping merges."""
-    return [list(run) for _, run in groupby(children, key=_shape)]
+    return [list(run) for _, run in groupby(children, key=lambda node: node.shape)]
 
 
 def lump_plus_width(node):

@@ -147,9 +147,6 @@ class LabeledMap:
     def generator(self):
         return self.d0 + self.d1
 
-    def index_of(self, label):
-        return self.labels.index(label)
-
 
 @dataclass(frozen=True)
 class SteadyState:

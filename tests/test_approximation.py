@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ttldelay import approximation
 from ttldelay.approximation import (
+    _kron,
     expected_renewals_during_delay,
     fit_ph_moments,
     hierarchy_approx,
@@ -13,6 +18,8 @@ from ttldelay.approximation import (
     miss_lst_with_delay,
     superposed_palm_moments,
 )
+from ttldelay.cache_builders import CacheNode, CacheTreeSpec
+from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH, ph_moment
 from ttldelay.errors import DegenerateProcessError
 from ttldelay.metrics import tree_hit_probability
@@ -23,6 +30,8 @@ from conftest import two_level_tree, single_mmm
 # Erlang-2 arrivals (mean 1) counted within an independent Exp(1) delay.
 RENEWAL_COUNT_ORACLE = 0.799912
 RENEWAL_COUNT_CI = 0.000744
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestLstOfPh:
@@ -267,6 +276,110 @@ class TestHierarchyApprox:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             hierarchy_approx(two_level_tree(1.0), "magic")
+
+
+def _leaf(node_id, arrival):
+    return CacheNode(node_id, ttl=Exponential(0.5), delay=Erlang(2, 2.0), arrival=arrival)
+
+
+def _mid(node_id, arrival):
+    leaves = tuple(_leaf(f"{node_id}.{i}", arrival) for i in (1, 2))
+    return CacheNode(node_id, ttl=Exponential(0.25), delay=Erlang(2, 2.0), children=leaves)
+
+
+# Siblings [A, B, A] whose roots differ only below them, siblings of unequal
+# arrival laws, and the three-level example: 5, 3 and 3 distinct shapes.
+REUSE_TREES = {
+    "a-b-a": CacheTreeSpec(CacheNode(
+        "root", ttl=Exponential(1 / 6), delay=Erlang(2, 2.0),
+        children=(_mid("a1", Exponential(1.0)), _mid("b", Erlang(2, 4.0)),
+                  _mid("a2", Exponential(1.0))),
+    )),
+    "unequal": CacheTreeSpec(CacheNode(
+        "root", ttl=Exponential(0.25), delay=Exponential(1.0),
+        children=(_leaf("leaf1", Exponential(1.0)),
+                  _leaf("leaf2", Coxian((3.0, 1.0), (0.5,)))),
+    )),
+    "three-level": load_config(CONFIGS / "binary_three_level_mme2.yaml")[0],
+}
+MIX = "cv^2 in [1/3, 0.5): Erlang mixture, two-moment match"
+PROJ = "m3 projected into the PH(2) feasible region"
+# The renewal strategy's notes, one per cache and stream, in post-order;
+# the Poisson strategy fits no moments and has none.
+RENEWAL_FALLBACKS = {
+    "a-b-a": tuple(
+        note for mid in ("a1", "b", "a2") for note in (
+            f"{mid}.1 miss stream: {MIX}", f"{mid}.2 miss stream: {MIX}",
+            f"{mid}: {PROJ}", f"{mid} miss stream: {PROJ}",
+        )
+    ) + (f"root: {PROJ}", f"root miss stream: {PROJ}"),
+    "unequal": (
+        f"leaf1 miss stream: {MIX}", f"leaf2 miss stream: {MIX}",
+        f"root: {PROJ}", f"root miss stream: {PROJ}",
+    ),
+    "three-level": tuple(
+        note for mid, leaves in (("mid1", "12"), ("mid2", "34")) for note in (
+            f"leaf{leaves[0]} miss stream: {MIX}", f"leaf{leaves[1]} miss stream: {MIX}",
+            f"{mid}: {PROJ}", f"{mid} miss stream: {MIX}",
+        )
+    ) + (f"root: {PROJ}", f"root miss stream: {PROJ}"),
+}
+
+
+def _post_order(node):
+    for child in node.children:
+        yield from _post_order(child)
+    yield node
+
+
+class TestShapeReuse:
+    @pytest.mark.parametrize("strategy", ["renewal", "poisson"])
+    @pytest.mark.parametrize("name", sorted(REUSE_TREES))
+    def test_each_cache_equals_its_own_subtree(self, name, strategy):
+        spec = REUSE_TREES[name]
+        result = hierarchy_approx(spec, strategy)
+        nodes = list(_post_order(spec.root))
+        assert list(result.per_cache) == [node.id for node in nodes]
+        for node in nodes:
+            alone = hierarchy_approx(CacheTreeSpec(node), strategy)
+            assert result.per_cache[node.id] == alone.per_cache[node.id], node.id
+        expected = RENEWAL_FALLBACKS[name] if strategy == "renewal" else ()
+        assert result.fallbacks == expected
+
+    @pytest.mark.parametrize("strategy", ["renewal", "poisson"])
+    @pytest.mark.parametrize("name, shapes", [("a-b-a", 5), ("unequal", 3), ("three-level", 3)])
+    def test_single_cache_work_runs_once_per_shape(self, monkeypatch, name, shapes, strategy):
+        calls = []
+        original = approximation.hit_prob_single_approx
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(approximation, "hit_prob_single_approx", counted)
+        hierarchy_approx(REUSE_TREES[name], strategy)
+        assert len(calls) == shapes
+
+
+@st.composite
+def kron_operands(draw):
+    """Two float arrays of one rank (1 or 2), signed zeros included."""
+    ndim = draw(st.integers(1, 2))
+    shapes = hnp.array_shapes(min_dims=ndim, max_dims=ndim, min_side=1, max_side=4)
+    elements = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0]))
+    return tuple(
+        draw(hnp.arrays(np.float64, shapes, elements=elements)) for _ in range(2)
+    )
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(kron_operands())
+def test_kron_matches_numpy_bit_for_bit(operands):
+    a, b = operands
+    got, expected = _kron(a, b), np.kron(a, b)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 @hyp_settings(max_examples=25, deadline=None)

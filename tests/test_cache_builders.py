@@ -91,12 +91,12 @@ class TestSingleCache:
         }
         # Arrival completion in Out is an active miss entering the fetch state
         # and resetting the arrival phase.
-        i = m.index_of(next(l for l in m.labels if l.encode() == "(A2)O"))
-        j = m.index_of(next(l for l in m.labels if l.encode() == "(A1)F1"))
+        i = m.labels.index(next(l for l in m.labels if l.encode() == "(A2)O"))
+        j = m.labels.index(next(l for l in m.labels if l.encode() == "(A1)F1"))
         assert m.d1[i, j] == pytest.approx(2.0)
         # Completion while in cache is a hit: hidden.
-        i = m.index_of(next(l for l in m.labels if l.encode() == "(A2)I"))
-        j = m.index_of(next(l for l in m.labels if l.encode() == "(A1)I"))
+        i = m.labels.index(next(l for l in m.labels if l.encode() == "(A2)I"))
+        j = m.labels.index(next(l for l in m.labels if l.encode() == "(A1)I"))
         assert m.d1[i, j] == 0.0
         assert m.d0[i, j] == pytest.approx(2.0)
         assert validate_map(m) == []
@@ -115,7 +115,7 @@ class TestSingleCache:
         # reset the arrival phase; for single-phase arrivals the reset folds
         # into the diagonal).
         m = build_single_cache(Erlang(2, 2.0), Exponential(0.5), Exponential(1.0))
-        i = m.index_of(next(l for l in m.labels if l.encode() == "(A2)I"))
+        i = m.labels.index(next(l for l in m.labels if l.encode() == "(A2)I"))
         off_diag = m.d0[i].sum() - m.d0[i, i] + m.d1[i].sum()
         assert off_diag == pytest.approx(0.5 + 2.0, abs=1e-12)
         assert m.d0[i].sum() + m.d1[i].sum() == pytest.approx(0.0, abs=1e-12)

@@ -306,6 +306,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG:") and "reference_interarrival" in err
 
+    @pytest.mark.parametrize("command", ["approx", "analyze"])
+    def test_delay_rate_overflow_rejected(self, tree_cfg, capsys, command):
+        # A delay mean of 1e-310 makes the delay rate overflow to inf.
+        assert main([command, "--config", tree_cfg,
+                     "--sweep", "tau_delta=1e-310:1:1e-310"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "E_VALUE: rate must be finite and positive, got inf"
+        )
+
 
 class TestSweepParsing:
     def test_inclusive_endpoints(self):

@@ -1,10 +1,13 @@
 """Phase-type sampling and validation of the distribution kinds."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ttldelay.distributions import (
     Coxian,
+    Deterministic,
     Erlang,
     Exponential,
     GeneralPH,
@@ -75,3 +78,24 @@ class TestGeneralPHValidation:
         s = ((-1.0, 1.0, 0.0), (0.5, -1.0, 0.5), (0.0, 0.0, -2.0))
         # Mean times to absorption: t2 = 0.5, t1 = 1 + (t0 + t2) / 2, t0 = 1 + t1.
         assert GeneralPH((1.0, 0.0, 0.0), s).mean() == pytest.approx(4.5)
+
+
+NON_FINITE = {
+    "exponential-inf": lambda: Exponential(math.inf),
+    "exponential-nan": lambda: Exponential(math.nan),
+    "erlang-inf": lambda: Erlang(2, math.inf),
+    "erlang-nan": lambda: Erlang(2, math.nan),
+    "coxian-inf": lambda: Coxian((1.0, math.inf), (0.5,)),
+    "coxian-nan": lambda: Coxian((math.nan, 1.0), (0.5,)),
+    "deterministic-inf": lambda: Deterministic(math.inf),
+    "deterministic-nan": lambda: Deterministic(math.nan),
+    "general-inf": lambda: GeneralPH((1.0, 0.0), ((-math.inf, 1.0), (0.0, -1.0))),
+    "general-nan": lambda: GeneralPH((1.0, 0.0), ((-1.0, math.nan), (0.0, -1.0))),
+    "general-initial-nan": lambda: GeneralPH((math.nan, 1.0), ((-1.0, 0.0), (0.0, -1.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_non_finite_parameters_rejected(name):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE[name]()

@@ -197,12 +197,17 @@ def cmd_analyze(args):
         lump = args.lump == "on"
     settings = default_settings()
     total = spec.total_request_rate()
-    zero = build_tree(zero_delay_variant(spec, settings), lump_per_level=lump)
+    zero_spec = zero_delay_variant(spec, settings)
+    zero = build_tree(zero_spec, lump_per_level=lump)
     p_zero = hit_probability(zero, total)
 
     def point(swept):
-        system = build_tree(swept, lump_per_level=lump, settings=settings)
-        p = hit_probability(system, total)
+        # A tau_delta = 0 point is the zero-delay tree solved above.
+        if swept == zero_spec:
+            system, p = zero, p_zero
+        else:
+            system = build_tree(swept, lump_per_level=lump, settings=settings)
+            p = hit_probability(system, total)
         eta = 1.0 - p / p_zero if p_zero > 0 else math.nan
         return [_num(p), _num(eta), swept.state_count(), system.size]
 

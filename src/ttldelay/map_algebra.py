@@ -4,10 +4,11 @@ A MAP is stored as a pair of sparse CSR matrices: ``d0`` holds hidden
 transition rates and ``d1`` active (event-emitting) ones.  Composition keeps
 them sparse (a Kronecker sum of sparse factors is sparse).  The steady state
 of a large chain comes from GCROT(m,k) on the embedded-chain scaling of the
-balance equations; a small chain, or one where GCROT misses, is solved by a
-sparse LU factorization.  Every state carries a :class:`StateLabel`
-describing what the state means in terms of the cache tree: one symbol per
-cache plus the phase of each phase-type arrival process.
+balance equations, preconditioned by a symmetric Gauss-Seidel sweep; a small
+chain, or one where GCROT misses, is solved by a sparse LU factorization.
+Every state carries a :class:`StateLabel` describing what the state means in
+terms of the cache tree: one symbol per cache plus the phase of each
+phase-type arrival process.
 
 Labels are nested tuples so that composition operations (Kronecker sums, line
 superposition, lumping) can manipulate them structurally:
@@ -39,10 +40,9 @@ OUT = ("O", 0)
 IN = ("I", 0)
 
 # Chains above this size are solved by GCROT first.  Below it the LU is
-# about as fast: its fill is still small, GCROT pays a fixed cost of about
-# ten solves for the condition estimate, and GCROT misses on lumped wide flat
-# levels, which are about this size.
-KRYLOV_MIN_STATES = 2000
+# about as fast: its fill is still small, and GCROT pays a fixed cost of
+# about ten preconditioned solves for the condition estimate.
+KRYLOV_MIN_STATES = 1000
 # GCROT(m,k): m inner FGMRES steps per cycle, k recycled vectors kept.
 KRYLOV_M = 20
 KRYLOV_K = 10
@@ -341,11 +341,47 @@ class KrylovMiss(Exception):
     """GCROT gave no steady state that passes the checks."""
 
 
-def _gcrotmk(a, b, rtol, cu):
+def _symmetric_gauss_seidel(s):
+    """Symmetric Gauss-Seidel preconditioners of ``s`` and of its transpose.
+
+    The sweeps cover the embedded-chain rows of ``s``; its last
+    (normalisation) row is replaced by the identity's, so it passes through.
+    With g = D + L + U split that way, M = (D + U) D^-1 (D + L), and the two
+    operators apply M^-1 and M^-T.  Each sweep is one triangular solve in
+    natural order, so SuperLU adds no fill.
+    """
+    n = s.shape[0]
+    coo = s.tocoo()
+    keep = coo.row < n - 1
+    g = sparse.coo_array(
+        (np.append(coo.data[keep], 1.0),
+         (np.append(coo.row[keep], n - 1), np.append(coo.col[keep], n - 1))),
+        shape=(n, n),
+    )
+    lower, upper = (
+        splu(part(g, format="csc"), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+             relax=1, panel_size=1)
+        for part in (sparse.tril, sparse.triu)
+    )
+    diag = g.diagonal()
+    forward = LinearOperator(
+        (n, n), matvec=lambda x: lower.solve(diag * upper.solve(x)), dtype=float
+    )
+    transposed = LinearOperator(
+        (n, n),
+        matvec=lambda x: upper.solve(diag * lower.solve(x, trans="T"), trans="T"),
+        dtype=float,
+    )
+    return forward, transposed
+
+
+def _gcrotmk(a, b, rtol, cu, precond=None):
     """x with |a x - b| <= rtol |b| by GCROT(m,k), or raise KrylovMiss.
 
     ``cu`` is the recycle list of ``a``: it seeds the solve and holds the
-    subspace the solve leaves behind for the next one.  Each cycle is one
+    subspace the solve leaves behind for the next one.  ``precond``, an
+    approximate inverse of ``a``, preconditions the solve from the right, so
+    the residual tested is still that of ``a``.  Each cycle is one
     ``gcrotmk`` call, and the true residual is tested after it.  A residual
     that has not halved over the last ``STALL_CYCLES`` cycles is a stall,
     unless it is within ``STALL_BAND`` times the target, so a slow solve
@@ -360,7 +396,7 @@ def _gcrotmk(a, b, rtol, cu):
         # The first cycle recomputes C = a U: stale (c, u) pairs from an
         # earlier solve break the projection on stiff chains.
         x, _ = gcrotmk(a, b, x0=x, rtol=rtol, atol=0.0, maxiter=1, m=KRYLOV_M,
-                       k=KRYLOV_K, CU=cu, discard_C=cycle == 0)
+                       k=KRYLOV_K, M=precond, CU=cu, discard_C=cycle == 0)
         residual = np.linalg.norm(b - a @ x)
         if residual <= target:
             return x
@@ -382,7 +418,9 @@ def krylov_steady_state(q, settings=None):
     (D^-1 1)^T], which takes the spread of the rates (such as the 1e6
     zero-delay emulation) out of the system.  So A^-1 x = D^-1 S^-1 x and
     A^-T x = S^-T D^-1 x, and the condition estimate of A runs on solves
-    with S and S^T to ``CONDITION_RTOL``.  The solves with S share one
+    with S and S^T to ``CONDITION_RTOL``.  Every solve is preconditioned by
+    a symmetric Gauss-Seidel sweep of S (of S^T for the transposed ones);
+    most converge in one or two cycles.  The solves with S share one
     recycled subspace, so the forward condition solves start from the
     subspace the pi solve built, and the solves with S^T share another; both
     are dropped on return, so each call depends on ``q`` alone.  Raises
@@ -393,16 +431,17 @@ def krylov_steady_state(q, settings=None):
     a, b = _balance_system(q)
     d = -q.diagonal()
     scaled = (a @ sparse.diags_array(1.0 / d)).tocsr()
-    scaled_t = scaled.T.tocsr()
+    scaled_t = scaled.T
+    precond, precond_t = _symmetric_gauss_seidel(scaled)
     cu, cu_t = [], []
     try:
-        pi = _checked_pi(_gcrotmk(scaled, b, PI_RTOL, cu) / d, q, settings)
+        pi = _checked_pi(_gcrotmk(scaled, b, PI_RTOL, cu, precond) / d, q, settings)
     except ConditioningError as exc:
         raise KrylovMiss(str(exc)) from exc
     cond = _condition(
         a,
-        lambda x: _gcrotmk(scaled, x, CONDITION_RTOL, cu) / d,
-        lambda x: _gcrotmk(scaled_t, np.ravel(x) / d, CONDITION_RTOL, cu_t),
+        lambda x: _gcrotmk(scaled, x, CONDITION_RTOL, cu, precond) / d,
+        lambda x: _gcrotmk(scaled_t, np.ravel(x) / d, CONDITION_RTOL, cu_t, precond_t),
         settings,
     )
     return SteadyState(pi, cond, "krylov")

@@ -32,6 +32,19 @@ def two_level_tree(tau_delta):
     )
 
 
+def flat_tree(k):
+    """k identical rate-1 Poisson leaves (TTL mean 2) under one root (TTL mean
+    4), exponential delays of mean 1."""
+    leaves = tuple(
+        CacheNode(f"leaf{i}", ttl=Exponential(0.5), delay=Exponential(1.0),
+                  arrival=Exponential(1.0))
+        for i in range(k)
+    )
+    return CacheTreeSpec(
+        CacheNode("root", ttl=Exponential(0.25), delay=Exponential(1.0), children=leaves)
+    )
+
+
 def e20_cache(tau_delta, tau_t=2.0):
     """Near-periodic input: Erlang-20 arrivals with unit mean."""
     delay = Exponential(1e6) if tau_delta == 0 else Exponential(1.0 / tau_delta)

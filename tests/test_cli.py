@@ -5,8 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from ttldelay.cli import main, parse_counts, parse_sweep
+from ttldelay import cli
+from ttldelay.cli import load_config, main, parse_counts, parse_sweep
 from ttldelay.errors import ConfigError
+from ttldelay.hierarchy import build_tree
+from ttldelay.metrics import hit_probability, with_delay_means
 
 SINGLE = """
 tree:
@@ -98,6 +101,37 @@ class TestAnalyze:
         assert float(on["p_hit_exact"]) == pytest.approx(
             float(off["p_hit_exact"]), abs=1e-9
         )
+
+    @pytest.mark.parametrize("lump", ["on", "off"])
+    def test_zero_delay_point_reuses_the_zero_delay_solve(
+        self, tree_cfg, tmp_path, monkeypatch, lump
+    ):
+        built = []
+
+        def counting_build_tree(spec, **kwargs):
+            built.append(spec)
+            return build_tree(spec, **kwargs)
+
+        monkeypatch.setattr(cli, "build_tree", counting_build_tree)
+        out = tmp_path / "out.csv"
+        assert main(["analyze", "--config", tree_cfg, "--sweep", "tau_delta=0:1:2",
+                     "--lump", lump, "--out", str(out)]) == 0
+        # The zero-delay tree behind eta, then the points at 1 and 2 only.
+        assert len(built) == 3
+        # Every point solved on its own, as the sweep did before the reuse.
+        spec, ref = load_config(tree_cfg)
+        total = spec.total_request_rate()
+        p_at = {}
+        rows = ["sweep_value,p_hit_exact,eta,states_original,states_lumped"]
+        for value in (0, 1, 2):
+            swept = with_delay_means(spec, value * ref)
+            system = build_tree(swept, lump_per_level=lump == "on")
+            p_at[value] = hit_probability(system, total)
+            eta = 1.0 - p_at[value] / p_at[0]
+            rows.append(f"{value},{p_at[value]:.9g},{eta:.9g},"
+                        f"{swept.state_count()},{system.size}")
+        assert rows[1].split(",")[2] == "0"
+        assert out.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
 
     def test_nine_significant_digits(self, single_cfg, tmp_path):
         out = str(tmp_path / "out.csv")

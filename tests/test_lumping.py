@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from ttldelay import map_algebra
 from ttldelay.cache_builders import (
-    CacheNode,
-    CacheTreeSpec,
     build_parent_cache,
     build_single_cache,
     fetch_entry_distribution,
@@ -28,6 +27,8 @@ from ttldelay.map_algebra import (
     validate_map,
 )
 from ttldelay.settings import NumericSettings
+
+from conftest import flat_tree
 
 
 # The strong-lumpability oracle: a partition of a full product and a check
@@ -149,6 +150,18 @@ def product_then_lump(sibling, n):
     return product, partition, lumped
 
 
+# p_hit of fifty exponential leaves under one root, lumped, from the LU
+# before the Krylov path existed.
+FLAT_FIFTY_P_HIT = 0.8632834559919254
+
+
+def flat_fifty():
+    """The spec of fifty identical leaves under one root, and its lumped MAP
+    (3,927 states)."""
+    spec = flat_tree(50)
+    return spec, build_tree(spec, lump_per_level=True)
+
+
 CONSTRUCTION_CASES = [
     *((leaf_map, n) for n in (2, 3, 4)),
     *((coxian_leaf, n) for n in (2, 3, 4)),
@@ -183,26 +196,30 @@ class TestConstruction:
         assert lump_symmetric_level(sibling, 40, loose).map.size == 861
 
     def test_flat_fifty_leaves_solve(self, caplog):
-        leaves = tuple(
-            CacheNode(f"leaf{i}", ttl=Exponential(0.5), delay=Exponential(1.0),
-                      arrival=Exponential(1.0))
-            for i in range(50)
-        )
-        spec = CacheTreeSpec(
-            CacheNode("root", ttl=Exponential(0.25), delay=Exponential(1.0),
-                      children=leaves)
-        )
-        system = build_tree(spec, lump_per_level=True)
+        spec, system = flat_fifty()
         assert system.size == 3927 > KRYLOV_MIN_STATES
-        # GCROT stalls on this chain, so the LU answers and the fallback is
-        # logged once; p_hit is the LU's value from before the Krylov path existed.
+        # Preconditioned GCROT answers with no fallback; p_hit is the LU's
+        # value from before the Krylov path existed.
+        with caplog.at_level(logging.INFO, logger="ttldelay.map_algebra"):
+            ss = steady_state(system)
+        assert ss.method == "krylov"
+        assert caplog.records == []
+        p_hit = 1.0 - event_rate(system, ss) / spec.total_request_rate()
+        assert p_hit == pytest.approx(FLAT_FIFTY_P_HIT, rel=0, abs=1e-12)
+
+    def test_flat_fifty_leaves_fall_back_when_gcrot_is_stuck(self, caplog, monkeypatch):
+        def stuck(a, b, **kwargs):
+            return np.zeros_like(b), 1
+
+        monkeypatch.setattr(map_algebra, "gcrotmk", stuck)
+        spec, system = flat_fifty()
         with caplog.at_level(logging.INFO, logger="ttldelay.map_algebra"):
             ss = steady_state(system)
         assert ss.method == "direct"
         (record,) = caplog.records
         assert "3927 states falls back to LU" in record.getMessage()
         p_hit = 1.0 - event_rate(system, ss) / spec.total_request_rate()
-        assert p_hit == pytest.approx(0.8632834559919254, rel=0, abs=1e-12)
+        assert p_hit == pytest.approx(FLAT_FIFTY_P_HIT, rel=0, abs=1e-12)
 
 
 class TestLumpSymmetricLevel:

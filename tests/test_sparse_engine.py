@@ -13,9 +13,11 @@ p_hit tends to the zero-delay variant's as the delay means go to 0.  On the
 same trees, each cache's state count matches the MAP its builder returns, and
 the recursively lumped count equals the raw product exactly when no two
 adjacent siblings are copies.  GCROT is also checked against the
-subtraction-free GTH elimination on small and stiff chains, and on three
-lumped trees large enough to take the GCROT path; its stall rule and the
-independence of its results from earlier calls are checked directly.
+subtraction-free GTH elimination on small and stiff chains, against the LU
+on a stiff unlumped zero-delay chain and on five lumped trees large enough
+to take the GCROT path; its symmetric Gauss-Seidel preconditioner is checked
+against the dense inverse, and its stall rule and the independence of its
+results from earlier calls are checked directly.
 """
 
 import logging
@@ -27,6 +29,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import example, given, settings as hyp_settings, strategies as st
+from scipy import sparse
 from scipy.linalg import lapack
 
 from ttldelay import map_algebra
@@ -43,6 +46,7 @@ from ttldelay.errors import ConditioningError
 from ttldelay.hierarchy import build_tree, lump_plus_width
 from ttldelay.map_algebra import (
     CONDITION_RTOL,
+    KRYLOV_MIN_STATES,
     STALL_CYCLES,
     KrylovMiss,
     direct_steady_state,
@@ -58,7 +62,7 @@ from ttldelay.metrics import (
 )
 from ttldelay.settings import NumericSettings
 
-from conftest import two_level_tree
+from conftest import flat_tree, two_level_tree
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MAX_STATES = 600  # bound on the raw product of per-cache state counts
@@ -334,6 +338,48 @@ def test_krylov_matches_gth(case, zero):
     assert krylov.condition == pytest.approx(direct_steady_state(q).condition, rel=0.01)
 
 
+SGS_CASES = {
+    "two_level": two_level_tree(1.0),
+    "two_level_zero_delay": zero_delay_variant(two_level_tree(1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SGS_CASES))
+def test_symmetric_gauss_seidel_is_the_dense_inverse(case):
+    """The preconditioners apply M^-1 and M^-T, M = (D + U) D^-1 (D + L), from
+    the scaled system with its normalisation row replaced by e_n^T."""
+    q = build_tree(SGS_CASES[case], lump_per_level=False).generator()
+    a, _ = map_algebra._balance_system(q)
+    s = a.toarray() / -q.diagonal()
+    forward, transposed = map_algebra._symmetric_gauss_seidel(sparse.csr_array(s))
+    g = s.copy()
+    g[-1] = 0.0
+    g[-1, -1] = 1.0
+    d = np.diag(np.diag(g))
+    m = (d + np.triu(g, 1)) @ np.linalg.inv(d) @ (d + np.tril(g, -1))
+    inverse = np.linalg.inv(m)
+    columns = np.eye(len(g))
+    for op, expected in ((forward, inverse), (transposed, inverse.T)):
+        applied = np.column_stack([op.matvec(e) for e in columns])
+        np.testing.assert_allclose(applied, expected, rtol=0, atol=1e-12)
+
+
+def test_stiff_zero_delay_chain_takes_krylov(caplog):
+    """The unlumped zero-delay three-level chain, delay rates up to 4e6, is
+    solved by preconditioned GCROT; a sweep that also covered the
+    normalisation row would make this preconditioner nearly singular."""
+    spec, _ = load_config(CONFIGS / "binary_three_level_mme2.yaml")
+    system = build_tree(zero_delay_variant(spec), lump_per_level=False)
+    assert system.size == 1263 > KRYLOV_MIN_STATES
+    with caplog.at_level(logging.DEBUG, logger="ttldelay.map_algebra"):
+        krylov = steady_state(system)
+    assert krylov.method == "krylov"
+    assert caplog.records == []
+    direct = direct_steady_state(system.generator())
+    np.testing.assert_allclose(krylov.pi, direct.pi, rtol=0, atol=1e-12)
+    assert krylov.condition == pytest.approx(direct.condition, rel=0.01)
+
+
 def _uniform_tree(arity, depth, delay, arrival):
     """An arity-ary tree of the given depth; TTL means 2, 4, 6 from the leaves up."""
 
@@ -356,6 +402,9 @@ LARGE_CASES = {
     "ternary_depth2": TERNARY,
     "ternary_depth2_tau3": TERNARY_SLOW_CYCLE,
     "coxian_three_level": _uniform_tree(2, 2, Erlang(2, 2.0), Coxian((1.5, 0.75), (0.5,))),
+    # Lumped wide flat levels, where GCROT without a preconditioner missed.
+    "flat40": flat_tree(40),
+    "flat50": flat_tree(50),
 }
 
 

@@ -130,12 +130,14 @@ def _reversed_ph(d):
     return alpha[perm], s[np.ix_(perm, perm)]
 
 
-def build_parent_cache(ttl, delay):
+def build_parent_cache(ttl, delay, delay_unit=1.0):
     """MAP of one cache without a direct request stream (d1 = 0).
 
     States are ordered ``[Out, In, F_1, ..., F_f]``; the only transitions are
     TTL expiry (In -> Out) and the fetch chain ending in admission
-    (F_1 -> In).
+    (F_1 -> In).  Every rate of the fetch chain is multiplied by
+    ``delay_unit``; :func:`ttldelay.hierarchy.delay_pencil` passes ``1j`` to
+    carry the delay rates in the imaginary part.
     """
     if not isinstance(ttl, dist.Exponential):
         raise UnsupportedDistributionError(
@@ -143,10 +145,11 @@ def build_parent_cache(ttl, delay):
         )
     dist.require_ph(delay, "fetch delay")
     _, s_rev = _reversed_ph(delay)
+    s_rev = s_rev * delay_unit
     exit_rev = -s_rev.sum(axis=1)
     f = s_rev.shape[0]
     n = 2 + f
-    d0 = np.zeros((n, n))
+    d0 = np.zeros((n, n), dtype=s_rev.dtype)
     d0[1, 0] = ttl.rate
     d0[1, 1] = -ttl.rate
     d0[2:, 2:] = s_rev
@@ -164,16 +167,17 @@ def fetch_entry_distribution(delay):
     return alpha_rev
 
 
-def build_single_cache(arrival, ttl, delay):
+def build_single_cache(arrival, ttl, delay, delay_unit=1.0):
     """MAP of a leaf cache fed by a PH renewal request stream.
 
     The state space is the product of cache states (slow index) and arrival
     phases.  With ``R`` the arrival's renewal matrix, a completion is hidden
     in In (a hit: ``hit`` marks In -> In) and active elsewhere (a miss:
     ``miss`` holds Out -> F by the fetch entry distribution and F_k -> F_k).
+    ``delay_unit`` multiplies the delay rates, as in :func:`build_parent_cache`.
     """
     dist.require_ph(arrival, "arrival process")
-    cache = build_parent_cache(ttl, delay)
+    cache = build_parent_cache(ttl, delay, delay_unit)
     alpha_a, s_a = arrival.ph()
     renewal = np.outer(-s_a.sum(axis=1), alpha_a)
     na = len(alpha_a)

@@ -28,7 +28,7 @@ from ttldelay import distributions as dist
 from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 from ttldelay.approximation import hierarchy_approx
 from ttldelay.errors import ConfigError, TTLDelayError
-from ttldelay.hierarchy import build_tree, lump_plus_width
+from ttldelay.hierarchy import build_tree, delay_pencil, lump_plus_width
 from ttldelay.lumping import partition_count
 from ttldelay.metrics import (
     delay_upper_bound,
@@ -176,14 +176,13 @@ def _write_csv(path, header, rows):
 
 
 def _write_sweep(path, header, spec, ref, values, point):
-    """One CSV row per sweep value: the value, then ``point`` of the tree
-    with every delay mean at ``value * ref``.  No sweep is one row at ``ref``
-    for the tree as configured."""
+    """One CSV row per sweep value: the value, then ``point(tree, value)`` of
+    the tree with every delay mean at ``value * ref``.  No sweep is one row at
+    ``ref`` for the tree as configured, with ``value`` None."""
     if values is None:
-        swept = [(ref, spec)]
+        rows = [[_num(ref), *point(spec, None)]]
     else:
-        swept = [(v, with_delay_means(spec, v * ref)) for v in values]
-    rows = [[_num(value), *point(tree)] for value, tree in swept]
+        rows = [[_num(v), *point(with_delay_means(spec, v * ref), v)] for v in values]
     _write_csv(path, ["sweep_value", *header], rows)
 
 
@@ -198,18 +197,27 @@ def cmd_analyze(args):
     settings = default_settings()
     total = spec.total_request_rate()
     zero_spec = zero_delay_variant(spec, settings)
-    zero = build_tree(zero_spec, lump_per_level=lump)
-    p_zero = hit_probability(zero, total)
 
-    def point(swept):
-        # A tau_delta = 0 point is the zero-delay tree solved above.
-        if swept == zero_spec:
-            system, p = zero, p_zero
+    def solve(system):
+        return hit_probability(system, total), system.size
+
+    p_zero, zero_states = solve(build_tree(zero_spec, lump_per_level=lump))
+    # A sweep scales every delay mean alike, so one pencil at the reference
+    # mean gives each delayed point's MAP.
+    if values is not None and max(values) > 0:
+        pencil = delay_pencil(
+            with_delay_means(spec, ref), lump_per_level=lump, settings=settings
+        )
+
+    def point(swept, value):
+        if swept == zero_spec:  # a tau_delta = 0 point: the solve above
+            p, states = p_zero, zero_states
+        elif value is None:  # no sweep: the delays as configured
+            p, states = solve(build_tree(swept, lump_per_level=lump, settings=settings))
         else:
-            system = build_tree(swept, lump_per_level=lump, settings=settings)
-            p = hit_probability(system, total)
+            p, states = solve(pencil.at(1.0 / value))
         eta = 1.0 - p / p_zero if p_zero > 0 else math.nan
-        return [_num(p), _num(eta), swept.state_count(), system.size]
+        return [_num(p), _num(eta), swept.state_count(), states]
 
     _write_sweep(
         args.out,
@@ -223,7 +231,7 @@ def cmd_simulate(args):
     values = parse_sweep(args.sweep)
     seed = args.seed if args.seed is not None else secrets.randbits(31)
 
-    def point(swept):
+    def point(swept, _):
         est = simulate(
             SimConfig(
                 spec=swept,
@@ -246,7 +254,7 @@ def cmd_approx(args):
     spec.validate(exact=True)
     values = parse_sweep(args.sweep)
 
-    def point(swept):
+    def point(swept, _):
         result = hierarchy_approx(swept, strategy=args.strategy)
         return [_num(result.p_hit_sys), result.strategy, ";".join(result.fallbacks)]
 
@@ -324,23 +332,20 @@ def cmd_bound(args):
     bound = delay_upper_bound(args.tau_t)
     print(f"tau_delta_plus = {_num(bound)}")
     if args.search:
-        from ttldelay.metrics import tree_hit_probability
+        spec = CacheTreeSpec(
+            CacheNode(
+                "cache",
+                ttl=dist.Exponential(1.0 / args.tau_t),
+                delay=dist.Exponential(1.0),
+                arrival=dist.Erlang(20, 20.0),
+            )
+        )
+        pencil = delay_pencil(spec)
+        zero_rate = default_settings().zero_delay_scale
+        total = spec.total_request_rate()
 
         def p_hit(td):
-            delay = (
-                dist.Exponential(default_settings().zero_delay_scale)
-                if td == 0
-                else dist.Exponential(1.0 / td)
-            )
-            spec = CacheTreeSpec(
-                CacheNode(
-                    "cache",
-                    ttl=dist.Exponential(1.0 / args.tau_t),
-                    delay=delay,
-                    arrival=dist.Erlang(20, 20.0),
-                )
-            )
-            return tree_hit_probability(spec)
+            return hit_probability(pencil.at(zero_rate if td == 0 else 1.0 / td), total)
 
         # Near-periodic optima sit in the first alignment window of the
         # request period; the no-harm bound itself can be huge for tiny TTLs.

@@ -18,6 +18,11 @@ fetch enters are the initial vector of each cache's delay
 composition the active transitions of the system MAP are exactly the
 requests answered by an origin fetch (system misses).
 
+A delay sweep scales every delay rate by one factor and moves nothing else,
+so :func:`delay_pencil` composes the tree once, as the pencil
+``A + rate * B`` with fixed labels and ``d1``, and each point of the sweep is
+a sparse sum instead of a new composition.
+
 Every step works on sparse matrices: a Kronecker sum of sparse factors, a
 state mask, and the reclassified child events as COO triplets.  Child events
 are classified from per-state root codes (each child's kind and whether it
@@ -28,6 +33,7 @@ per-level lumping keeps small for symmetric trees.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import groupby, product
 
 import numpy as np
@@ -135,8 +141,12 @@ def line_superpose(parent, children, parent_entry, child_runs, settings=None):
         return (change[leaving] == -1) & (change[entering] == 1)
 
     # Step (a): Kronecker sum, children index varying slowest.  State
-    # (child ci, parent pi) has index ci * npar + pi.
+    # (child ci, parent pi) has index ci * npar + pi.  Only its rates are
+    # kept; the labels of the valid states are built at the end, so the
+    # product's own labels are freed here.
     combo = kronecker_sum(children, parent, settings=settings)
+    hidden, active = combo.d0.tocoo(), combo.d1.tocoo()
+    del combo
 
     # Step (b), states: a fetching parent needs some child fetching and every
     # fetching child at an entry phase.  The rule treats all fetch phases of
@@ -179,13 +189,11 @@ def line_superpose(parent, children, parent_entry, child_runs, settings=None):
 
     # Step (b), transitions: a child cannot be admitted while the parent is
     # still fetching, whatever the surrounding states look like.
-    hidden = combo.d0.tocoo()
     row_child, row_parent = np.divmod(hidden.row.astype(np.int64), npar)
     admission_blocked = (row_parent >= 2) & moves(
         row_child, hidden.col.astype(np.int64) // npar, "F", "I"
     )
     keep0 = (hidden.row != hidden.col) & ~admission_blocked
-    active = combo.d1.tocoo()
     keep1 = active.row % npar >= 2  # events under a fetching parent
 
     d0 = _restrict(
@@ -238,19 +246,15 @@ def lump_plus_width(node):
     return width
 
 
-def build_tree(spec, lump_per_level=False, settings=None):
-    """Build the full system MAP of a cache tree by post-order composition.
-
-    With ``lump_per_level``, each run of adjacent siblings of equal shape is
-    built once and expanded as a lumped level; runs keep their positions, so
-    state order and labels follow the spec either way.
-    """
+def _compose(spec, lump_per_level, settings, delay_unit):
+    """Post-order composition of the system MAP, with every delay rate
+    multiplied by ``delay_unit``."""
     settings = settings or default_settings()
     spec.validate(exact=True)
 
     def build(node):
         if node.is_leaf:
-            return build_single_cache(node.arrival, node.ttl, node.delay)
+            return build_single_cache(node.arrival, node.ttl, node.delay, delay_unit)
         runs = sibling_runs(node.children) if lump_per_level else [[c] for c in node.children]
         parts = []
         for first, *rest in runs:
@@ -259,7 +263,7 @@ def build_tree(spec, lump_per_level=False, settings=None):
                 sibling = lump_symmetric_level(sibling, 1 + len(rest), settings).map
             parts.append(sibling)
         return line_superpose(
-            build_parent_cache(node.ttl, node.delay),
+            build_parent_cache(node.ttl, node.delay, delay_unit),
             level_superpose(parts, settings=settings),
             fetch_entry_distribution(node.delay),
             [(fetch_entry_distribution(run[0].delay), len(run)) for run in runs],
@@ -267,3 +271,45 @@ def build_tree(spec, lump_per_level=False, settings=None):
         )
 
     return build(spec.root)
+
+
+def build_tree(spec, lump_per_level=False, settings=None):
+    """Build the full system MAP of a cache tree by post-order composition.
+
+    With ``lump_per_level``, each run of adjacent siblings of equal shape is
+    built once and expanded as a lumped level; runs keep their positions, so
+    state order and labels follow the spec either way.
+    """
+    return _compose(spec, lump_per_level, settings, 1.0)
+
+
+@dataclass(frozen=True)
+class DelayPencil:
+    """A tree's MAP as a function of one factor on all its delay rates.
+
+    Multiplying every delay rate by ``rate`` (every delay mean by
+    ``1 / rate``, shapes kept) gives the hidden matrix ``a + rate * b``:
+    ``b`` holds the delay rates, ``a`` the others.  The active matrix ``d1``
+    and the labels do not depend on the delays.
+    """
+
+    a: sparse.csr_array
+    b: sparse.csr_array
+    d1: sparse.csr_array
+    labels: tuple
+
+    def at(self, rate):
+        """The MAP with every delay rate multiplied by ``rate``."""
+        return LabeledMap(self.a + rate * self.b, self.d1, self.labels)
+
+
+def delay_pencil(spec, lump_per_level=False, settings=None):
+    """The :class:`DelayPencil` of ``spec``, whose ``at(1.0)`` is
+    ``build_tree``'s MAP up to rounding.  One composition carries each delay
+    rate times the imaginary unit; every step is real-linear in the rates
+    (Kronecker sums, line superposition's masks and snap weights, a lumped
+    level's ``c * r``, the diagonal rebuild), so the composed ``d0`` is
+    ``a + 1j * b``.
+    """
+    system = _compose(spec, lump_per_level, settings, 1j)
+    return DelayPencil(system.d0.real, system.d0.imag, system.d1, system.labels)

@@ -115,8 +115,12 @@ class RateMatrix(sparse.csr_array):
 
 
 def _rate_matrix(x):
-    """Canonical, read-only CSR copy of a dense or sparse matrix."""
-    m = RateMatrix(x, dtype=float, copy=True)
+    """Canonical, read-only CSR copy of a dense or sparse matrix, complex for
+    complex input (a delay pencil, :func:`ttldelay.hierarchy.delay_pencil`)
+    and float64 otherwise."""
+    m = RateMatrix(x, copy=True)
+    if m.dtype.kind != "c":
+        m = m.astype(float, copy=False)
     m.sum_duplicates()
     m.eliminate_zeros()
     for arr in (m.data, m.indices, m.indptr):

@@ -22,9 +22,10 @@ from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH, ph_moment
 from ttldelay.errors import DegenerateProcessError
-from ttldelay.metrics import tree_hit_probability
+from ttldelay.metrics import tree_hit_probability, zero_delay_variant
 
 from conftest import two_level_tree, single_mmm
+from test_sparse_engine import DELAY_KINDS, draw_ph
 
 # Pinned by a 10^7-cycle vectorized renewal-count run (seed 123456):
 # Erlang-2 arrivals (mean 1) counted within an independent Exp(1) delay.
@@ -393,3 +394,31 @@ def test_rational_lst_invariants(kind, rate):
     f = lst_of_ph(d)
     assert f.at_zero() == pytest.approx(1.0, abs=1e-10)
     assert f.mean() == pytest.approx(d.mean(), abs=1e-8 * max(1.0, d.mean()))
+
+
+@st.composite
+def single_caches(draw, arrival_kinds):
+    """One cache with an exponential TTL, a generated PH delay and a PH
+    arrival stream of the given kinds."""
+    ttl = Exponential(draw(st.floats(0.2, 2.0)))
+    delay = draw_ph(draw, 3, DELAY_KINDS)
+    arrival = draw_ph(draw, 3, arrival_kinds)
+    return CacheTreeSpec(CacheNode("c", ttl, delay, arrival=arrival))
+
+
+# The approximation is exact only for a single cache: with Poisson arrivals
+# under any delay, and with renewal arrivals without delay.  In a hierarchy
+# it misses the delay, so generated trees carry no assertion there.
+@hyp_settings(max_examples=30, deadline=None)
+@given(single_caches(("exp",)))
+def test_poisson_single_cache_is_exact(spec):
+    exact = tree_hit_probability(spec)
+    assert hierarchy_approx(spec).p_hit_sys == pytest.approx(exact, abs=1e-12)
+
+
+@hyp_settings(max_examples=20, deadline=None)
+@given(single_caches(("erlang", "coxian")))
+def test_renewal_single_cache_is_exact_without_delay(spec):
+    spec = zero_delay_variant(spec)
+    exact = tree_hit_probability(spec)
+    assert hierarchy_approx(spec).p_hit_sys == pytest.approx(exact, abs=1e-6)

@@ -1,15 +1,18 @@
 import csv
 import io
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ttldelay import cli
-from ttldelay.cli import load_config, main, parse_counts, parse_sweep
+from ttldelay.cli import _num, load_config, main, parse_counts, parse_sweep
 from ttldelay.errors import ConfigError
-from ttldelay.hierarchy import build_tree
-from ttldelay.metrics import hit_probability, with_delay_means
+from ttldelay.hierarchy import build_tree, delay_pencil
+from ttldelay.metrics import hit_probability, with_delay_means, zero_delay_variant
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SINGLE = """
 tree:
@@ -53,6 +56,14 @@ tree:
 """
 
 
+# An Erlang-2 root delay of mean 2 over exponential leaf delays of mean 0.5.
+# A sweep would give them one common mean; a run without one keeps them.
+UNEQUAL_DELAYS = TWO_LEVEL.replace(
+    "delay: {kind: exponential, mean: 1.0}\n  children",
+    "delay: {kind: erlang, phases: 2, mean: 2.0}\n  children",
+).replace("delay: {kind: exponential, mean: 1.0}", "delay: {kind: exponential, mean: 0.5}")
+
+
 @pytest.fixture
 def single_cfg(tmp_path):
     path = tmp_path / "single.yaml"
@@ -70,6 +81,38 @@ def tree_cfg(tmp_path):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def count_builds(monkeypatch):
+    """Record, in order, each ``build_tree`` and ``delay_pencil`` call of the CLI."""
+    calls = []
+
+    def counted(fn):
+        def call(spec, **kwargs):
+            calls.append(fn.__name__)
+            return fn(spec, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(cli, "build_tree", counted(build_tree))
+    monkeypatch.setattr(cli, "delay_pencil", counted(delay_pencil))
+    return calls
+
+
+def per_point_csv(config, values, lump):
+    """The ``analyze`` CSV with the tree built and solved anew at each point."""
+    spec, ref = load_config(config)
+    total = spec.total_request_rate()
+    zero = build_tree(zero_delay_variant(spec), lump_per_level=lump == "on")
+    p_zero = hit_probability(zero, total)
+    rows = ["sweep_value,p_hit_exact,eta,states_original,states_lumped"]
+    for value in values:
+        swept = with_delay_means(spec, value * ref)
+        system = build_tree(swept, lump_per_level=lump == "on")
+        p = hit_probability(system, total)
+        rows.append(f"{_num(value)},{_num(p)},{_num(1.0 - p / p_zero)},"
+                    f"{swept.state_count()},{system.size}")
+    return "\n".join(rows) + "\n"
 
 
 class TestAnalyze:
@@ -106,32 +149,46 @@ class TestAnalyze:
     def test_zero_delay_point_reuses_the_zero_delay_solve(
         self, tree_cfg, tmp_path, monkeypatch, lump
     ):
-        built = []
-
-        def counting_build_tree(spec, **kwargs):
-            built.append(spec)
-            return build_tree(spec, **kwargs)
-
-        monkeypatch.setattr(cli, "build_tree", counting_build_tree)
+        calls = count_builds(monkeypatch)
         out = tmp_path / "out.csv"
         assert main(["analyze", "--config", tree_cfg, "--sweep", "tau_delta=0:1:2",
                      "--lump", lump, "--out", str(out)]) == 0
-        # The zero-delay tree behind eta, then the points at 1 and 2 only.
-        assert len(built) == 3
+        # The zero-delay tree behind eta, then one pencil for the points at 1
+        # and 2.
+        assert calls == ["build_tree", "delay_pencil"]
         # Every point solved on its own, as the sweep did before the reuse.
-        spec, ref = load_config(tree_cfg)
-        total = spec.total_request_rate()
-        p_at = {}
-        rows = ["sweep_value,p_hit_exact,eta,states_original,states_lumped"]
-        for value in (0, 1, 2):
-            swept = with_delay_means(spec, value * ref)
-            system = build_tree(swept, lump_per_level=lump == "on")
-            p_at[value] = hit_probability(system, total)
-            eta = 1.0 - p_at[value] / p_at[0]
-            rows.append(f"{value},{p_at[value]:.9g},{eta:.9g},"
-                        f"{swept.state_count()},{system.size}")
-        assert rows[1].split(",")[2] == "0"
-        assert out.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+        expected = per_point_csv(tree_cfg, (0, 1, 2), lump)
+        assert expected.splitlines()[1].split(",")[2] == "0"
+        assert out.read_text(encoding="utf-8") == expected
+
+    def test_unswept_run_builds_the_configured_delays(self, tmp_path, monkeypatch):
+        path = tmp_path / "unequal.yaml"
+        path.write_text(UNEQUAL_DELAYS)
+        calls = count_builds(monkeypatch)
+        out = tmp_path / "out.csv"
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+        assert calls == ["build_tree", "build_tree"]
+        spec, _ = load_config(path)
+        p = hit_probability(build_tree(spec, lump_per_level=False), 2.0)
+        assert read_csv(out)[0]["p_hit_exact"] == _num(p)
+
+    def test_sweep_rescales_unequal_delays(self, tmp_path):
+        path = tmp_path / "unequal.yaml"
+        path.write_text("reference_interarrival: 0.5\n" + UNEQUAL_DELAYS)
+        out = tmp_path / "out.csv"
+        assert main(["analyze", "--config", str(path), "--sweep", "tau_delta=0:1.5:3",
+                     "--lump", "off", "--out", str(out)]) == 0
+        expected = per_point_csv(str(path), (0, 1.5, 3), "off")
+        assert out.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("lump", ["on", "off"])
+    def test_three_level_sweep_matches_per_point_builds(self, tmp_path, lump):
+        config = str(CONFIGS / "binary_three_level_mme2.yaml")
+        out = tmp_path / "out.csv"
+        assert main(["analyze", "--config", config, "--sweep", "tau_delta=0:0.5:3",
+                     "--lump", lump, "--out", str(out)]) == 0
+        expected = per_point_csv(config, [0.5 * k for k in range(7)], lump)
+        assert out.read_text(encoding="utf-8") == expected
 
     def test_nine_significant_digits(self, single_cfg, tmp_path):
         out = str(tmp_path / "out.csv")
@@ -279,6 +336,15 @@ class TestBound:
         main(["bound", "--tau-t", "2"])
         out = capsys.readouterr().out
         assert "0.569336" in out
+
+    def test_search_output_pinned(self, capsys):
+        assert main(["bound", "--tau-t", "2", "--search"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            "delta_star = 0.243362879",
+            "p_hit_max = 0.631435314",
+            "kappa = 0.966482311",
+        ]
 
 
 class TestErrors:

@@ -10,9 +10,11 @@ same generator.  A chain start snaps a sibling caught in a skipped phase
 back to its entry, which in a lumped run must keep the run's roots sorted.
 ``pytest -m slow`` runs the same property on more examples, and checks that
 p_hit tends to the zero-delay variant's as the delay means go to 0.  On the
-same trees, each cache's state count matches the MAP its builder returns, and
-the recursively lumped count equals the raw product exactly when no two
-adjacent siblings are copies.  GCROT is also checked against the
+same trees, lumped and unlumped, one delay pencil A + B/tau gives the labels
+and ``d1`` of the tree built at delay mean tau exactly and its ``d0`` to
+1e-12 relative, also on more examples under ``-m slow``.  Each cache's state
+count matches the MAP its builder returns, and the recursively lumped count
+equals the raw product exactly when no two adjacent siblings are copies.  GCROT is also checked against the
 subtraction-free GTH elimination on small and stiff chains, against the LU
 on a stiff unlumped zero-delay chain and on five lumped trees large enough
 to take the GCROT path; its symmetric Gauss-Seidel preconditioner is checked
@@ -43,7 +45,7 @@ from ttldelay.cache_builders import (
 from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH
 from ttldelay.errors import ConditioningError
-from ttldelay.hierarchy import build_tree, lump_plus_width
+from ttldelay.hierarchy import build_tree, delay_pencil, lump_plus_width
 from ttldelay.map_algebra import (
     CONDITION_RTOL,
     KRYLOV_MIN_STATES,
@@ -71,7 +73,7 @@ ARRIVAL_KINDS = ("exp", "erlang", "coxian")
 DELAY_KINDS = ARRIVAL_KINDS + ("hyper", "skip")
 
 
-def _ph(draw, max_phases, kinds):
+def draw_ph(draw, max_phases, kinds):
     kind = draw(st.sampled_from(kinds))
     rate = draw(st.floats(0.2, 5.0))
     if kind == "exp" or max_phases < 2 or (kind == "skip" and max_phases < 3):
@@ -113,11 +115,11 @@ def _node(draw, depth, budget, ids, root=False):
     name = f"c{next(ids)}"
     inner = depth > 0 and budget >= MIN_CACHE**2 and (root or draw(st.booleans()))
     if not inner:
-        delay = _ph(draw, min(3, budget - 2), DELAY_KINDS)
+        delay = draw_ph(draw, min(3, budget - 2), DELAY_KINDS)
         own = 2 + _phases(delay)
-        arrival = _ph(draw, min(3, budget // own), ARRIVAL_KINDS)
+        arrival = draw_ph(draw, min(3, budget // own), ARRIVAL_KINDS)
         return CacheNode(name, ttl, delay, arrival=arrival), own * _phases(arrival)
-    delay = _ph(draw, min(3, budget // MIN_CACHE - 2), DELAY_KINDS)
+    delay = draw_ph(draw, min(3, budget // MIN_CACHE - 2), DELAY_KINDS)
     own = 2 + _phases(delay)
     remaining = budget // own
     arity = draw(st.integers(1, 3))
@@ -216,6 +218,37 @@ def test_sparse_engine_matches_dense_oracle(spec):
 @given(trees())
 def test_sparse_engine_matches_dense_oracle_many(spec):
     check_against_dense(spec)
+
+
+# Delay means at which the pencil is checked, in units of the pencil's own.
+PENCIL_MEANS = (0.3, 1.0, 4.5)
+
+
+def check_pencil(spec):
+    """One delay pencil against a tree built anew at each delay mean."""
+    for lump in (False, True):
+        pencil = delay_pencil(with_delay_means(spec, 1.0), lump_per_level=lump)
+        for mean in PENCIL_MEANS:
+            built = build_tree(with_delay_means(spec, mean), lump_per_level=lump)
+            system = pencil.at(1.0 / mean)
+            assert system.labels == built.labels
+            np.testing.assert_array_equal(system.d1.toarray(), built.d1.toarray())
+            np.testing.assert_allclose(
+                system.d0.toarray(), built.d0.toarray(), rtol=1e-12, atol=0
+            )
+
+
+@hyp_settings(max_examples=15, deadline=None)
+@given(trees())
+def test_delay_pencil_matches_per_mean_builds(spec):
+    check_pencil(spec)
+
+
+@pytest.mark.slow
+@hyp_settings(max_examples=200, deadline=None)
+@given(trees())
+def test_delay_pencil_matches_per_mean_builds_many(spec):
+    check_pencil(spec)
 
 
 def _id_free(node):

@@ -148,20 +148,17 @@ def parse_sweep(text):
     return values or [start]
 
 
-def parse_counts(text):
-    """Parse the ``start:step:stop`` range of subtree counts for ``lump-stats``."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError("count range must be start:step:stop")
+def parse_counts(text, form="start:step:stop"):
+    """Parse a ``form`` range of positive integers into a ``range``:
+    ``start:step:stop`` for ``lump-stats --n``, ``lo:hi`` for
+    ``fit-trace --phase-range``."""
     try:
-        start, step, stop = (int(p) for p in parts)
+        values = [int(p) for p in text.split(":")]
     except ValueError as exc:
-        raise ConfigError(f"subtree counts must be integers: {text!r}") from exc
-    if start < 1 or step < 1:
-        raise ConfigError("subtree counts and their step must be positive")
-    if stop < start:
-        raise ConfigError("count stop must not precede start")
-    return range(start, stop + 1, step)
+        raise ConfigError(f"{form} range must be integers, got {text!r}") from exc
+    if len(values) != form.count(":") + 1 or min(values) < 1 or values[-1] < values[0]:
+        raise ConfigError(f"expected {form} of positive integers, got {text!r}")
+    return range(values[0], values[-1] + 1, *values[1:-1])
 
 
 def _write_csv(path, header, rows):
@@ -277,6 +274,9 @@ def cmd_lump_stats(args):
 
 
 def cmd_fit_trace(args):
+    candidates = parse_counts(args.phase_range, "lo:hi")
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be at least 1, got {args.bins}")
     try:
         timestamps = np.loadtxt(args.trace, ndmin=1)
     except OSError as exc:
@@ -284,13 +284,10 @@ def cmd_fit_trace(args):
     gaps = interarrivals(timestamps)
     before = gaps.size
     filtered = remove_outliers(gaps, cutoff=args.cutoff)
-    if args.phases:
+    if args.phases is not None:
         report = fit_ph_em(filtered, args.phases, sample_count_before=before)
     else:
-        lo, hi = (int(v) for v in args.phase_range.split(":"))
-        report = select_phases(
-            filtered, range(lo, hi + 1), sample_count_before=before
-        )
+        report = select_phases(filtered, candidates, sample_count_before=before)
     doc = {
         "phases": report.phases,
         "rates": [float(r) for r in report.fitted.rates],

@@ -5,9 +5,10 @@ selection by information criteria.
 The E-step discretizes the forward and backward filters of the absorbing
 Markov chain with ``grid_steps`` fourth-order Runge-Kutta steps per sample
 and folds them into the occupancy/jump integrals with composite Simpson
-quadrature.  That discretization is evaluated in closed form: on the linear
-filter ODE one RK4 step is a fixed matrix, so the trajectories are matrix
-powers, and the Simpson-weighted sums of their products are one block of a
+quadrature, in closed form.  One RK4 step is a fixed quartic in the
+subgenerator, so the step matrices of all samples are one GEMM of their step
+powers with the five fixed powers of S, and the Simpson panel is rank one.
+The Simpson-weighted sums of trajectory products are one block of a
 block-triangular matrix power (Van Loan, IEEE TAC 1978), taken by repeated
 squaring over all samples at once.
 """
@@ -138,18 +139,19 @@ def _estep(samples, rates, probs, grid_steps):
     ``a_k = alpha P^k`` and the backward filter ``c_k = P^(K-k) s``.  With
     ``Q = P^T`` and ``X = e_1 s^T``, each ``a_k^T c_k^T`` is ``Q^k X Q^(K-k)``,
     so the Simpson sum with weights 1, 4, 2, ..., 4, 1, grouped into K/2
-    panels, is ``sum_j Q^2j (X Q^2 + 4 Q X Q + Q^2 X) Q^(K-2-2j)``.
+    panels, is ``sum_j Q^2j (X Q^2 + 4 Q X Q + Q^2 X) Q^(K-2-2j)``.  Each Q is
+    ``sum_j h^j (S^T)^j / j!``: one GEMM for all samples.  X has rank one, so
+    the panel is ``e_1 (s^T Q^2) + 4 (Q e_1)(s^T Q) + (Q^2 e_1) s^T``.
     """
     _, s_mat = Coxian(rates, probs).ph()
     exit_rates = -s_mat.sum(axis=1)
-    p = len(rates)
-    hs = (samples / grid_steps)[:, None, None] * s_mat.T  # h S^T per sample
-    hs2 = hs @ hs
-    q = np.eye(p) + hs + hs2 / 2.0 + hs2 @ hs / 6.0 + hs2 @ hs2 / 24.0
-    x = np.zeros_like(hs)
-    x[:, 0, :] = exit_rates
+    taylor = [np.linalg.matrix_power(s_mat.T, j) / math.factorial(j) for j in range(5)]
+    h_powers = np.vander(samples / grid_steps, 5, increasing=True)  # h^j per sample
+    q = (h_powers @ np.reshape(taylor, (5, -1))).reshape(-1, *s_mat.shape)
     q2 = q @ q
-    panel = x @ q2 + 4.0 * (q @ x @ q) + q2 @ x
+    s_q = np.tensordot(q, exit_rates, axes=(1, 0))  # s^T Q per sample
+    panel = 4.0 * q[:, :, :1] * s_q[:, None, :] + q2[:, :, :1] * exit_rates
+    panel[:, 0, :] += np.tensordot(q2, exit_rates, axes=(1, 0))
     q_end, pair_sums = _block_power(q2, panel, grid_steps // 2)
 
     a_end = q_end[:, :, 0]  # a_K = alpha P^K
@@ -234,12 +236,15 @@ def fit_ph_em(
         raise FitError("samples must be positive")
     if phases < 1:
         raise FitError("need at least one phase")
-    if (
-        not isinstance(grid_steps, numbers.Integral)
-        or grid_steps < 2
-        or grid_steps % 2
+    for name, value, least in (
+        ("max_iters", max_iters, 1),
+        ("max_restarts", max_restarts, 0),
+        ("grid_steps", grid_steps, 2),
     ):
-        raise FitError(f"grid_steps must be an even integer >= 2, got {grid_steps!r}")
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise FitError(f"{name} must be an integer >= {least}, got {value!r}")
+    if grid_steps % 2:
+        raise FitError(f"grid_steps must be even, got {grid_steps!r}")
 
     before = sample_count_before if sample_count_before is not None else samples.size
     last_error = None
@@ -258,14 +263,12 @@ def fit_ph_em(
                 if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
                     converged = True
                     break
-                new_rates = np.empty_like(rates)
-                new_probs = np.empty_like(probs)
-                for i in range(phases):
-                    jump = forward_jumps[i] if i < phases - 1 else 0.0
-                    total = jump + exits[i]
-                    new_rates[i] = total / max(occupancy[i], 1e-300)
-                    if i < phases - 1:
-                        new_probs[i] = jump / total if total > 0 else 0.0
+                total = np.append(forward_jumps, 0.0) + exits
+                new_rates = total / np.maximum(occupancy, 1e-300)
+                leave = total[:-1]  # jumps plus exits out of each non-final phase
+                new_probs = np.divide(
+                    forward_jumps, leave, out=np.zeros_like(leave), where=leave > 0
+                )
                 if not (np.all(np.isfinite(new_rates)) and np.all(new_rates > 0)):
                     raise FitError("degenerate M-step")
                 rates, probs = new_rates, np.clip(new_probs, 0.0, 1.0)

@@ -325,6 +325,54 @@ class TestFitTrace:
         assert len(doc["log_likelihood_trace"]) == 3
         assert "iteration limit" in caplog.text
 
+    @staticmethod
+    def _trace(tmp_path):
+        trace = tmp_path / "trace.txt"
+        gaps = np.random.default_rng(3).gamma(2.0, 0.5, 200)
+        np.savetxt(trace, np.cumsum(gaps), fmt="%.6f")
+        return str(trace)
+
+    def test_zero_phases_rejected(self, tmp_path, capsys):
+        # --phases 0 used to be read as "not given" and ran BIC selection.
+        out = tmp_path / "fit.yaml"
+        argv = ["fit-trace", "--trace", self._trace(tmp_path), "--phases", "0"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "E_FIT: need at least one phase\n"
+        assert not out.exists()
+
+    @staticmethod
+    def _forbid_fitting(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("fitted before the options were checked")
+
+        monkeypatch.setattr(cli, "fit_ph_em", fail)
+        monkeypatch.setattr(cli, "select_phases", fail)
+
+    @pytest.mark.parametrize("bad", ["3", "a:b", "0:2", "3:2", "1:2:3", "1.5:3"])
+    def test_bad_phase_range_rejected_before_fitting(
+        self, tmp_path, capsys, monkeypatch, bad
+    ):
+        self._forbid_fitting(monkeypatch)
+        out = tmp_path / "fit.yaml"
+        assert main(["fit-trace", "--trace", self._trace(tmp_path),
+                     "--phase-range", bad, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG:") and "lo:hi" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bad_bins_rejected_before_fitting(
+        self, tmp_path, capsys, monkeypatch, bins
+    ):
+        self._forbid_fitting(monkeypatch)
+        out, dens = tmp_path / "fit.yaml", tmp_path / "dens.csv"
+        assert main(["fit-trace", "--trace", self._trace(tmp_path), "--phases", "1",
+                     "--bins", bins, "--out", str(out),
+                     "--density-out", str(dens)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG:") and "--bins" in err
+        assert not out.exists() and not dens.exists()
+
 
 class TestBound:
     def test_bound_output(self, capsys):

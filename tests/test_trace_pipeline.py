@@ -7,6 +7,7 @@ from ttldelay.distributions import Coxian, ph_moment
 from ttldelay.errors import FitError
 from ttldelay.trace_pipeline import (
     _estep,
+    _initial_parameters,
     canonical_coxian,
     fit_ph_em,
     interarrivals,
@@ -169,6 +170,27 @@ class TestEstep:
         if not guarded:
             assert got[3] == pytest.approx(want[3], rel=1e-12)
 
+    @staticmethod
+    def _assert_matches_reference(samples, rates, probs, grid_steps):
+        got = _estep(samples, rates, probs, grid_steps)
+        want = reference_estep(samples, rates, probs, grid_steps)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("phases", [2, 3, 5])
+    def test_matches_reference_at_em_start(self, phases):
+        # EM starts every phase at one rate: S is a single Jordan-like chain.
+        samples = np.random.default_rng(7).gamma(2.0, 0.5, 200)
+        rates, probs = _initial_parameters(samples, phases, restart=0)
+        assert np.all(rates == rates[0])
+        self._assert_matches_reference(samples, rates, probs, 96)
+
+    def test_matches_reference_on_rates_over_two_decades(self):
+        samples = np.random.default_rng(8).gamma(2.0, 0.5, 200)
+        rates = np.array([5.0, 0.05, 1.2, 0.4])
+        probs = np.array([0.8, 0.3, 0.6])
+        self._assert_matches_reference(samples, rates, probs, 96)
+
     def test_stiff_overflow_stays_non_finite(self):
         samples = np.random.default_rng(1).gamma(2.0, 0.5, 200)
         rates, probs = np.array([500.0, 200.0, 50.0]), np.array([0.5, 0.5])
@@ -207,6 +229,12 @@ class TestFitRegression:
         assert len(report.log_likelihood_trace) == 452
         assert report.log_likelihood == pytest.approx(-1482.2452483693, rel=1e-9)
         assert report.converged
+        assert report.fitted.rates == pytest.approx(
+            [2.7735407436584, 2.7722890787395, 2.7718392426224], rel=1e-9
+        )
+        assert report.fitted.continue_probs == pytest.approx(
+            [0.99999999999999, 0.60340821394141], rel=1e-9
+        )
 
     def test_iteration_limit_not_converged(self, rng):
         report = fit_ph_em(rng.gamma(2.0, 0.5, 300), 3, max_iters=3)
@@ -217,6 +245,24 @@ class TestFitRegression:
     def test_bad_grid_steps_rejected(self, grid_steps):
         with pytest.raises(FitError, match="grid_steps"):
             fit_ph_em([1.0, 2.0], 1, grid_steps=grid_steps)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_iters", 0),
+            ("max_iters", -1),
+            ("max_iters", 2.0),
+            ("max_iters", "5"),
+            ("max_restarts", -1),
+            ("max_restarts", 1.5),
+        ],
+    )
+    def test_bad_iteration_limits_rejected(self, name, value):
+        with pytest.raises(FitError, match=name):
+            fit_ph_em([1.0, 2.0], 1, **{name: value})
+
+    def test_no_restarts_accepted(self):
+        assert fit_ph_em([1.0, 2.0], 1, max_iters=1, max_restarts=0).restarts_used == 0
 
     def test_smallest_grid_accepted(self):
         assert fit_ph_em([1.0, 2.0], 1, grid_steps=2).phases == 1

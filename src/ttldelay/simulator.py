@@ -16,22 +16,24 @@ Event semantics (the same sample-path rules the exact engine encodes):
 * Admission draws a fresh TTL; expiry makes the cache absent; hits refresh
   the serving cache's TTL.  Pending fetches survive TTL events above them.
 
-Every leaf has one arrival source, ``next_arrival(now)``: the leaf's sampled
-arrival law, or for :func:`simulate_trace` the recorded timestamps in turn.
-A run stops after a budget of requests, of which a leading fraction warms
-the caches up and goes uncounted.
+Every leaf has one arrival source, an iterator of its request times: the
+running sums of its sampled interarrival draws, or for :func:`simulate_trace`
+the recorded timestamps in turn.  A run stops after a budget of requests,
+of which a leading fraction warms the caches up and goes uncounted.
 
-Deterministic distributions are allowed everywhere.  Identical
-(configuration, seed) pairs give bit-identical estimates.  Coxian and
-general phase-type draws are taken a block at a time by the lockstep
-:func:`ttldelay.distributions.sample_ph`, which consumes the RNG stream
-differently from the per-draw loop it replaced: on trees with such
-distributions, estimates differ from that earlier sampler's within their
-noise.
+Deterministic distributions are allowed everywhere.  A replication draws
+from one RNG stream: each TTL, delay and arrival law takes its draws a
+block of 4,096 at a time (phase-type laws through the lockstep
+:func:`ttldelay.distributions.sample_ph`) and refills at its first use
+after its block runs out.  The events fix the order of those refills, so
+identical (configuration, seed) pairs give bit-identical estimates.
 """
 
 import heapq
+import itertools
 import math
+import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +61,18 @@ class SimConfig:
     replications: int = 1
 
     def validate(self):
-        if self.requests <= 0:
-            raise ConfigError("need a positive request budget")
+        _check_integer("request budget (requests)", self.requests, 1)
         _check_warmup(self.warmup_fraction)
-        if self.replications < 1:
-            raise ConfigError("need at least one replication")
+        _check_integer("replications", self.replications, 1)
+        _check_integer("seed", self.seed, 0)
         self.spec.validate(exact=False)
         return self
+
+
+def _check_integer(name, value, least):
+    if not isinstance(value, numbers.Integral) or value < least:
+        kind = "positive" if least > 0 else "non-negative"
+        raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def _check_warmup(fraction):
@@ -81,32 +88,24 @@ class SimEstimate:
     request_count: int
 
 
-class _Sampler:
-    """Buffered draws from one distribution on one RNG stream.
-
-    Called with the current time, it returns that time plus the next draw.
-    """
-
-    def __init__(self, d, rng, block=4096):
-        self.d = d
-        self.rng = rng
-        self.block = block
-        self.buf = np.empty(0)
-        self.pos = 0
-
-    def __call__(self, now):
-        if self.pos >= len(self.buf):
-            self.buf = np.atleast_1d(self.d.sample(self.rng, self.block))
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return now + float(v)
+def _draws(d, rng, block=4096):
+    """Draws of ``d`` as Python floats, a block from ``rng`` at the first use
+    after the last block ran out.  Floats are made a short slice at a time,
+    so a sampler holds its block as numpy, not as 4,096 Python floats."""
+    while True:
+        draws = d.sample(rng, block)
+        for i in range(0, block, 256):
+            yield from draws[i:i + 256].tolist()
 
 
 class _Cache:
+    """One cache's state.  ``parent`` is a weak proxy and the leaves' paths
+    live in their arrival events, so a run holds no reference cycle and
+    reference counting frees it, sample buffers and all, when it ends."""
+
     __slots__ = (
-        "parent", "children", "ttl", "delay", "next_arrival", "path",
-        "status", "version", "timer_active",
+        "parent", "children", "ttl", "delay", "status", "version",
+        "timer_active", "__weakref__",
     )
 
     def __init__(self, parent):
@@ -116,48 +115,36 @@ class _Cache:
         self.timer_active = False
 
 
-def _build_caches(spec, rng):
-    """The leaves of ``spec``'s cache tree, in depth-first order.
-
-    Each leaf carries its ``path``: itself, then its ancestors up to the root.
-    """
-    leaves = []
-
-    def build(node, above):
-        c = _Cache(above[0] if above else None)
-        c.ttl = _Sampler(node.ttl, rng)
-        c.delay = _Sampler(node.delay, rng)
-        c.next_arrival = _Sampler(node.arrival, rng) if node.arrival else None
-        path = (c, *above)
-        c.children = [build(child, path) for child in node.children]
-        if not c.children:
-            c.path = path
-            leaves.append(c)
-        return c
-
-    build(spec.root, ())
-    return leaves
+def _build(node, above, rng, arrivals):
+    """The cache of ``node`` below the path ``above``; each leaf appends its
+    path (itself, then its ancestors) and request times to ``arrivals``."""
+    c = _Cache(weakref.proxy(above[0]) if above else None)
+    c.ttl = _draws(node.ttl, rng)
+    c.delay = _draws(node.delay, rng)
+    path = (c, *above)
+    c.children = [_build(child, path, rng, arrivals) for child in node.children]
+    if not c.children:
+        arrivals.append((path, itertools.accumulate(_draws(node.arrival, rng))))
+    return c
 
 
 class _Run:
     """One replication: a single-threaded event loop.
 
-    ``next_arrival``, when given, replaces the leaves' sampled arrival
-    source; a source returns None once it has no further request.
+    Events are heap tuples ``(time, seq, kind, cache, version)``; an arrival
+    carries its leaf's path and request times in place of the last two.
+    ``times``, when given, replaces the leaves' sampled request times.
     """
 
-    def __init__(self, spec, rng, next_arrival=None):
+    def __init__(self, spec, rng, times=None):
         self.heap = []
-        self.seq = 0
+        self.seq = itertools.count()
         self.now = 0.0
-        self.origin_fetches = 0
-        for leaf in _build_caches(spec, rng):
-            leaf.next_arrival = next_arrival or leaf.next_arrival
-            self._push(leaf.next_arrival(0.0), _ARRIVAL, leaf, 0)
-
-    def _push(self, time, kind, cache, version):
-        self.seq += 1
-        heapq.heappush(self.heap, (time, self.seq, kind, cache, version))
+        arrivals = []
+        _build(spec.root, (), rng, arrivals)
+        for path, source in arrivals:
+            source = times or source
+            heapq.heappush(self.heap, (next(source), next(self.seq), _ARRIVAL, path, source))
 
     def _start_fetch(self, c):
         c.status = FETCHING
@@ -167,7 +154,8 @@ class _Run:
             c.timer_active = False
         else:
             c.timer_active = True
-            self._push(c.delay(self.now), _FETCH_DONE, c, c.version)
+            heapq.heappush(self.heap, (self.now + next(c.delay), next(self.seq),
+                                       _FETCH_DONE, c, c.version))
         # The new fetch freezes any running child fetches below it.
         for child in c.children:
             if child.status == FETCHING and child.timer_active:
@@ -177,94 +165,88 @@ class _Run:
     def _admit(self, c):
         c.status = PRESENT
         c.version += 1
-        self._push(c.ttl(self.now), _EXPIRY, c, c.version)
+        heapq.heappush(self.heap, (self.now + next(c.ttl), next(self.seq),
+                                   _EXPIRY, c, c.version))
         for child in c.children:
             if child.status == FETCHING and not child.timer_active:
                 child.timer_active = True
                 child.version += 1
-                self._push(child.delay(self.now), _FETCH_DONE, child, child.version)
+                heapq.heappush(self.heap, (self.now + next(child.delay), next(self.seq),
+                                           _FETCH_DONE, child, child.version))
 
-    def _refresh_ttl(self, c):
-        c.version += 1
-        self._push(c.ttl(self.now), _EXPIRY, c, c.version)
+    def serve(self, requests, warmup_fraction, batches=20):
+        """Serve ``requests`` requests; their batch tallies and origin fetches.
 
-    def handle_request(self, leaf):
-        """Serve a request at ``leaf``; True when it is a system miss.
-
-        The request climbs the leading run of absent caches, each of which
-        starts a fetch.  The first non-absent cache stops it: a present cache
+        Between requests, an expiry makes its cache absent and a completed
+        fetch admits.  A request climbs the leading run of absent caches,
+        each of which starts a fetch (top-down, so lower fetches pend
+        directly).  The first non-absent cache stops it: a present cache
         serves it (hit, TTL refresh), a fetching cache absorbs it into the
-        pending fetch (no duplicate fetches above the gap).  It is a system
-        miss exactly when everything from the stopper up is fetching -- in
-        particular when the whole path was absent and the run reaches the
-        origin.
+        pending fetch.  It is a system miss exactly when everything from the
+        stopper up is fetching -- in particular when the whole path was
+        absent and the run reaches the origin.  The first ``warmup_fraction``
+        of the requests are not counted; the rest are tallied as (misses,
+        requests) per batch.
         """
-        path = leaf.path
-        flipped = []
-        for c in path:
-            if c.status != ABSENT:
-                break
-            flipped.append(c)
-        rest = path[len(flipped):]
+        warmup = int(requests * warmup_fraction)
+        per_batch = max(1, (requests - warmup) // batches)
+        heap, seq = self.heap, self.seq
+        push, pop = heapq.heappush, heapq.heappop
+        start_fetch, admit = self._start_fetch, self._admit
+        tallies = []
+        misses = counted = origin = 0
+        for observed in range(requests):
+            time, _, kind, c, version = pop(heap)
+            while kind != _ARRIVAL:
+                if version == c.version:
+                    if kind == _EXPIRY:
+                        c.status = ABSENT
+                    else:
+                        self.now = time
+                        admit(c)
+                time, _, kind, c, version = pop(heap)
+            path, source = c, version
+            nxt = next(source, None)
+            if nxt is not None:
+                push(heap, (nxt, next(seq), _ARRIVAL, path, source))
 
-        for c in reversed(flipped):  # top-down so lower fetches pend directly
-            self._start_fetch(c)
-
-        if not rest:
-            self.origin_fetches += 1
-            return True
-        stopper = rest[0]
-        if stopper.status == PRESENT:
-            self._refresh_ttl(stopper)
-            return False
-        return all(c.status == FETCHING for c in rest)
-
-    def next_request(self):
-        """Process events up to the next request and return its leaf."""
-        heap = self.heap
-        while True:
-            time, _, kind, cache, version = heapq.heappop(heap)
-            self.now = time
-            if kind == _ARRIVAL:
-                nxt = cache.next_arrival(time)
-                if nxt is not None:
-                    self._push(nxt, _ARRIVAL, cache, 0)
-                return cache
-            if version == cache.version:
-                if kind == _EXPIRY:
-                    cache.status = ABSENT
+            absent = 0
+            for c in path:
+                if c.status != ABSENT:
+                    break
+                absent += 1
+            if absent:
+                self.now = time
+                for c in reversed(path[:absent]):
+                    start_fetch(c)
+            if absent == len(path):
+                origin += 1
+                miss = True
+            else:
+                c = path[absent]
+                if c.status == PRESENT:
+                    c.version += 1
+                    push(heap, (time + next(c.ttl), next(seq), _EXPIRY, c, c.version))
+                    miss = False
                 else:
-                    self._admit(cache)
+                    miss = all(c.status == FETCHING for c in path[absent:])
+
+            if observed < warmup:
+                continue
+            misses += miss
+            counted += 1
+            if counted == per_batch:
+                tallies.append((misses, counted))
+                misses = counted = 0
+        if counted:
+            tallies.append((misses, counted))
+        return tallies, origin
 
 
 def _confidence(batch_means):
     if len(batch_means) < 2:
         return 0.0
     return 1.96 * float(np.std(batch_means, ddof=1)) / math.sqrt(len(batch_means))
-
-
-def _run_replication(run, requests, warmup_fraction, batches=20):
-    """Serve ``requests`` requests on ``run``; its batch tallies and origin fetches.
-
-    The first ``warmup_fraction`` of the requests drive the caches but are
-    not counted.  The rest are tallied as (misses, requests) per batch.
-    """
-    warmup = int(requests * warmup_fraction)
-    per_batch = max(1, (requests - warmup) // batches)
-    tallies = []
-    misses = counted = 0
-    for observed in range(requests):
-        miss = run.handle_request(run.next_request())
-        if observed < warmup:
-            continue
-        misses += miss
-        counted += 1
-        if counted == per_batch:
-            tallies.append((misses, counted))
-            misses = counted = 0
-    if counted:
-        tallies.append((misses, counted))
-    return tallies, run.origin_fetches
 
 
 def _pooled(replications):
@@ -286,10 +268,8 @@ def simulate(cfg):
     """Estimate hit probabilities for a cache tree by discrete-event runs."""
     cfg.validate()
     return _pooled(
-        _run_replication(
-            _Run(cfg.spec, np.random.default_rng([cfg.seed, rep])),
-            cfg.requests,
-            cfg.warmup_fraction,
+        _Run(cfg.spec, np.random.default_rng([cfg.seed, rep])).serve(
+            cfg.requests, cfg.warmup_fraction
         )
         for rep in range(cfg.replications)
     )
@@ -310,9 +290,9 @@ def simulate_trace(timestamps, spec, seed=0, warmup_fraction=0.1):
     if np.any(np.diff(timestamps) < 0):
         raise ConfigError("trace timestamps must be ascending")
     _check_warmup(warmup_fraction)
+    _check_integer("seed", seed, 0)
     spec.validate(exact=False)
     if not spec.root.is_leaf:
         raise ConfigError("trace replay requires a single-cache spec")
-    times = map(float, timestamps)
-    run = _Run(spec, np.random.default_rng([seed, 0]), lambda now: next(times, None))
-    return _pooled([_run_replication(run, timestamps.size, warmup_fraction)])
+    run = _Run(spec, np.random.default_rng([seed, 0]), map(float, timestamps))
+    return _pooled([run.serve(timestamps.size, warmup_fraction)])

@@ -218,6 +218,14 @@ class TestSimulate:
             widths.append(float(read_csv(out)[0]["ci_half_width"]))
         assert widths[1] < widths[0]
 
+    def test_negative_seed_rejected(self, single_cfg, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        rc = main(["simulate", "--config", single_cfg, "--requests", "100",
+                   "--seed", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc != 0 and err.startswith("E_CONFIG:") and "seed" in err
+        assert not out.exists()
+
     def test_generated_seed_recorded(self, single_cfg, tmp_path):
         out = str(tmp_path / "out.csv")
         main(["simulate", "--config", single_cfg, "--sweep", "tau_delta=1:1:1",

@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Deterministic, Erlang, Exponential
 from ttldelay.errors import ConfigError
 from ttldelay.metrics import tree_hit_probability
-from ttldelay.simulator import _Run, SimConfig, simulate, simulate_trace
+from ttldelay.simulator import _Cache, _Run, SimConfig, simulate, simulate_trace
 
 from conftest import two_level_tree, single_mmm
 from test_sparse_engine import trees
@@ -88,11 +89,7 @@ class TestChainCausality:
                 super()._admit(c)
 
         rng = np.random.default_rng([99, 0])
-        run = Instrumented(two_level_tree(2.0), rng)
-        for _ in range(200_000):
-            leaf = run.next_request()
-            if leaf is not None:
-                run.handle_request(leaf)
+        Instrumented(two_level_tree(2.0), rng).serve(200_000, 0.0)
         from ttldelay.simulator import FETCHING
 
         assert admissions and all(s != FETCHING for s in admissions)
@@ -154,6 +151,52 @@ class TestPinnedEstimates:
         assert self.fields(est) == (0.4982777777777778, 0.0069668737949193545,
                                     5035, 18000)
 
+    def test_integer_trace_with_expiries_on_arrivals(self):
+        # A hit at t refreshes the TTL to expire at t + 1, exactly when the
+        # next request may arrive: the tie order of events decides the hit.
+        timestamps = np.cumsum(np.random.default_rng(7).integers(0, 3, 5000))
+        spec = CacheTreeSpec(
+            CacheNode("c", ttl=Deterministic(1.0), delay=Deterministic(0.5),
+                      arrival=Deterministic(1.0))
+        )
+        est = simulate_trace(timestamps.astype(float), spec, seed=1)
+        assert self.fields(est) == (0.48111111111111116, 0.022387056039208552,
+                                    1719, 4500)
+
+    def test_deterministic_two_level_tree(self):
+        leaves = (
+            CacheNode("a", ttl=Deterministic(1.0), delay=Deterministic(0.5),
+                      arrival=Deterministic(1.0)),
+            CacheNode("b", ttl=Deterministic(0.5), delay=Deterministic(0.5),
+                      arrival=Deterministic(1.5)),
+        )
+        spec = CacheTreeSpec(
+            CacheNode("root", ttl=Deterministic(2.0), delay=Deterministic(1.0),
+                      children=leaves)
+        )
+        est = simulate(SimConfig(spec=spec, requests=5000, seed=1))
+        assert self.fields(est) == (0.8, 4.9921715471057503e-17, 1000, 4500)
+
+
+class TestReferenceCounting:
+    """A finished run holds no reference cycle, so reference counting alone
+    frees its caches and sample buffers."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: simulate(SimConfig(spec=ph_tree(), requests=5000, seed=2,
+                                   replications=2)),
+        lambda: simulate_trace(np.arange(5000.0), single_mmm(1.0), seed=2),
+    ], ids=["simulate", "simulate_trace"])
+    def test_no_cache_left_for_cyclic_gc(self, run):
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            left = sum(isinstance(o, _Cache) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert left == 0
+
 
 class TestTraceReplay:
     def test_poisson_trace_consistent_with_closed_form(self, rng):
@@ -202,6 +245,19 @@ class TestConfigValidation:
     def test_needs_budget(self):
         with pytest.raises(ConfigError, match="budget"):
             SimConfig(spec=single_mmm(1.0)).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("requests", 2.5), ("replications", 1.5), ("seed", -1), ("seed", 1.5),
+    ])
+    def test_bad_integer_field_rejected(self, field, value):
+        cfg = SimConfig(spec=single_mmm(1.0), **{"requests": 10, field: value})
+        with pytest.raises(ConfigError, match=field):
+            cfg.validate()
+
+    @pytest.mark.parametrize("seed", [-3, 2.5])
+    def test_bad_trace_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            simulate_trace(np.arange(100.0), single_mmm(1.0), seed=seed)
 
     def test_warmup_range(self):
         with pytest.raises(ConfigError, match="warmup"):

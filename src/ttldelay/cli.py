@@ -65,9 +65,8 @@ def parse_distribution(cfg, context):
             rate = cfg["rate"] if "rate" in cfg else 1.0 / cfg["mean"]
             return dist.Exponential(rate)
         if kind == "erlang":
-            phases = int(cfg["phases"])
-            rate = cfg["rate"] if "rate" in cfg else phases / cfg["mean"]
-            return dist.Erlang(phases, rate)
+            rate = cfg["rate"] if "rate" in cfg else cfg["phases"] / cfg["mean"]
+            return dist.Erlang(cfg["phases"], rate)
         if kind == "coxian":
             return dist.Coxian(tuple(cfg["rates"]), tuple(cfg["continue_probs"]))
         if kind == "general-ph":
@@ -191,9 +190,8 @@ def cmd_analyze(args):
         lump = spec.state_count() > LUMP_AUTO_THRESHOLD
     else:
         lump = args.lump == "on"
-    settings = default_settings()
     total = spec.total_request_rate()
-    zero_spec = zero_delay_variant(spec, settings)
+    zero_spec = zero_delay_variant(spec)
 
     def solve(system):
         return hit_probability(system, total), system.size
@@ -202,15 +200,13 @@ def cmd_analyze(args):
     # A sweep scales every delay mean alike, so one pencil at the reference
     # mean gives each delayed point's MAP.
     if values is not None and max(values) > 0:
-        pencil = delay_pencil(
-            with_delay_means(spec, ref), lump_per_level=lump, settings=settings
-        )
+        pencil = delay_pencil(with_delay_means(spec, ref), lump_per_level=lump)
 
     def point(swept, value):
         if swept == zero_spec:  # a tau_delta = 0 point: the solve above
             p, states = p_zero, zero_states
         elif value is None:  # no sweep: the delays as configured
-            p, states = solve(build_tree(swept, lump_per_level=lump, settings=settings))
+            p, states = solve(build_tree(swept, lump_per_level=lump))
         else:
             p, states = solve(pencil.at(1.0 / value))
         eta = 1.0 - p / p_zero if p_zero > 0 else math.nan

@@ -8,6 +8,7 @@ accepted by the simulator only.
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -41,8 +42,9 @@ class Erlang:
     rate: float  # per-phase rate
 
     def __post_init__(self):
-        if self.phases < 1:
-            raise ValueError(f"phase count must be >= 1, got {self.phases}")
+        k = self.phases
+        if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
+            raise ValueError(f"phase count must be an integer >= 1, got {k!r}")
         if not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be finite and positive, got {self.rate}")
 

@@ -53,17 +53,16 @@ from ttldelay.map_algebra import (
     kronecker_sum,
 )
 from ttldelay.lumping import lump_symmetric_level, partition_count
-from ttldelay.settings import default_settings
 
 
-def level_superpose(maps, settings=None):
+def level_superpose(maps):
     """Superpose independent sibling sub-MAPs; empty input gives the unit MAP."""
     maps = list(maps)
     if not maps:
         return empty_map()
     result = maps[0]
     for m in maps[1:]:
-        result = kronecker_sum(result, m, settings=settings)
+        result = kronecker_sum(result, m)
     return result
 
 
@@ -94,7 +93,7 @@ def _snap_matrix(targets, forests, restart, entries, bounds):
     return sparse.csr_array((shares, (rows, cols)), shape=(n, n))
 
 
-def line_superpose(parent, children, parent_entry, child_runs, settings=None):
+def line_superpose(parent, children, parent_entry, child_runs):
     """Join a parent cache MAP with the superposed MAP of its children.
 
     ``parent`` must come from :func:`build_parent_cache` (no active
@@ -105,7 +104,6 @@ def line_superpose(parent, children, parent_entry, child_runs, settings=None):
     probability split of a fresh fetch over the fetch phases ``F_1..F_f`` of
     that cache, as :func:`fetch_entry_distribution` returns it for its delay.
     """
-    settings = settings or default_settings()
     if parent.d1.count_nonzero():
         raise ConfigError("parent MAP must have no active transitions")
     p_syms = [label.forest[0][1] for label in parent.labels]
@@ -144,7 +142,7 @@ def line_superpose(parent, children, parent_entry, child_runs, settings=None):
     # (child ci, parent pi) has index ci * npar + pi.  Only its rates are
     # kept; the labels of the valid states are built at the end, so the
     # product's own labels are freed here.
-    combo = kronecker_sum(children, parent, settings=settings)
+    combo = kronecker_sum(children, parent)
     hidden, active = combo.d0.tocoo(), combo.d1.tocoo()
     del combo
 
@@ -246,10 +244,9 @@ def lump_plus_width(node):
     return width
 
 
-def _compose(spec, lump_per_level, settings, delay_unit):
+def _compose(spec, lump_per_level, delay_unit):
     """Post-order composition of the system MAP, with every delay rate
     multiplied by ``delay_unit``."""
-    settings = settings or default_settings()
     spec.validate(exact=True)
 
     def build(node):
@@ -260,27 +257,26 @@ def _compose(spec, lump_per_level, settings, delay_unit):
         for first, *rest in runs:
             sibling = build(first)
             if rest:
-                sibling = lump_symmetric_level(sibling, 1 + len(rest), settings).map
+                sibling = lump_symmetric_level(sibling, 1 + len(rest)).map
             parts.append(sibling)
         return line_superpose(
             build_parent_cache(node.ttl, node.delay, delay_unit),
-            level_superpose(parts, settings=settings),
+            level_superpose(parts),
             fetch_entry_distribution(node.delay),
             [(fetch_entry_distribution(run[0].delay), len(run)) for run in runs],
-            settings=settings,
         )
 
     return build(spec.root)
 
 
-def build_tree(spec, lump_per_level=False, settings=None):
+def build_tree(spec, lump_per_level=False):
     """Build the full system MAP of a cache tree by post-order composition.
 
     With ``lump_per_level``, each run of adjacent siblings of equal shape is
     built once and expanded as a lumped level; runs keep their positions, so
     state order and labels follow the spec either way.
     """
-    return _compose(spec, lump_per_level, settings, 1.0)
+    return _compose(spec, lump_per_level, 1.0)
 
 
 @dataclass(frozen=True)
@@ -303,7 +299,7 @@ class DelayPencil:
         return LabeledMap(self.a + rate * self.b, self.d1, self.labels)
 
 
-def delay_pencil(spec, lump_per_level=False, settings=None):
+def delay_pencil(spec, lump_per_level=False):
     """The :class:`DelayPencil` of ``spec``, whose ``at(1.0)`` is
     ``build_tree``'s MAP up to rounding.  One composition carries each delay
     rate times the imaginary unit; every step is real-linear in the rates
@@ -311,5 +307,5 @@ def delay_pencil(spec, lump_per_level=False, settings=None):
     level's ``c * r``, the diagonal rebuild), so the composed ``d0`` is
     ``a + 1j * b``.
     """
-    system = _compose(spec, lump_per_level, settings, 1j)
+    system = _compose(spec, lump_per_level, 1j)
     return DelayPencil(system.d0.real, system.d0.imag, system.d1, system.labels)

@@ -40,7 +40,7 @@ def partition_count(m_s, n):
     return comb(n + m_s - 1, m_s - 1)
 
 
-def lump_symmetric_level(sibling, n, settings=None):
+def lump_symmetric_level(sibling, n):
     """Superpose ``n`` copies of ``sibling``, lumped over sibling permutations.
 
     Sub-states are ranked by label; a block is a nondecreasing ``n``-tuple of
@@ -49,10 +49,10 @@ def lump_symmetric_level(sibling, n, settings=None):
     ``a -> b`` of rate ``r`` taken by one of the ``c`` siblings in ``a`` moves
     the block to the one with ``a`` replaced by ``b`` at rate ``c * r``.
     """
-    settings = settings or default_settings()
     count = partition_count(sibling.size, n)
-    if count > settings.state_cap:
-        raise CapacityError(count, settings.state_cap, hint="the level is too wide even lumped")
+    cap = default_settings().state_cap
+    if count > cap:
+        raise CapacityError(count, cap, hint="the level is too wide even lumped")
     order = sorted(range(sibling.size), key=lambda s: sibling.labels[s].forest)
     blocks = list(combinations_with_replacement(range(sibling.size), n))
     index = {block: i for i, block in enumerate(blocks)}

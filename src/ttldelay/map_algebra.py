@@ -182,13 +182,12 @@ def off_diagonal(m):
     return coo.row[keep], coo.col[keep], coo.data[keep]
 
 
-def validate_map(m, settings=None):
+def validate_map(m):
     """Check all structural invariants of ``m``.
 
     Returns a list of human-readable violation strings; an empty list means
     the MAP is valid.  Violations are data, not exceptions.
     """
-    settings = settings or default_settings()
     issues = []
     d0, d1 = m.d0, m.d1
     n = d0.shape[0]
@@ -218,21 +217,21 @@ def validate_map(m, settings=None):
 
     scale = max(abs(d0).max(), abs(d1).max(), 1.0)
     row_sums = d0.sum(axis=1) + d1.sum(axis=1)
-    for i in np.flatnonzero(np.abs(row_sums) > settings.row_sum_tol * scale):
+    for i in np.flatnonzero(np.abs(row_sums) > default_settings().row_sum_tol * scale):
         issues.append(f"row sum nonzero at state {i}: {row_sums[i]:.3e}")
     return issues
 
 
-def kronecker_sum(m1, m2, settings=None):
+def kronecker_sum(m1, m2):
     """Superpose two independent MAPs via the Kronecker sum.
 
     The left operand's index varies slowest; labels concatenate in the same
     order.
     """
-    settings = settings or default_settings()
     n1, n2 = m1.size, m2.size
-    if n1 * n2 > settings.state_cap:
-        raise CapacityError(n1 * n2, settings.state_cap)
+    cap = default_settings().state_cap
+    if n1 * n2 > cap:
+        raise CapacityError(n1 * n2, cap)
     eye1, eye2 = sparse.eye_array(n1), sparse.eye_array(n2)
 
     def ksum(a, b):
@@ -254,7 +253,7 @@ def _recurrent_class_count(q):
     return int(np.sum(~leaves))
 
 
-def steady_state(m, settings=None):
+def steady_state(m):
     """Solve pi (d0 + d1) = 0 with pi >= 0 summing to one.
 
     One balance equation is replaced by the normalization constraint.  A
@@ -265,7 +264,6 @@ def steady_state(m, settings=None):
     check the result against the same limits (see :class:`NumericSettings`);
     ``SteadyState.method`` tells which path answered.
     """
-    settings = settings or default_settings()
     q = m.generator()
     n = q.shape[0]
     if n == 1:
@@ -278,10 +276,10 @@ def steady_state(m, settings=None):
         )
     if n > KRYLOV_MIN_STATES:
         try:
-            return krylov_steady_state(q, settings)
+            return krylov_steady_state(q)
         except KrylovMiss as miss:
             log.info("steady state of %d states falls back to LU: %s", n, miss)
-    return direct_steady_state(q, settings)
+    return direct_steady_state(q)
 
 
 def _balance_system(q):
@@ -324,14 +322,14 @@ def _checked_pi(pi, q, settings):
     return pi
 
 
-def direct_steady_state(q, settings=None):
+def direct_steady_state(q):
     """Steady state of the irreducible generator ``q`` by sparse LU.
 
     SuperLU with a minimum degree ordering on A^T + A, which keeps the fill
     of composed generators low; the condition estimate solves with the same
     factors.
     """
-    settings = settings or default_settings()
+    settings = default_settings()
     a, b = _balance_system(q)
     try:
         lu = splu(a, permc_spec="MMD_AT_PLUS_A")
@@ -414,7 +412,7 @@ def _gcrotmk(a, b, rtol, cu, precond=None):
     )
 
 
-def krylov_steady_state(q, settings=None):
+def krylov_steady_state(q):
     """Steady state of the irreducible generator ``q`` by GCROT(m,k).
 
     GCROT runs on the embedded-chain scaling of the balance system: with
@@ -431,7 +429,7 @@ def krylov_steady_state(q, settings=None):
     :class:`KrylovMiss` when a solve stalls or pi fails the negativity or
     residual check.
     """
-    settings = settings or default_settings()
+    settings = default_settings()
     a, b = _balance_system(q)
     d = -q.diagonal()
     scaled = (a @ sparse.diags_array(1.0 / d)).tocsr()
@@ -451,8 +449,8 @@ def krylov_steady_state(q, settings=None):
     return SteadyState(pi, cond, "krylov")
 
 
-def event_rate(m, ss=None, settings=None):
+def event_rate(m, ss=None):
     """Stationary rate of active transitions, pi d1 1."""
     if ss is None:
-        ss = steady_state(m, settings=settings)
+        ss = steady_state(m)
     return float(ss.pi @ m.d1.sum(axis=1))

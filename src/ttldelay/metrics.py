@@ -22,7 +22,7 @@ from ttldelay.settings import default_settings
 log = logging.getLogger(__name__)
 
 
-def hit_probability(system, total_request_rate, settings=None):
+def hit_probability(system, total_request_rate):
     """Object hit probability of a composed system MAP.
 
     ``total_request_rate`` is the summed arrival rate over all leaves; the
@@ -30,7 +30,7 @@ def hit_probability(system, total_request_rate, settings=None):
     """
     if total_request_rate <= 0:
         raise DegenerateProcessError("total request rate must be positive")
-    miss_rate = event_rate(system, settings=settings)
+    miss_rate = event_rate(system)
     p = 1.0 - miss_rate / total_request_rate
     if p < -1e-9 or p > 1 + 1e-9:
         log.warning("hit probability %.3e clamped into [0, 1]", p)
@@ -56,14 +56,13 @@ def _map_delays(node, fn):
     )
 
 
-def zero_delay_variant(spec, settings=None):
+def zero_delay_variant(spec):
     """Replace every fetch delay by an exponential fast enough to be 'zero'.
 
     One code path for delayed and undelayed systems; the induced error in the
     hit probability is below 1e-6 relative at the default scale.
     """
-    settings = settings or default_settings()
-    rate = settings.zero_delay_scale * _max_tree_rate(spec)
+    rate = default_settings().zero_delay_scale * _max_tree_rate(spec)
     return CacheTreeSpec(_map_delays(spec.root, lambda d: dist.Exponential(rate)))
 
 
@@ -74,15 +73,15 @@ def with_delay_means(spec, mean):
     return CacheTreeSpec(_map_delays(spec.root, lambda d: d.scaled_to_mean(mean)))
 
 
-def tree_hit_probability(spec, lump_per_level=True, settings=None):
-    system = build_tree(spec, lump_per_level=lump_per_level, settings=settings)
-    return hit_probability(system, spec.total_request_rate(), settings=settings)
+def tree_hit_probability(spec, lump_per_level=True):
+    system = build_tree(spec, lump_per_level=lump_per_level)
+    return hit_probability(system, spec.total_request_rate())
 
 
-def delay_impairment(spec, lump_per_level=True, settings=None):
+def delay_impairment(spec, lump_per_level=True):
     """Relative hit-probability loss caused by the fetch delays in ``spec``."""
-    p_delay = tree_hit_probability(spec, lump_per_level, settings)
-    p_zero = tree_hit_probability(zero_delay_variant(spec, settings), lump_per_level, settings)
+    p_delay = tree_hit_probability(spec, lump_per_level)
+    p_zero = tree_hit_probability(zero_delay_variant(spec), lump_per_level)
     if p_zero <= 0:
         raise DegenerateProcessError("zero-delay hit probability is zero")
     return 1.0 - p_delay / p_zero
@@ -106,8 +105,8 @@ _BRANCH_POINT = -1.0 / math.e
 def lambert_w(branch, x, tol=1e-14, max_iter=50):
     """Real Lambert-W: solve w * exp(w) = x on branch 0 or -1.
 
-    Halley iteration from a branch-appropriate starting point; the result
-    satisfies ``|w exp(w) - x| < 1e-12``.
+    Halley iteration from a branch-appropriate starting point, stopped once
+    ``|w exp(w) - x| <= tol * |x|``, so tiny ``x`` keep their relative accuracy.
     """
     if branch not in (0, -1):
         raise ValueError("branch must be 0 or -1")
@@ -129,7 +128,8 @@ def lambert_w(branch, x, tol=1e-14, max_iter=50):
         if x > math.e:
             lx = math.log(x)
             w = lx - math.log(lx)
-        elif x >= 0.0:
+        elif x >= -0.25:
+            # The branch-point series cancels as x -> 0; W0(x) ~ x there.
             w = x / (1.0 + x)
         else:
             w = -1.0 + s - p2 / 6.0 + 11.0 * s * p2 / 144.0
@@ -143,7 +143,7 @@ def lambert_w(branch, x, tol=1e-14, max_iter=50):
     for _ in range(max_iter):
         ew = math.exp(w)
         f = w * ew - x
-        if abs(f) < tol * max(abs(x), 1e-3):
+        if abs(f) <= tol * abs(x):
             break
         wp1 = w + 1.0
         if abs(wp1) < 1e-12:
@@ -166,10 +166,12 @@ def delay_upper_bound(tau_t):
     Uses the negative branch for TTLs at least as long as the inter-request
     time and the principal branch otherwise, where the bound exceeds the TTL.
     """
-    if tau_t <= 0:
-        raise ValueError("tau_t must be positive")
+    if not (math.isfinite(tau_t) and tau_t > 0):
+        raise ValueError(f"tau_t must be finite and positive, got {tau_t}")
     h = -math.exp(-1.0 / tau_t) / tau_t
     w = lambert_w(-1 if tau_t >= 1.0 else 0, h)
+    if w == 0.0 or math.isinf(-1.0 / w):
+        raise ValueError(f"the delay bound for tau_t={tau_t} overflows a float")
     return -1.0 / w
 
 

@@ -2,10 +2,14 @@
 
 Set ``TTLDELAY_NUMERICS`` to a comma-separated list of ``key=value`` pairs to
 override individual fields, e.g. ``TTLDELAY_NUMERICS="state_cap=500000"``.
+Each check reads it when it runs; an unknown key or a bad value raises ConfigError.
 """
 
+import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+
+from ttldelay.errors import ConfigError
 
 ENV_VAR = "TTLDELAY_NUMERICS"
 
@@ -31,23 +35,21 @@ class NumericSettings:
 def _parse_overrides(text):
     overrides = {}
     valid = {f.name: f.type for f in fields(NumericSettings)}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        key = key.strip()
+    for item in filter(str.strip, text.split(",")):
+        key, _, value = (part.strip() for part in item.partition("="))
         if key not in valid:
-            raise ValueError(f"unknown numeric setting {key!r}")
-        caster = int if key == "state_cap" else float
-        overrides[key] = caster(value.strip())
+            raise ConfigError(f"{ENV_VAR}: unknown numeric setting {key!r}")
+        try:
+            overrides[key] = valid[key](value)
+        except ValueError:
+            overrides[key] = math.nan
+        if not (math.isfinite(overrides[key]) and overrides[key] > 0):
+            raise ConfigError(
+                f"{ENV_VAR}: {key} must be a finite positive {valid[key].__name__}, got {value!r}"
+            )
     return overrides
 
 
 def default_settings():
     """Return the settings record, honouring the environment override."""
-    settings = NumericSettings()
-    text = os.environ.get(ENV_VAR)
-    if text:
-        settings = replace(settings, **_parse_overrides(text))
-    return settings
+    return NumericSettings(**_parse_overrides(os.environ.get(ENV_VAR, "")))

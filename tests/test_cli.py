@@ -393,6 +393,24 @@ class TestBound:
         out = capsys.readouterr().out
         assert "0.569336" in out
 
+    def test_short_ttl_bound_is_positive(self, capsys):
+        # Branch 0 at h = -exp(-100) / 0.01: the bound is about 2.688e41.
+        assert main(["bound", "--tau-t", "0.01"]) == 0
+        assert capsys.readouterr().out == "tau_delta_plus = 2.68811714e+41\n"
+
+    @pytest.mark.parametrize("tau_t, message", [
+        ("0.001", "overflows"),
+        ("0.00134", "overflows"),
+        ("nan", "finite and positive"),
+        ("inf", "finite and positive"),
+        ("0", "finite and positive"),
+    ])
+    def test_bound_rejects_bad_tau_t(self, capsys, tau_t, message):
+        assert main(["bound", "--tau-t", tau_t]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("E_VALUE:") and message in captured.err
+
     def test_search_output_pinned(self, capsys):
         assert main(["bound", "--tau-t", "2", "--search"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -501,3 +519,38 @@ def test_numeric_settings_env_override(monkeypatch):
     s = default_settings()
     assert s.state_cap == 123
     assert s.residual_tol == 1e-6
+
+
+@pytest.mark.parametrize("override, key", [
+    ("cond_limit=nan", "cond_limit"),
+    ("residual_tol=inf", "residual_tol"),
+    ("row_sum_tol=-1e-10", "row_sum_tol"),
+    ("state_cap=-5", "state_cap"),
+    ("state_cap=1e5", "state_cap"),
+    ("state_cap=0", "state_cap"),
+    ("zero_delay_scale=0", "zero_delay_scale"),
+    ("zero_delay_scale=", "zero_delay_scale"),
+    ("cond_limit=big", "cond_limit"),
+    ("state_cap=10,tolerance=1", "tolerance"),
+])
+def test_invalid_numeric_settings_fail_with_e_config(monkeypatch, capsys, override, key):
+    from ttldelay.settings import default_settings
+
+    monkeypatch.setenv("TTLDELAY_NUMERICS", override)
+    with pytest.raises(ConfigError, match=key):
+        default_settings()
+    assert main(["analyze", "--config", str(CONFIGS / "binary_two_level_mmm.yaml")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_CONFIG: TTLDELAY_NUMERICS") and key in err
+
+
+@pytest.mark.parametrize("phases", ["2.5", "true", "'2'", "0"])
+def test_non_integral_erlang_phases_rejected(tmp_path, capsys, phases):
+    path = tmp_path / "erlang.yaml"
+    path.write_text(SINGLE.replace(
+        "delay: {kind: exponential, mean: 1.0}",
+        f"delay: {{kind: erlang, phases: {phases}, mean: 1.0}}",
+    ))
+    assert main(["analyze", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_CONFIG: tree/cache.delay: bad erlang parameters")

@@ -15,6 +15,16 @@ from ttldelay.distributions import (
     sample_ph,
 )
 
+@pytest.mark.parametrize("phases", [2.5, 2.0, True, "2", 0])
+def test_erlang_requires_an_integral_phase_count(phases):
+    with pytest.raises(ValueError, match="phase count"):
+        Erlang(phases, 1.0)
+
+
+def test_erlang_accepts_numpy_integers():
+    assert Erlang(np.int64(3), 2.0).mean() == 1.5
+
+
 DRAWS = 200_000
 SAMPLED = {
     "coxian2": Coxian((1.5, 0.75), (0.5,)),

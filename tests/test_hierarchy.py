@@ -217,9 +217,9 @@ class TestSiblingRuns:
             calls["build"] += 1
             return build_single_cache(*args)
 
-        def recording_lump(sibling, n, settings=None):
+        def recording_lump(sibling, n):
             calls["lump"].append(n)
-            return lump_symmetric_level(sibling, n, settings)
+            return lump_symmetric_level(sibling, n)
 
         monkeypatch.setattr(hierarchy, "build_single_cache", counting_build)
         monkeypatch.setattr(hierarchy, "lump_symmetric_level", recording_lump)

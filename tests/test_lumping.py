@@ -26,7 +26,6 @@ from ttldelay.map_algebra import (
     steady_state,
     validate_map,
 )
-from ttldelay.settings import NumericSettings
 
 from conftest import flat_tree
 
@@ -185,15 +184,15 @@ class TestConstruction:
         assert verify_lumpability(product, partition).passed
         assert validate_map(lumped) == []
 
-    def test_capacity_checked_before_enumeration(self):
+    def test_capacity_checked_before_enumeration(self, monkeypatch):
         sibling = leaf_map()
         with pytest.raises(CapacityError):
             lump_symmetric_level(sibling, 10**9)  # 5e17 blocks, never listed
-        tight = NumericSettings(state_cap=partition_count(3, 40) - 1)
+        monkeypatch.setenv("TTLDELAY_NUMERICS", f"state_cap={partition_count(3, 40) - 1}")
         with pytest.raises(CapacityError):
-            lump_symmetric_level(sibling, 40, tight)
-        loose = NumericSettings(state_cap=partition_count(3, 40))
-        assert lump_symmetric_level(sibling, 40, loose).map.size == 861
+            lump_symmetric_level(sibling, 40)
+        monkeypatch.setenv("TTLDELAY_NUMERICS", f"state_cap={partition_count(3, 40)}")
+        assert lump_symmetric_level(sibling, 40).map.size == 861
 
     def test_flat_fifty_leaves_solve(self, caplog):
         spec, system = flat_fifty()

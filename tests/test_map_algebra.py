@@ -17,7 +17,6 @@ from ttldelay.map_algebra import (
     steady_state,
     validate_map,
 )
-from ttldelay.settings import NumericSettings
 
 from conftest import ph_renewal_map, single_mmm
 
@@ -73,11 +72,11 @@ class TestKroneckerSum:
         assert pair.size == 4
         np.testing.assert_allclose((pair.d0 + pair.d1).sum(axis=1), 0.0, atol=1e-12)
 
-    def test_capacity_cap(self):
+    def test_capacity_cap(self, monkeypatch):
         m = mmm_map()
-        small = NumericSettings(state_cap=8)
+        monkeypatch.setenv("TTLDELAY_NUMERICS", "state_cap=8")
         with pytest.raises(CapacityError, match="lumping"):
-            kronecker_sum(m, m, settings=small)
+            kronecker_sum(m, m)
 
 
 class TestSteadyState:

@@ -89,6 +89,20 @@ class TestLambertW:
             w = lambert_w(-1, x)
             assert abs(w * math.exp(w) - x) < 1e-12
 
+    def test_relative_accuracy_near_zero(self):
+        # The branch-point series cancels as x -> 0-: W0(-1e-20) is -1e-20,
+        # not a positive number of that size.
+        assert lambert_w(0, -1e-20) == pytest.approx(-1e-20, rel=1e-15)
+        for x in -np.logspace(-300, math.log10(0.36), 400):
+            w = lambert_w(0, float(x))
+            assert w == pytest.approx(float(scipy.special.lambertw(x, 0).real), rel=1e-13)
+        for x in np.logspace(-300, 300, 400):
+            w = lambert_w(0, float(x))
+            assert w == pytest.approx(float(scipy.special.lambertw(x, 0).real), rel=1e-13)
+        for x in -np.logspace(-300, math.log10(0.36), 400):
+            w = lambert_w(-1, float(x))
+            assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             lambert_w(0, -1.0)
@@ -96,6 +110,22 @@ class TestLambertW:
             lambert_w(-1, 0.5)
         with pytest.raises(ValueError):
             lambert_w(2, 0.5)
+
+
+@pytest.mark.parametrize("tau_t", [0.0015, 0.002, 0.005, 0.01, 0.02, 0.03, 0.0367, 0.05, 0.1, 0.5])
+def test_short_ttl_bound_solves_its_equation(tau_t):
+    # The bound b != tau_t solves exp(-1/b) / b = exp(-1/tau_t) / tau_t; in
+    # logs, a relative error e in b moves the left side by about e.
+    bound = delay_upper_bound(tau_t)
+    assert bound > 1.0
+    lhs, rhs = 1.0 / bound + math.log(bound), 1.0 / tau_t + math.log(tau_t)
+    assert abs(lhs - rhs) <= 1e-14 * abs(rhs) + 1e-15
+
+
+@pytest.mark.parametrize("tau_t", [0.0, -1.0, math.nan, math.inf, 0.001, 0.00134])
+def test_bound_rejects_non_finite_and_overflowing_tau_t(tau_t):
+    with pytest.raises(ValueError):
+        delay_upper_bound(tau_t)
 
 
 def _bound_bisection_oracle(tau_t):

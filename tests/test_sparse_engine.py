@@ -62,7 +62,6 @@ from ttldelay.metrics import (
     with_delay_means,
     zero_delay_variant,
 )
-from ttldelay.settings import NumericSettings
 
 from conftest import flat_tree, two_level_tree
 
@@ -333,12 +332,14 @@ def test_condition_estimate_matches_dgecon(case):
 
 
 @pytest.mark.parametrize("case", sorted(CONDITION_CASES))
-def test_cond_limit_just_below_the_estimate_rejects(case):
+def test_cond_limit_just_below_the_estimate_rejects(case, monkeypatch):
     m = CONDITION_CASES[case]()
     estimate = dense_condition(m.generator().toarray())
+    monkeypatch.setenv("TTLDELAY_NUMERICS", f"cond_limit={0.999 * estimate!r}")
     with pytest.raises(ConditioningError, match="condition estimate"):
-        steady_state(m, settings=NumericSettings(cond_limit=0.999 * estimate))
-    steady_state(m, settings=NumericSettings(cond_limit=1.001 * estimate))
+        steady_state(m)
+    monkeypatch.setenv("TTLDELAY_NUMERICS", f"cond_limit={1.001 * estimate!r}")
+    steady_state(m)
 
 
 def test_steady_state_leaves_global_random_state_alone():

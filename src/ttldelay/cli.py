@@ -28,14 +28,14 @@ from ttldelay import distributions as dist
 from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 from ttldelay.approximation import hierarchy_approx
 from ttldelay.errors import ConfigError, TTLDelayError
-from ttldelay.hierarchy import build_tree, delay_pencil, lump_plus_width
+# perfbench's tracer wraps ``build_tree`` under this module's name.
+from ttldelay.hierarchy import build_tree, delay_pencil, lump_plus_width  # noqa: F401
 from ttldelay.lumping import partition_count
 from ttldelay.metrics import (
     delay_upper_bound,
     hit_probability,
     optimal_delay,
     with_delay_means,
-    zero_delay_variant,
 )
 from ttldelay.settings import default_settings
 from ttldelay.simulator import SimConfig, simulate
@@ -191,26 +191,21 @@ def cmd_analyze(args):
     else:
         lump = args.lump == "on"
     total = spec.total_request_rate()
-    zero_spec = zero_delay_variant(spec)
-
-    def solve(system):
-        return hit_probability(system, total), system.size
-
-    p_zero, zero_states = solve(build_tree(zero_spec, lump_per_level=lump))
-    # A sweep scales every delay mean alike, so one pencil at the reference
-    # mean gives each delayed point's MAP.
-    if values is not None and max(values) > 0:
-        pencil = delay_pencil(with_delay_means(spec, ref), lump_per_level=lump)
+    # One pencil, at the sweep's reference delay mean or as configured, gives
+    # every point; its limit is the exact zero-delay chain behind eta.
+    base = spec if values is None else with_delay_means(spec, ref)
+    pencil = delay_pencil(base, lump_per_level=lump)
+    zero = pencil.limit()
+    p_zero = hit_probability(zero, total)
 
     def point(swept, value):
-        if swept == zero_spec:  # a tau_delta = 0 point: the solve above
-            p, states = p_zero, zero_states
-        elif value is None:  # no sweep: the delays as configured
-            p, states = solve(build_tree(swept, lump_per_level=lump))
-        else:
-            p, states = solve(pencil.at(1.0 / value))
+        if value == 0:
+            p, system = p_zero, zero
+        else:  # no sweep (None) reads the pencil at the configured delays
+            system = pencil.at(1.0 / (value or 1.0))
+            p = hit_probability(system, total)
         eta = 1.0 - p / p_zero if p_zero > 0 else math.nan
-        return [_num(p), _num(eta), swept.state_count(), states]
+        return [_num(p), _num(eta), swept.state_count(), system.size]
 
     _write_sweep(
         args.out,

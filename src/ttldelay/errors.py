@@ -32,6 +32,12 @@ class ReducibleChainError(TTLDelayError):
     code = "E_REDUCIBLE"
 
 
+class PencilLimitError(TTLDelayError):
+    """A delay pencil's zero-delay limit is not a chain on its end states."""
+
+    code = "E_LIMIT"
+
+
 class UnsupportedDistributionError(TTLDelayError):
     """A distribution kind is not accepted in this context."""
 

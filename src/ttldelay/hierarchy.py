@@ -21,7 +21,8 @@ requests answered by an origin fetch (system misses).
 A delay sweep scales every delay rate by one factor and moves nothing else,
 so :func:`delay_pencil` composes the tree once, as the pencil
 ``A + rate * B`` with fixed labels and ``d1``, and each point of the sweep is
-a sparse sum instead of a new composition.
+a sparse sum instead of a new composition, and its limit is the exact
+zero-delay MAP.
 
 Every step works on sparse matrices: a Kronecker sum of sparse factors, a
 state mask, and the reclassified child events as COO triplets.  Child events
@@ -38,6 +39,7 @@ from itertools import groupby, product
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
 from ttldelay.cache_builders import (
     build_parent_cache,
@@ -45,12 +47,13 @@ from ttldelay.cache_builders import (
     cache_state_count,
     fetch_entry_distribution,
 )
-from ttldelay.errors import ConfigError
+from ttldelay.errors import ConfigError, PencilLimitError
 from ttldelay.map_algebra import (
     LabeledMap,
     StateLabel,
     empty_map,
     kronecker_sum,
+    off_diagonal,
 )
 from ttldelay.lumping import lump_symmetric_level, partition_count
 
@@ -297,6 +300,28 @@ class DelayPencil:
     def at(self, rate):
         """The MAP with every delay rate multiplied by ``rate``."""
         return LabeledMap(self.a + rate * self.b, self.d1, self.labels)
+
+    def limit(self):
+        """The exact zero-delay MAP, ``at(rate)`` as rate -> infinity: the
+        stochastic complement of the non-fetching states S, the rows of ``b``
+        without an off-diagonal entry (Meyer, SIAM Review 1989).  Delay
+        transitions take each state to one end state in S; with E that 0/1
+        map, the limit is ``(a[S] @ E, d1[S] @ E)``.  Raises
+        :class:`PencilLimitError` if a delay transition changes the end state.
+        """
+        n = self.a.shape[0]
+        rows, cols, vals = off_diagonal(self.b)
+        rows, cols = rows[vals != 0], cols[vals != 0]  # ``b`` keeps ``a``'s pattern
+        stops = np.setdiff1d(np.arange(n), rows)
+        # Each state's nearest stop along delay edges: one search from every
+        # stop at once over the reversed edges.
+        graph = sparse.csr_array((np.ones(rows.size), (cols, rows)), shape=(n, n))
+        end = dijkstra(graph, indices=stops, return_predecessors=True, min_only=True)[2]
+        if np.any(end < 0) or np.any(end[rows] != end[cols]):
+            raise PencilLimitError("a delay transition changes its fetch chain's end state")
+        e = sparse.csr_array((np.ones(n), (np.arange(n), np.searchsorted(stops, end))))
+        labels = [self.labels[i] for i in stops]
+        return LabeledMap(self.a[stops] @ e, self.d1[stops] @ e, labels)
 
 
 def delay_pencil(spec, lump_per_level=False):

@@ -15,7 +15,7 @@ import numpy as np
 from ttldelay import distributions as dist
 from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 from ttldelay.errors import DegenerateProcessError
-from ttldelay.hierarchy import build_tree
+from ttldelay.hierarchy import build_tree, delay_pencil
 from ttldelay.map_algebra import event_rate
 from ttldelay.settings import default_settings
 
@@ -59,8 +59,10 @@ def _map_delays(node, fn):
 def zero_delay_variant(spec):
     """Replace every fetch delay by an exponential fast enough to be 'zero'.
 
-    One code path for delayed and undelayed systems; the induced error in the
-    hit probability is below 1e-6 relative at the default scale.
+    One code path for delayed and undelayed systems.  The hit probability
+    then misses the exact zero-delay limit (:meth:`DelayPencil.limit`) by
+    about the scale's inverse: 5.5e-8 to 3.3e-7 relative on ``configs/``,
+    and up to about 1.8e-6 on generated trees at the default scale.
     """
     rate = default_settings().zero_delay_scale * _max_tree_rate(spec)
     return CacheTreeSpec(_map_delays(spec.root, lambda d: dist.Exponential(rate)))
@@ -80,8 +82,10 @@ def tree_hit_probability(spec, lump_per_level=True):
 
 def delay_impairment(spec, lump_per_level=True):
     """Relative hit-probability loss caused by the fetch delays in ``spec``."""
-    p_delay = tree_hit_probability(spec, lump_per_level)
-    p_zero = tree_hit_probability(zero_delay_variant(spec), lump_per_level)
+    pencil = delay_pencil(spec, lump_per_level=lump_per_level)
+    total = spec.total_request_rate()
+    p_delay = hit_probability(pencil.at(1.0), total)
+    p_zero = hit_probability(pencil.limit(), total)
     if p_zero <= 0:
         raise DegenerateProcessError("zero-delay hit probability is zero")
     return 1.0 - p_delay / p_zero

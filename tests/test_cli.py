@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttldelay import cli
+from ttldelay import cli, hierarchy
 from ttldelay.cli import _num, load_config, main, parse_counts, parse_sweep
 from ttldelay.errors import ConfigError
 from ttldelay.hierarchy import build_tree, delay_pencil
-from ttldelay.metrics import hit_probability, with_delay_means, zero_delay_variant
+from ttldelay.metrics import hit_probability, with_delay_means
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -84,31 +84,32 @@ def read_csv(path):
 
 
 def count_builds(monkeypatch):
-    """Record, in order, each ``build_tree`` and ``delay_pencil`` call of the CLI."""
+    """Record, in order, each tree composition, named by the function that
+    asked for it (``build_tree`` or ``delay_pencil``), with the tree it
+    composed."""
     calls = []
+    compose = hierarchy._compose
 
-    def counted(fn):
-        def call(spec, **kwargs):
-            calls.append(fn.__name__)
-            return fn(spec, **kwargs)
+    def counted(spec, lump_per_level, delay_unit):
+        calls.append(("build_tree" if delay_unit == 1.0 else "delay_pencil", spec))
+        return compose(spec, lump_per_level, delay_unit)
 
-        return call
-
-    monkeypatch.setattr(cli, "build_tree", counted(build_tree))
-    monkeypatch.setattr(cli, "delay_pencil", counted(delay_pencil))
+    monkeypatch.setattr(hierarchy, "_compose", counted)
     return calls
 
 
 def per_point_csv(config, values, lump):
-    """The ``analyze`` CSV with the tree built and solved anew at each point."""
+    """The ``analyze`` CSV with the tree built and solved anew at each delayed
+    point; the zero-delay point and ``eta``'s reference are the exact limit of
+    the delay pencil."""
     spec, ref = load_config(config)
     total = spec.total_request_rate()
-    zero = build_tree(zero_delay_variant(spec), lump_per_level=lump == "on")
+    zero = delay_pencil(with_delay_means(spec, ref), lump_per_level=lump == "on").limit()
     p_zero = hit_probability(zero, total)
     rows = ["sweep_value,p_hit_exact,eta,states_original,states_lumped"]
     for value in values:
         swept = with_delay_means(spec, value * ref)
-        system = build_tree(swept, lump_per_level=lump == "on")
+        system = build_tree(swept, lump_per_level=lump == "on") if value else zero
         p = hit_probability(system, total)
         rows.append(f"{_num(value)},{_num(p)},{_num(1.0 - p / p_zero)},"
                     f"{swept.state_count()},{system.size}")
@@ -153,10 +154,13 @@ class TestAnalyze:
         out = tmp_path / "out.csv"
         assert main(["analyze", "--config", tree_cfg, "--sweep", "tau_delta=0:1:2",
                      "--lump", lump, "--out", str(out)]) == 0
-        # The zero-delay tree behind eta, then one pencil for the points at 1
-        # and 2.
-        assert calls == ["build_tree", "delay_pencil"]
-        # Every point solved on its own, as the sweep did before the reuse.
+        # One pencil at the reference mean gives the points at 1 and 2 and, as
+        # its limit, the zero-delay point behind eta.  No build_tree, so no
+        # 1e6-rate zero-delay emulation is composed.
+        spec, ref = load_config(tree_cfg)
+        assert calls == [("delay_pencil", with_delay_means(spec, ref))]
+        # Every delayed point solved on its own, as the sweep did before the
+        # pencil.
         expected = per_point_csv(tree_cfg, (0, 1, 2), lump)
         assert expected.splitlines()[1].split(",")[2] == "0"
         assert out.read_text(encoding="utf-8") == expected
@@ -167,10 +171,14 @@ class TestAnalyze:
         calls = count_builds(monkeypatch)
         out = tmp_path / "out.csv"
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
-        assert calls == ["build_tree", "build_tree"]
         spec, _ = load_config(path)
-        p = hit_probability(build_tree(spec, lump_per_level=False), 2.0)
-        assert read_csv(out)[0]["p_hit_exact"] == _num(p)
+        # One pencil of the delays as configured, and no build_tree.
+        assert calls == [("delay_pencil", spec)]
+        pencil = delay_pencil(spec, lump_per_level=False)
+        p = hit_probability(pencil.at(1.0), 2.0)
+        row = read_csv(out)[0]
+        assert row["p_hit_exact"] == _num(p)
+        assert row["eta"] == _num(1.0 - p / hit_probability(pencil.limit(), 2.0))
 
     def test_sweep_rescales_unequal_delays(self, tmp_path):
         path = tmp_path / "unequal.yaml"

@@ -12,7 +12,11 @@ back to its entry, which in a lumped run must keep the run's roots sorted.
 p_hit tends to the zero-delay variant's as the delay means go to 0.  On the
 same trees, lumped and unlumped, one delay pencil A + B/tau gives the labels
 and ``d1`` of the tree built at delay mean tau exactly and its ``d0`` to
-1e-12 relative, also on more examples under ``-m slow``.  Each cache's state
+1e-12 relative, also on more examples under ``-m slow``.  The pencil's exact
+zero-delay limit, on the non-fetching states, equals Richardson
+extrapolation 2 p(2r) - p(r) of the same pencil to 1e-10, lumped and
+unlumped alike (more examples under ``-m slow``), and a pencil whose delay
+transitions do not keep their end state is refused.  Each cache's state
 count matches the MAP its builder returns, and the recursively lumped count
 equals the raw product exactly when no two adjacent siblings are copies.  GCROT is also checked against the
 subtraction-free GTH elimination on small and stiff chains, against the LU
@@ -44,26 +48,29 @@ from ttldelay.cache_builders import (
 )
 from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH
-from ttldelay.errors import ConditioningError
-from ttldelay.hierarchy import build_tree, delay_pencil, lump_plus_width
+from ttldelay.errors import ConditioningError, PencilLimitError
+from ttldelay.hierarchy import DelayPencil, build_tree, delay_pencil, lump_plus_width
 from ttldelay.map_algebra import (
     CONDITION_RTOL,
     KRYLOV_MIN_STATES,
     STALL_CYCLES,
     KrylovMiss,
+    StateLabel,
     direct_steady_state,
     event_rate,
     krylov_steady_state,
+    off_diagonal,
     steady_state,
 )
 from ttldelay.metrics import (
     _max_tree_rate,
+    hit_probability,
     tree_hit_probability,
     with_delay_means,
     zero_delay_variant,
 )
 
-from conftest import flat_tree, two_level_tree
+from conftest import flat_tree, single_mmm, two_level_tree
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MAX_STATES = 600  # bound on the raw product of per-cache state counts
@@ -248,6 +255,98 @@ def test_delay_pencil_matches_per_mean_builds(spec):
 @given(trees())
 def test_delay_pencil_matches_per_mean_builds_many(spec):
     check_pencil(spec)
+
+
+# Factor on the delay rates, times the tree's fastest TTL or arrival rate,
+# at which Richardson extrapolation stands in for the zero-delay limit: its
+# O(1/r^2) remainder is near 1e-12, and the chain is not yet stiff enough
+# for rounding to matter.
+RICHARDSON_RATE = 1e6
+
+
+def richardson_zero_delay(pencil, spec):
+    """2 p(2r) - p(r) from the pencil of ``spec`` at delay mean 1, which
+    cancels the 1/r term of p(r) - p(infinity)."""
+    r = RICHARDSON_RATE * _max_tree_rate(spec)
+    total = spec.total_request_rate()
+    return 2 * hit_probability(pencil.at(2 * r), total) - hit_probability(pencil.at(r), total)
+
+
+def check_limit(spec):
+    """The exact zero-delay limit of the pencil against Richardson
+    extrapolation of the same pencil, lumped and unlumped."""
+    total = spec.total_request_rate()
+    limits = []
+    for lump in (False, True):
+        pencil = delay_pencil(with_delay_means(spec, 1.0), lump_per_level=lump)
+        limit = pencil.limit()
+        rows, _, rates = off_diagonal(pencil.b)
+        assert limit.size == pencil.a.shape[0] - np.unique(rows[rates != 0]).size
+        limits.append(hit_probability(limit, total))
+        assert limits[-1] == pytest.approx(richardson_zero_delay(pencil, spec), abs=1e-10)
+    assert limits[1] == pytest.approx(limits[0], abs=1e-12)
+
+
+@hyp_settings(max_examples=15, deadline=None)
+@given(trees())
+def test_pencil_limit_matches_richardson(spec):
+    check_limit(spec)
+
+
+@pytest.mark.slow
+@hyp_settings(max_examples=300, deadline=None)
+@given(trees())
+def test_pencil_limit_matches_richardson_many(spec):
+    check_limit(spec)
+
+
+def test_pencil_limit_of_the_single_cache():
+    """P_h = tau_T / (tau_T + 1) for the M/M/M cache without delay."""
+    pencil = delay_pencil(single_mmm(1.0, tau_t=2.0))
+    assert pencil.limit().size == 2  # Out and In; the fetch phase is gone
+    assert hit_probability(pencil.limit(), 1.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+# The 1e6 emulation's error here is 1.05e-6 relative: limit 0.096761431146,
+# emulation 0.096761533053.
+EMULATION_MISS = CacheTreeSpec(
+    CacheNode(
+        "c0",
+        Exponential(1.5726900644118222),
+        Erlang(2, 1.2769581049088077),
+        children=(
+            CacheNode(
+                "c1",
+                Exponential(1.819718741278386),
+                Exponential(1.8064755819581397),
+                arrival=Erlang(3, 1.0418136034108365),
+            ),
+        ),
+    )
+)
+
+
+def test_pencil_limit_where_the_emulation_misses():
+    check_limit(EMULATION_MISS)
+    limit = delay_pencil(EMULATION_MISS).limit()
+    p = hit_probability(limit, EMULATION_MISS.total_request_rate())
+    assert p == pytest.approx(0.096761431146, abs=1e-12)
+
+
+def test_pencil_limit_rejects_a_delay_edge_between_end_states():
+    """States 0 and 1 fetch into 2 and 3; the delay edge 0 -> 1 would leave
+    state 0 with two end states."""
+    b = sparse.csr_array(np.array([
+        [-2.0, 1.0, 1.0, 0.0],
+        [0.0, -1.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ]))
+    a = sparse.csr_array(np.diag([0.0, 0.0, -1.0, -1.0]))
+    d1 = sparse.csr_array((np.ones(2), ([2, 3], [1, 0])), shape=(4, 4))
+    labels = tuple(StateLabel((i,)) for i in range(4))
+    with pytest.raises(PencilLimitError, match="end state"):
+        DelayPencil(a, b, d1, labels).limit()
 
 
 def _id_free(node):

@@ -161,8 +161,8 @@ def _ph_equilibrium(alpha, s):
     return np.asarray(beta).ravel()
 
 
-def superposed_palm_moments(components, count=3):
-    """First moments of the inter-event time of pooled stationary renewals.
+def superposed_palm_moments(components):
+    """First three moments of the inter-event time of pooled stationary renewals.
 
     ``components`` is a list of ``(rate, distribution)`` pairs.  Given an
     event of component k, the time to the next pooled event is the minimum of
@@ -171,7 +171,7 @@ def superposed_palm_moments(components, count=3):
     """
     total_rate = sum(r for r, _ in components)
     phs = [d.ph() for _, d in components]
-    moments = np.zeros(count)
+    moments = np.zeros(3)
     for k, (rate_k, _) in enumerate(components):
         gamma = np.ones(1)
         g = np.zeros((1, 1))
@@ -181,7 +181,7 @@ def superposed_palm_moments(components, count=3):
             g = _kron(g, np.eye(len(start))) + _kron(np.eye(g.shape[0]), s)
         v = np.ones(len(gamma))
         weight = rate_k / total_rate
-        for i in range(count):
+        for i in range(3):
             v = np.linalg.solve(-g, v)
             moments[i] += weight * math.factorial(i + 1) * float(gamma @ v)
     return tuple(moments)

@@ -37,7 +37,6 @@ from ttldelay.metrics import (
     optimal_delay,
     with_delay_means,
 )
-from ttldelay.settings import default_settings
 from ttldelay.simulator import SimConfig, simulate
 from ttldelay.trace_pipeline import (
     coxian_pdf,
@@ -192,20 +191,21 @@ def cmd_analyze(args):
         lump = args.lump == "on"
     total = spec.total_request_rate()
     # One pencil, at the sweep's reference delay mean or as configured, gives
-    # every point; its limit is the exact zero-delay chain behind eta.
+    # every point; its limit is the exact zero-delay chain behind eta.  Every
+    # row reports the pencil's raw product space.
     base = spec if values is None else with_delay_means(spec, ref)
     pencil = delay_pencil(base, lump_per_level=lump)
     zero = pencil.limit()
     p_zero = hit_probability(zero, total)
 
-    def point(swept, value):
+    def point(_, value):
         if value == 0:
             p, system = p_zero, zero
         else:  # no sweep (None) reads the pencil at the configured delays
             system = pencil.at(1.0 / (value or 1.0))
             p = hit_probability(system, total)
         eta = 1.0 - p / p_zero if p_zero > 0 else math.nan
-        return [_num(p), _num(eta), swept.state_count(), system.size]
+        return [_num(p), _num(eta), spec.state_count(), system.size]
 
     _write_sweep(
         args.out,
@@ -329,15 +329,14 @@ def cmd_bound(args):
             )
         )
         pencil = delay_pencil(spec)
-        zero_rate = default_settings().zero_delay_scale
         total = spec.total_request_rate()
 
-        def p_hit(td):
-            return hit_probability(pencil.at(zero_rate if td == 0 else 1.0 / td), total)
+        def p_hit(td):  # td = 0 is the pencil's exact zero-delay limit
+            return hit_probability(pencil.at(1.0 / td) if td else pencil.limit(), total)
 
         # Near-periodic optima sit in the first alignment window of the
         # request period; the no-harm bound itself can be huge for tiny TTLs.
-        delta_star, p_max, kappa = optimal_delay(p_hit, 0.0, 2.0, tol=1e-3)
+        delta_star, p_max, kappa = optimal_delay(p_hit, 0.0, 2.0)
         print(f"delta_star = {_num(delta_star)}")
         print(f"p_hit_max = {_num(p_max)}")
         print(f"kappa = {_num(kappa)}")
@@ -350,9 +349,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="tree YAML file")
+    def common(p):
+        p.add_argument("--config", required=True, help="tree YAML file")
         p.add_argument("--out", help="output CSV path (default: stdout)")
 
     p = sub.add_parser("analyze", help="exact hit probability sweep")

@@ -186,7 +186,8 @@ def validate_map(m):
     """Check all structural invariants of ``m``.
 
     Returns a list of human-readable violation strings; an empty list means
-    the MAP is valid.  Violations are data, not exceptions.
+    the MAP is valid.  Violations are data, not exceptions.  Rows of
+    ``d0 + d1`` must sum to zero within 1e-10 of the largest rate.
     """
     issues = []
     d0, d1 = m.d0, m.d1
@@ -217,7 +218,7 @@ def validate_map(m):
 
     scale = max(abs(d0).max(), abs(d1).max(), 1.0)
     row_sums = d0.sum(axis=1) + d1.sum(axis=1)
-    for i in np.flatnonzero(np.abs(row_sums) > default_settings().row_sum_tol * scale):
+    for i in np.flatnonzero(np.abs(row_sums) > 1e-10 * scale):
         issues.append(f"row sum nonzero at state {i}: {row_sums[i]:.3e}")
     return issues
 

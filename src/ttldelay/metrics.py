@@ -17,7 +17,6 @@ from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 from ttldelay.errors import DegenerateProcessError
 from ttldelay.hierarchy import build_tree, delay_pencil
 from ttldelay.map_algebra import event_rate
-from ttldelay.settings import default_settings
 
 log = logging.getLogger(__name__)
 
@@ -57,14 +56,15 @@ def _map_delays(node, fn):
 
 
 def zero_delay_variant(spec):
-    """Replace every fetch delay by an exponential fast enough to be 'zero'.
+    """Replace every fetch delay by an exponential fast enough to be 'zero':
+    its rate is 1e6 times the largest of 1 and the tree's TTL and arrival rates.
 
-    One code path for delayed and undelayed systems.  The hit probability
-    then misses the exact zero-delay limit (:meth:`DelayPencil.limit`) by
-    about the scale's inverse: 5.5e-8 to 3.3e-7 relative on ``configs/``,
-    and up to about 1.8e-6 on generated trees at the default scale.
+    ``simulate`` and ``approx`` take their zero-delay point from it.  The hit
+    probability misses the exact zero-delay limit (:meth:`DelayPencil.limit`)
+    by about 1e-6 relative: 5.5e-8 to 3.3e-7 on ``configs/``, and up to about
+    1.8e-6 on generated trees.
     """
-    rate = default_settings().zero_delay_scale * _max_tree_rate(spec)
+    rate = 1e6 * _max_tree_rate(spec)
     return CacheTreeSpec(_map_delays(spec.root, lambda d: dist.Exponential(rate)))
 
 
@@ -106,11 +106,12 @@ def mmm_impairment_ttl_sensitivity(tau_t, tau_delta):
 _BRANCH_POINT = -1.0 / math.e
 
 
-def lambert_w(branch, x, tol=1e-14, max_iter=50):
+def lambert_w(branch, x):
     """Real Lambert-W: solve w * exp(w) = x on branch 0 or -1.
 
-    Halley iteration from a branch-appropriate starting point, stopped once
-    ``|w exp(w) - x| <= tol * |x|``, so tiny ``x`` keep their relative accuracy.
+    Halley iteration from a branch-appropriate starting point, at most 50
+    steps, stopped once ``|w exp(w) - x| <= 1e-14 * |x|``, so tiny ``x`` keep
+    their relative accuracy.
     """
     if branch not in (0, -1):
         raise ValueError("branch must be 0 or -1")
@@ -144,10 +145,10 @@ def lambert_w(branch, x, tol=1e-14, max_iter=50):
             lx = math.log(-x)
             w = lx - math.log(-lx)
 
-    for _ in range(max_iter):
+    for _ in range(50):
         ew = math.exp(w)
         f = w * ew - x
-        if abs(f) <= tol * abs(x):
+        if abs(f) <= 1e-14 * abs(x):
             break
         wp1 = w + 1.0
         if abs(wp1) < 1e-12:
@@ -179,26 +180,26 @@ def delay_upper_bound(tau_t):
     return -1.0 / w
 
 
-def optimal_delay(p_hit_of_delay, lo, hi, tol=1e-3, coarse_points=81):
+def optimal_delay(p_hit_of_delay, lo, hi):
     """Locate the delay ratio maximizing a hit-probability curve.
 
-    Coarse 81-point grid scan followed by golden-section refinement; no
-    unimodality is assumed for the scan.  Returns ``(delta_star, p_max,
-    kappa)`` with ``kappa = p(0) / p(delta_star)``.
+    Coarse 81-point grid scan followed by golden-section refinement to a
+    bracket of width 1e-3; no unimodality is assumed for the scan.  Returns
+    ``(delta_star, p_max, kappa)`` with ``kappa = p(lo) / p(delta_star)``.
     """
     if hi <= lo:
         raise ValueError("empty search range")
-    grid = np.linspace(lo, hi, coarse_points)
+    grid = np.linspace(lo, hi, 81)
     values = [p_hit_of_delay(g) for g in grid]
     k = int(np.argmax(values))
     a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, coarse_points - 1)]
+    b = grid[min(k + 1, grid.size - 1)]
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = p_hit_of_delay(c), p_hit_of_delay(d)
-    while b - a > tol:
+    while b - a > 1e-3:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -211,5 +212,4 @@ def optimal_delay(p_hit_of_delay, lo, hi, tol=1e-3, coarse_points=81):
     p_max = p_hit_of_delay(delta_star)
     if values[k] > p_max:
         delta_star, p_max = grid[k], values[k]
-    p0 = p_hit_of_delay(lo)
-    return float(delta_star), float(p_max), float(p0 / p_max)
+    return float(delta_star), float(p_max), float(values[0] / p_max)

@@ -18,18 +18,14 @@ ENV_VAR = "TTLDELAY_NUMERICS"
 class NumericSettings:
     """Tolerances used by the exact engine.
 
-    row_sum_tol      generator conservation tolerance (rows of D0+D1 sum to 0)
-    residual_tol     steady-state residual tolerance per component
-    state_cap        hard cap on composed state-space size
-    cond_limit       condition-number estimate above which solves are rejected
-    zero_delay_scale rate multiplier used to emulate a zero fetch delay
+    residual_tol  steady-state residual tolerance per component
+    state_cap     hard cap on composed state-space size
+    cond_limit    condition-number estimate above which solves are rejected
     """
 
-    row_sum_tol: float = 1e-10
     residual_tol: float = 1e-8
     state_cap: int = 200_000
     cond_limit: float = 1e12
-    zero_delay_scale: float = 1e6
 
 
 def _parse_overrides(text):

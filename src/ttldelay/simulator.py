@@ -88,13 +88,13 @@ class SimEstimate:
     request_count: int
 
 
-def _draws(d, rng, block=4096):
-    """Draws of ``d`` as Python floats, a block from ``rng`` at the first use
-    after the last block ran out.  Floats are made a short slice at a time,
-    so a sampler holds its block as numpy, not as 4,096 Python floats."""
+def _draws(d, rng):
+    """Draws of ``d`` as Python floats, a block of 4,096 from ``rng`` at the
+    first use after the last block ran out.  Floats are made a short slice at
+    a time, so a sampler holds its block as numpy, not as 4,096 Python floats."""
     while True:
-        draws = d.sample(rng, block)
-        for i in range(0, block, 256):
+        draws = d.sample(rng, 4096)
+        for i in range(0, 4096, 256):
             yield from draws[i:i + 256].tolist()
 
 
@@ -174,7 +174,7 @@ class _Run:
                 heapq.heappush(self.heap, (self.now + next(child.delay), next(self.seq),
                                            _FETCH_DONE, child, child.version))
 
-    def serve(self, requests, warmup_fraction, batches=20):
+    def serve(self, requests, warmup_fraction):
         """Serve ``requests`` requests; their batch tallies and origin fetches.
 
         Between requests, an expiry makes its cache absent and a completed
@@ -186,10 +186,10 @@ class _Run:
         stopper up is fetching -- in particular when the whole path was
         absent and the run reaches the origin.  The first ``warmup_fraction``
         of the requests are not counted; the rest are tallied as (misses,
-        requests) per batch.
+        requests) per batch, a twentieth of them each.
         """
         warmup = int(requests * warmup_fraction)
-        per_batch = max(1, (requests - warmup) // batches)
+        per_batch = max(1, (requests - warmup) // 20)
         heap, seq = self.heap, self.seq
         push, pop = heapq.heappush, heapq.heappop
         start_fetch, admit = self._start_fetch, self._admit

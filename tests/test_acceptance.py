@@ -33,6 +33,7 @@ from ttldelay.metrics import (
     mmm_impairment_closed_form,
     optimal_delay,
     tree_hit_probability,
+    with_delay_means,
 )
 from ttldelay.simulator import SimConfig, simulate, simulate_trace
 from ttldelay.trace_pipeline import fit_ph_em, interarrivals, remove_outliers
@@ -167,7 +168,7 @@ def test_criterion_6a_non_monotone_delay_values():
     p0 = tree_hit_probability(e20_cache(0))
     p2 = tree_hit_probability(e20_cache(2.0))
     delta_star, p_max, _ = optimal_delay(
-        lambda td: tree_hit_probability(e20_cache(td)), 0.0, 2.0, tol=1e-3
+        lambda td: tree_hit_probability(e20_cache(td)), 0.0, 2.0
     )
     ok = (
         abs(p0 - 0.6103) < 2e-3
@@ -344,7 +345,7 @@ def test_criterion_11_three_level_trees():
                 ),
             )
         )
-        return _with_delay(spec, td)
+        return with_delay_means(spec, td)
 
     def three_level(td, ttls):
         t1, t2, t3 = ttls
@@ -359,12 +360,7 @@ def test_criterion_11_three_level_trees():
             CacheNode("r", ttl=Exponential(1 / t3), delay=delay,
                       children=(mid(0), mid(1)))
         )
-        return _with_delay(spec, td)
-
-    def _with_delay(spec, td):
-        from ttldelay.metrics import with_delay_means, zero_delay_variant
-
-        return zero_delay_variant(spec) if td == 0 else with_delay_means(spec, td)
+        return with_delay_means(spec, td)
 
     grid = [0, 0.5, 1.0, 2.0, 3.0, 4.0]
     l2 = [tree_hit_probability(two_level(td)) for td in grid]

@@ -101,7 +101,7 @@ def count_builds(monkeypatch):
 def per_point_csv(config, values, lump):
     """The ``analyze`` CSV with the tree built and solved anew at each delayed
     point; the zero-delay point and ``eta``'s reference are the exact limit of
-    the delay pencil."""
+    the delay pencil, and every row's raw state count is the tree's."""
     spec, ref = load_config(config)
     total = spec.total_request_rate()
     zero = delay_pencil(with_delay_means(spec, ref), lump_per_level=lump == "on").limit()
@@ -112,7 +112,7 @@ def per_point_csv(config, values, lump):
         system = build_tree(swept, lump_per_level=lump == "on") if value else zero
         p = hit_probability(system, total)
         rows.append(f"{_num(value)},{_num(p)},{_num(1.0 - p / p_zero)},"
-                    f"{swept.state_count()},{system.size}")
+                    f"{spec.state_count()},{system.size}")
     return "\n".join(rows) + "\n"
 
 
@@ -197,6 +197,7 @@ class TestAnalyze:
                      "--lump", lump, "--out", str(out)]) == 0
         expected = per_point_csv(config, [0.5 * k for k in range(7)], lump)
         assert out.read_text(encoding="utf-8") == expected
+        assert {row["states_original"] for row in read_csv(out)} == {"16384"}
 
     def test_nine_significant_digits(self, single_cfg, tmp_path):
         out = str(tmp_path / "out.csv")
@@ -425,7 +426,7 @@ class TestBound:
         assert lines[1:] == [
             "delta_star = 0.243362879",
             "p_hit_max = 0.631435314",
-            "kappa = 0.966482311",
+            "kappa = 0.966482123",
         ]
 
 
@@ -540,6 +541,8 @@ def test_numeric_settings_env_override(monkeypatch):
     ("zero_delay_scale=", "zero_delay_scale"),
     ("cond_limit=big", "cond_limit"),
     ("state_cap=10,tolerance=1", "tolerance"),
+    ("row_sum_tol=1e-10", "row_sum_tol"),
+    ("zero_delay_scale=1e6", "zero_delay_scale"),
 ])
 def test_invalid_numeric_settings_fail_with_e_config(monkeypatch, capsys, override, key):
     from ttldelay.settings import default_settings

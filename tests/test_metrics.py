@@ -167,7 +167,7 @@ class TestDelayBound:
 class TestOptimalDelay:
     def test_near_periodic_input_has_interior_maximum(self):
         p_hit = lambda td: tree_hit_probability(e20_cache(td))
-        delta_star, p_max, kappa = optimal_delay(p_hit, 0.0, 2.0, tol=1e-3)
+        delta_star, p_max, kappa = optimal_delay(p_hit, 0.0, 2.0)
         assert delta_star == pytest.approx(0.25, abs=0.05)
         assert p_max == pytest.approx(0.6314, abs=2e-3)
         assert 0.0 < kappa <= 1.0
@@ -177,13 +177,13 @@ class TestOptimalDelay:
         # With a TTL of a tenth of the request period, the best delay parks
         # the cache window just before the next near-periodic arrival.
         p_hit = lambda td: tree_hit_probability(e20_cache(td, tau_t=0.1))
-        delta_star, p_max, kappa = optimal_delay(p_hit, 0.0, 2.0, tol=1e-3)
+        delta_star, p_max, kappa = optimal_delay(p_hit, 0.0, 2.0)
         assert delta_star == pytest.approx(0.83, abs=0.02)
         assert kappa == pytest.approx(0.00737896, abs=2e-4)
 
     def test_poisson_input_maximum_at_zero(self):
         p_hit = lambda td: tree_hit_probability(single_mmm(td))
-        delta_star, p_max, kappa = optimal_delay(p_hit, 0.0, 2.0, tol=1e-3)
+        delta_star, p_max, kappa = optimal_delay(p_hit, 0.0, 2.0)
         assert delta_star == pytest.approx(0.0, abs=1e-6)
         assert kappa == pytest.approx(1.0, abs=1e-6)
 

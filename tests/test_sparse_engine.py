@@ -397,13 +397,15 @@ SIGN_CHANGE = CacheTreeSpec(
 @given(trees())
 @example(SIGN_CHANGE)
 def test_zero_delay_limit(spec):
-    """p_hit tends to the zero-delay variant's as every delay mean goes to 0.
+    """p_hit tends to the delay pencil's exact zero-delay limit as every
+    delay mean goes to 0.
 
     Delay means are in units of the fastest TTL or arrival timescale.  Over
     the decade from 1e-3 to 1e-4 the gap is in its linear regime and shrinks
     at least 5x; the decade above can still hold a sign change of the gap.
     """
-    p_zero = tree_hit_probability(zero_delay_variant(spec))
+    limit = delay_pencil(spec, lump_per_level=True).limit()
+    p_zero = hit_probability(limit, spec.total_request_rate())
     unit = 1.0 / _max_tree_rate(spec)
     coarse, fine = (
         abs(tree_hit_probability(with_delay_means(spec, eps * unit)) - p_zero)

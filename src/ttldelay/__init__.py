@@ -1,6 +1,7 @@
 """Markov-arrival-process models of TTL cache hierarchies with object fetch delays.
 
-The package provides four views of the same system:
+The package provides four views of the same system, each reading one
+cache-tree specification (:mod:`ttldelay.spec`):
 
 * an exact engine that composes per-cache MAPs over a cache tree
   (:mod:`ttldelay.map_algebra`, :mod:`ttldelay.cache_builders`,
@@ -13,7 +14,8 @@ The package provides four views of the same system:
   (:mod:`ttldelay.trace_pipeline`).
 
 The ``ttldelay`` command line (:mod:`ttldelay.cli`) wraps all of these and
-emits CSV tables.
+emits CSV tables; it imports the exact engine, and SciPy, only when a command
+calls it.
 """
 
 from ttldelay.errors import (

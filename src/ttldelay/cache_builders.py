@@ -1,4 +1,7 @@
-"""Constructors for single-cache MAPs and the cache-tree specification.
+"""Constructors for single-cache MAPs.
+
+The cache-tree specification (``CacheNode``, ``CacheTreeSpec`` and
+``cache_state_count``) lives in :mod:`ttldelay.spec` and is re-exported here.
 
 A cache's life cycle for one object has states ``Out``, ``In`` and, while a
 miss is being resolved, a block of fetching states ``F_1 .. F_f`` driven by
@@ -12,13 +15,10 @@ transition of its own: the refreshed TTL is statistically indistinguishable
 from the running one, so hits only show up as arrival-phase resets.
 """
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from ttldelay import distributions as dist
-from ttldelay.errors import ConfigError, UnsupportedDistributionError
+from ttldelay.errors import UnsupportedDistributionError
 from ttldelay.map_algebra import (
     IN,
     OUT,
@@ -28,99 +28,7 @@ from ttldelay.map_algebra import (
     cache_node,
     fetch,
 )
-
-
-@dataclass(frozen=True)
-class CacheNode:
-    """One cache in the hierarchy.
-
-    ``delay`` is the fetch delay over the link above this cache (to its
-    parent, or to the origin server for the root).  Leaves carry the arrival
-    process of the request stream entering at that cache.
-    """
-
-    id: str
-    ttl: object
-    delay: object
-    children: tuple = ()
-    arrival: object = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-
-    @property
-    def is_leaf(self):
-        return not self.children
-
-    @property
-    def shape(self):
-        """The node's spec without its cache ids: equal shapes build equal
-        MAPs and equal approximations."""
-        return (self.ttl, self.delay, self.arrival,
-                tuple(child.shape for child in self.children))
-
-
-@dataclass(frozen=True)
-class CacheTreeSpec:
-    """A rooted cache tree; requests enter at leaves and escalate upward."""
-
-    root: CacheNode
-
-    def nodes(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children)
-
-    def leaves(self):
-        return [n for n in self.nodes() if n.is_leaf]
-
-    def state_count(self):
-        """Size of the unlumped product space, before invalid-state removal."""
-        return math.prod(map(cache_state_count, self.nodes()))
-
-    def total_request_rate(self):
-        return sum(1.0 / leaf.arrival.mean() for leaf in self.leaves())
-
-    def validate(self, exact=True):
-        """Raise ``ConfigError`` when the spec is malformed.
-
-        With ``exact=True`` the requirements of the MAP engine apply:
-        exponential TTLs everywhere and no deterministic distributions.
-        """
-        ids = [n.id for n in self.nodes()]
-        if len(set(ids)) != len(ids):
-            raise ConfigError(f"duplicate cache ids in tree: {sorted(ids)}")
-        for node in self.nodes():
-            if node.is_leaf and node.arrival is None:
-                raise ConfigError(f"leaf cache {node.id!r} has no arrival process")
-            if not node.is_leaf and node.arrival is not None:
-                raise ConfigError(f"inner cache {node.id!r} must not carry arrivals")
-            for name, d in (("ttl", node.ttl), ("delay", node.delay),
-                            ("arrival", node.arrival)):
-                if d is None:
-                    if name != "arrival":
-                        raise ConfigError(f"cache {node.id!r} lacks a {name}")
-                    continue
-                if exact and isinstance(d, dist.Deterministic):
-                    raise ConfigError(
-                        f"{name} of cache {node.id!r} is deterministic; the exact "
-                        "engine requires phase-type distributions (simulator only)"
-                    )
-            if exact and not isinstance(node.ttl, dist.Exponential):
-                raise ConfigError(
-                    f"TTL of cache {node.id!r} must be exponential for the exact engine"
-                )
-        return self
-
-
-def cache_state_count(node):
-    """States of one cache's own MAP: (Out, In, F_1..F_f) x arrival phases."""
-    states = 2 + len(node.delay.ph()[0])
-    if node.arrival is not None:
-        states *= len(node.arrival.ph()[0])
-    return states
+from ttldelay.spec import CacheNode, CacheTreeSpec, cache_state_count  # noqa: F401
 
 
 def _reversed_ph(d):

@@ -16,6 +16,7 @@ numbers in CSV output carry nine significant digits.  Errors print a single
 
 import argparse
 import csv
+import importlib
 import logging
 import math
 import secrets
@@ -25,19 +26,10 @@ import numpy as np
 import yaml
 
 from ttldelay import distributions as dist
-from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 from ttldelay.approximation import hierarchy_approx
 from ttldelay.errors import ConfigError, TTLDelayError
-# perfbench's tracer wraps ``build_tree`` under this module's name.
-from ttldelay.hierarchy import build_tree, delay_pencil, lump_plus_width  # noqa: F401
-from ttldelay.lumping import partition_count
-from ttldelay.metrics import (
-    delay_upper_bound,
-    hit_probability,
-    optimal_delay,
-    with_delay_means,
-)
 from ttldelay.simulator import SimConfig, simulate
+from ttldelay.spec import CacheNode, CacheTreeSpec, with_delay_means
 from ttldelay.trace_pipeline import (
     coxian_pdf,
     fit_ph_em,
@@ -49,6 +41,32 @@ from ttldelay.trace_pipeline import (
 LUMP_AUTO_THRESHOLD = 10_000
 
 log = logging.getLogger(__name__)
+
+
+def _engine(module, name):
+    """``module.name``, imported on its first call.
+
+    The exact engine needs SciPy's sparse linear algebra, which takes longer
+    to import than everything else a command loads; the approximation, the
+    simulator and the trace fitter need only NumPy.  Commands call the engine
+    through these module attributes, where perfbench's tracer wraps
+    ``build_tree`` and ``hit_probability``.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+build_tree = _engine("ttldelay.hierarchy", "build_tree")
+delay_pencil = _engine("ttldelay.hierarchy", "delay_pencil")
+lump_plus_width = _engine("ttldelay.hierarchy", "lump_plus_width")
+partition_count = _engine("ttldelay.lumping", "partition_count")
+hit_probability = _engine("ttldelay.metrics", "hit_probability")
+delay_upper_bound = _engine("ttldelay.metrics", "delay_upper_bound")
+optimal_delay = _engine("ttldelay.metrics", "optimal_delay")
 
 
 def _num(x):

@@ -44,7 +44,6 @@ from scipy.sparse.csgraph import dijkstra
 from ttldelay.cache_builders import (
     build_parent_cache,
     build_single_cache,
-    cache_state_count,
     fetch_entry_distribution,
 )
 from ttldelay.errors import ConfigError, PencilLimitError
@@ -56,6 +55,7 @@ from ttldelay.map_algebra import (
     off_diagonal,
 )
 from ttldelay.lumping import lump_symmetric_level, partition_count
+from ttldelay.spec import cache_state_count
 
 
 def level_superpose(maps):

@@ -77,23 +77,6 @@ class StateLabel:
 
     forest: tuple
 
-    def encode(self):
-        """Compact text form, e.g. ``((O|A2)F1)I``."""
-        return "".join(_encode_node(node) for node in self.forest)
-
-
-def _encode_sym(symbol):
-    kind, phase = symbol
-    return kind if kind in ("O", "I") else f"{kind}{phase}"
-
-
-def _encode_node(node):
-    children, symbol = node
-    if children:
-        inner = "|".join(_encode_node(c) for c in children)
-        return f"({inner}){_encode_sym(symbol)}"
-    return _encode_sym(symbol)
-
 
 class RateMatrix(sparse.csr_array):
     """CSR matrix of transition rates.
@@ -180,47 +163,6 @@ def off_diagonal(m):
     coo = m.tocoo()
     keep = coo.row != coo.col
     return coo.row[keep], coo.col[keep], coo.data[keep]
-
-
-def validate_map(m):
-    """Check all structural invariants of ``m``.
-
-    Returns a list of human-readable violation strings; an empty list means
-    the MAP is valid.  Violations are data, not exceptions.  Rows of
-    ``d0 + d1`` must sum to zero within 1e-10 of the largest rate.
-    """
-    issues = []
-    d0, d1 = m.d0, m.d1
-    n = d0.shape[0]
-    if d0.ndim != 2 or d0.shape != (n, n):
-        return [f"d0 is not square: shape {d0.shape}"]
-    if d1.shape != (n, n):
-        return [f"d1 shape {d1.shape} differs from d0 shape {d0.shape}"]
-    if n < 1:
-        return ["empty state space"]
-    if len(m.labels) != n:
-        issues.append(f"{len(m.labels)} labels for {n} states")
-    elif len(set(m.labels)) != n:
-        issues.append("labels are not pairwise distinct")
-
-    diag = d0.diagonal()
-    for i in np.flatnonzero(diag > 0):
-        issues.append(f"positive d0 diagonal at state {i}: {diag[i]:.3e}")
-    rows, cols, vals = off_diagonal(d0)
-    for k in np.flatnonzero(vals < 0):
-        issues.append(f"negative hidden rate at ({rows[k]},{cols[k]}): {vals[k]:.3e}")
-    active = d1.tocoo()
-    for k in np.flatnonzero(active.data < 0):
-        issues.append(
-            f"negative active rate at ({active.row[k]},{active.col[k]}): "
-            f"{active.data[k]:.3e}"
-        )
-
-    scale = max(abs(d0).max(), abs(d1).max(), 1.0)
-    row_sums = d0.sum(axis=1) + d1.sum(axis=1)
-    for i in np.flatnonzero(np.abs(row_sums) > 1e-10 * scale):
-        issues.append(f"row sum nonzero at state {i}: {row_sums[i]:.3e}")
-    return issues
 
 
 def kronecker_sum(m1, m2):

@@ -12,11 +12,14 @@ import math
 
 import numpy as np
 
-from ttldelay import distributions as dist
-from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 from ttldelay.errors import DegenerateProcessError
 from ttldelay.hierarchy import build_tree, delay_pencil
 from ttldelay.map_algebra import event_rate
+from ttldelay.spec import (  # noqa: F401  (re-exported)
+    _max_tree_rate,
+    with_delay_means,
+    zero_delay_variant,
+)
 
 log = logging.getLogger(__name__)
 
@@ -34,45 +37,6 @@ def hit_probability(system, total_request_rate):
     if p < -1e-9 or p > 1 + 1e-9:
         log.warning("hit probability %.3e clamped into [0, 1]", p)
     return min(max(p, 0.0), 1.0)
-
-
-def _max_tree_rate(spec):
-    rates = [1.0]
-    for node in spec.nodes():
-        rates.append(1.0 / node.ttl.mean())
-        if node.arrival is not None:
-            rates.append(1.0 / node.arrival.mean())
-    return max(rates)
-
-
-def _map_delays(node, fn):
-    return CacheNode(
-        id=node.id,
-        ttl=node.ttl,
-        delay=fn(node.delay),
-        children=tuple(_map_delays(c, fn) for c in node.children),
-        arrival=node.arrival,
-    )
-
-
-def zero_delay_variant(spec):
-    """Replace every fetch delay by an exponential fast enough to be 'zero':
-    its rate is 1e6 times the largest of 1 and the tree's TTL and arrival rates.
-
-    ``simulate`` and ``approx`` take their zero-delay point from it.  The hit
-    probability misses the exact zero-delay limit (:meth:`DelayPencil.limit`)
-    by about 1e-6 relative: 5.5e-8 to 3.3e-7 on ``configs/``, and up to about
-    1.8e-6 on generated trees.
-    """
-    rate = 1e6 * _max_tree_rate(spec)
-    return CacheTreeSpec(_map_delays(spec.root, lambda d: dist.Exponential(rate)))
-
-
-def with_delay_means(spec, mean):
-    """Rescale every fetch delay in the tree to the given mean, keeping shapes."""
-    if mean <= 0:
-        return zero_delay_variant(spec)
-    return CacheTreeSpec(_map_delays(spec.root, lambda d: d.scaled_to_mean(mean)))
 
 
 def tree_hit_probability(spec, lump_per_level=True):
@@ -111,7 +75,9 @@ def lambert_w(branch, x):
 
     Halley iteration from a branch-appropriate starting point, at most 50
     steps, stopped once ``|w exp(w) - x| <= 1e-14 * |x|``, so tiny ``x`` keep
-    their relative accuracy.
+    their relative accuracy, or once a step is within four ulps of ``w``.
+    For ``|w|`` above about 100 a double cannot reach that residual, and the
+    iterate only steps between neighbouring floats.
     """
     if branch not in (0, -1):
         raise ValueError("branch must be 0 or -1")
@@ -160,7 +126,7 @@ def lambert_w(branch, x):
         if (branch == 0 and new_w < -1.0) or (branch == -1 and new_w > -1.0):
             new_w = 0.5 * (w - 1.0)
         w = new_w
-        if abs(step) < 1e-16 * max(abs(w), 1.0):
+        if abs(step) <= 4.0 * math.ulp(w):
             break
     return w
 

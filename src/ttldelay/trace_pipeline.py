@@ -19,7 +19,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ttldelay.distributions import Coxian
 from ttldelay.errors import FitError
@@ -319,7 +318,12 @@ def select_phases(samples, candidate_range, **fit_kwargs):
 
 
 def coxian_pdf(cox, xs):
-    """Density of a Coxian law on a grid (one stacked matrix exponential)."""
+    """Density of a Coxian law on a grid (one stacked matrix exponential).
+
+    The only user of SciPy in this module, so it imports ``expm`` here.
+    """
+    from scipy.linalg import expm
+
     _, s_mat = cox.ph()
     exit_rates = -s_mat.sum(axis=1)
     xs = np.asarray(xs, dtype=float)

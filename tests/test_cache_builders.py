@@ -10,10 +10,10 @@ from ttldelay.cache_builders import (
 )
 from ttldelay.distributions import Coxian, Deterministic, Erlang, Exponential, GeneralPH
 from ttldelay.errors import ConfigError, UnsupportedDistributionError
-from ttldelay.map_algebra import event_rate, steady_state, validate_map
+from ttldelay.map_algebra import event_rate, steady_state
 from ttldelay.metrics import hit_probability
 
-from conftest import ph_renewal_map, single_mmm
+from conftest import encode, ph_renewal_map, single_mmm, validate_map
 
 # Pinned by a 10^7-request discrete-event run (seed 20250809):
 # single cache, Poisson(1) input, exponential TTL mean 2, Erlang-2 delay mean 1.
@@ -49,7 +49,7 @@ class TestCacheStateMap:
             m.d0.toarray(), [[0.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 1.0, -1.0]]
         )
         assert not m.d1.toarray().any()
-        assert [lab.encode() for lab in m.labels] == ["O", "I", "F1"]
+        assert [encode(lab) for lab in m.labels] == ["O", "I", "F1"]
 
     def test_erlang_delay_downward_chain(self):
         f = 3
@@ -85,18 +85,18 @@ class TestSingleCache:
     def test_erlang_arrivals_six_states(self):
         m = build_single_cache(Erlang(2, 2.0), Exponential(0.5), Exponential(1.0))
         assert m.size == 6
-        encoded = {lab.encode() for lab in m.labels}
+        encoded = {encode(lab) for lab in m.labels}
         assert encoded == {
             "(A1)O", "(A2)O", "(A1)I", "(A2)I", "(A1)F1", "(A2)F1",
         }
         # Arrival completion in Out is an active miss entering the fetch state
         # and resetting the arrival phase.
-        i = m.labels.index(next(l for l in m.labels if l.encode() == "(A2)O"))
-        j = m.labels.index(next(l for l in m.labels if l.encode() == "(A1)F1"))
+        i = m.labels.index(next(l for l in m.labels if encode(l) == "(A2)O"))
+        j = m.labels.index(next(l for l in m.labels if encode(l) == "(A1)F1"))
         assert m.d1[i, j] == pytest.approx(2.0)
         # Completion while in cache is a hit: hidden.
-        i = m.labels.index(next(l for l in m.labels if l.encode() == "(A2)I"))
-        j = m.labels.index(next(l for l in m.labels if l.encode() == "(A1)I"))
+        i = m.labels.index(next(l for l in m.labels if encode(l) == "(A2)I"))
+        j = m.labels.index(next(l for l in m.labels if encode(l) == "(A1)I"))
         assert m.d1[i, j] == 0.0
         assert m.d0[i, j] == pytest.approx(2.0)
         assert validate_map(m) == []
@@ -115,7 +115,7 @@ class TestSingleCache:
         # reset the arrival phase; for single-phase arrivals the reset folds
         # into the diagonal).
         m = build_single_cache(Erlang(2, 2.0), Exponential(0.5), Exponential(1.0))
-        i = m.labels.index(next(l for l in m.labels if l.encode() == "(A2)I"))
+        i = m.labels.index(next(l for l in m.labels if encode(l) == "(A2)I"))
         off_diag = m.d0[i].sum() - m.d0[i, i] + m.d1[i].sum()
         assert off_diag == pytest.approx(0.5 + 2.0, abs=1e-12)
         assert m.d0[i].sum() + m.d1[i].sum() == pytest.approx(0.0, abs=1e-12)

@@ -20,12 +20,11 @@ from ttldelay.map_algebra import (
     event_rate,
     kronecker_sum,
     steady_state,
-    validate_map,
 )
 from ttldelay.metrics import hit_probability, tree_hit_probability
 from ttldelay.simulator import SimConfig, simulate
 
-from conftest import two_level_tree, single_mmm
+from conftest import encode, two_level_tree, single_mmm, validate_map
 
 
 def mmm_leaf():
@@ -67,14 +66,14 @@ class TestLevelSuperpose:
 class TestLineSuperpose:
     def test_two_caches_in_line_state_set(self):
         line = line_superpose(mmm_parent(), mmm_leaf(), [1.0], [([1.0], 1)])
-        names = {lab.encode() for lab in line.labels}
+        names = {encode(lab) for lab in line.labels}
         assert names == {"(O)O", "(O)I", "(I)O", "(I)I", "(F1)O", "(F1)I", "(F1)F1"}
         assert validate_map(line) == []
 
     def test_two_caches_in_line_active_transitions(self):
         line = line_superpose(mmm_parent(), mmm_leaf(), [1.0], [([1.0], 1)])
         actives = {
-            (line.labels[i].encode(), line.labels[j].encode())
+            (encode(line.labels[i]), encode(line.labels[j]))
             for i, j in zip(*np.nonzero(line.d1.toarray()))
         }
         assert actives == {("(O)O", "(F1)F1"), ("(F1)F1", "(F1)F1")}

@@ -24,10 +24,9 @@ from ttldelay.map_algebra import (
     event_rate,
     off_diagonal,
     steady_state,
-    validate_map,
 )
 
-from conftest import flat_tree
+from conftest import encode, flat_tree, validate_map
 
 
 # The strong-lumpability oracle: a partition of a full product and a check
@@ -225,11 +224,11 @@ class TestLumpSymmetricLevel:
     def test_pair_of_identical_caches(self):
         pair, partition, _ = product_then_lump(leaf_map(), 2)
         lumped = lump_symmetric_level(leaf_map(), 2)
-        assert [label.encode() for label in lumped.map.labels] == [
+        assert [encode(label) for label in lumped.map.labels] == [
             "F1F1", "F1I", "F1O", "II", "IO", "OO",
         ]
         blocks = {
-            frozenset(pair.labels[s].encode() for s in block)
+            frozenset(encode(pair.labels[s]) for s in block)
             for block in partition.blocks
         }
         assert blocks == {
@@ -280,9 +279,9 @@ class TestVerifyLumpability:
         blocks = list(partition.blocks)
         # Merge the all-out block with the all-in block.
         out_b = next(i for i, b in enumerate(blocks)
-                     if pair.labels[b[0]].encode() == "OO")
+                     if encode(pair.labels[b[0]]) == "OO")
         in_b = next(i for i, b in enumerate(blocks)
-                    if pair.labels[b[0]].encode() == "II")
+                    if encode(pair.labels[b[0]]) == "II")
         merged = blocks[out_b] + blocks[in_b]
         new_blocks = [b for i, b in enumerate(blocks) if i not in (out_b, in_b)]
         new_blocks.append(merged)

@@ -103,6 +103,26 @@ class TestLambertW:
             w = lambert_w(-1, float(x))
             assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
 
+    @pytest.mark.parametrize("branch, x", [
+        (-1, -2.7e-236),
+        (-1, -1.645641571998578e-54),
+        (-1, -4.924947077266155e-240),
+        (0, 1e300),
+        (0, 2.487126351369676e115),
+        (0, 2.9089205915811103e237),
+    ])
+    def test_large_w_stops_within_a_few_steps(self, monkeypatch, branch, x):
+        # For |w| above about 100 a double cannot reach the 1e-14 relative
+        # residual; the second and third input of each branch used to step
+        # between neighbouring floats for all 50 iterations.
+        calls = []
+        exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda v: calls.append(v) or exp(v))
+        w = lambert_w(branch, x)
+        monkeypatch.undo()
+        assert len(calls) <= 6
+        assert w * math.exp(w) == pytest.approx(x, rel=1e-12)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             lambert_w(0, -1.0)

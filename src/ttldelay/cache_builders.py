@@ -10,6 +10,9 @@ the fetch-delay distribution.  Fetch phases count down: a miss enters at
 whose entry is spread over several phases (general PH initial vectors), the
 miss transition is split proportionally.
 
+Each state's codes (:class:`ttldelay.map_algebra.StateCodes`) are its arrival
+phase, when the arrival has more than one, then the cache's own state.
+
 Active transitions denote misses.  Under exponential TTLs a hit needs no
 transition of its own: the refreshed TTL is statistically indistinguishable
 from the running one, so hits only show up as arrival-phase resets.
@@ -19,16 +22,27 @@ import numpy as np
 
 from ttldelay import distributions as dist
 from ttldelay.errors import UnsupportedDistributionError
-from ttldelay.map_algebra import (
-    IN,
-    OUT,
-    LabeledMap,
-    StateLabel,
-    arrival_node,
-    cache_node,
-    fetch,
-)
+from ttldelay.map_algebra import IN_CODE, OUT_CODE, LabeledMap, StateCodes
 from ttldelay.spec import CacheNode, CacheTreeSpec, cache_state_count  # noqa: F401
+
+
+def own_codes(n):
+    """Codes of a cache's own states ``[Out, In, F_1, ..., F_{n-2}]``."""
+    return np.r_[OUT_CODE, IN_CODE, np.arange(n - 2)].astype(np.uint8)
+
+
+def _cache_codes(n, phases):
+    """Codes of a cache's ``n`` own states (slow) times ``phases`` arrival
+    phases; a single phase has no arrival node."""
+    if max(n - 2, phases) > IN_CODE:
+        raise UnsupportedDistributionError(
+            f"the exact engine supports at most {IN_CODE} phases per distribution"
+        )
+    own = np.repeat(own_codes(n), phases)
+    if phases == 1:
+        return StateCodes(own[:, None], (((), False),))
+    arrival = np.tile(np.arange(phases, dtype=np.uint8), n)
+    return StateCodes(np.column_stack([arrival, own]), (((((), True),), False),))
 
 
 def _reversed_ph(d):
@@ -62,11 +76,7 @@ def build_parent_cache(ttl, delay, delay_unit=1.0):
     d0[1, 1] = -ttl.rate
     d0[2:, 2:] = s_rev
     d0[2:, 1] = exit_rev
-    labels = [
-        StateLabel((cache_node((), OUT),)),
-        StateLabel((cache_node((), IN),)),
-    ] + [StateLabel((cache_node((), fetch(i + 1)),)) for i in range(f)]
-    return LabeledMap(d0, np.zeros((n, n)), labels)
+    return LabeledMap(d0, np.zeros((n, n)), _cache_codes(n, 1))
 
 
 def fetch_entry_distribution(delay):
@@ -101,11 +111,4 @@ def build_single_cache(arrival, ttl, delay, delay_unit=1.0):
         + np.kron(hit, renewal)
     )
     d1 = np.kron(miss, renewal)
-
-    labels = []
-    for ci in range(nc):
-        sym = cache.labels[ci].forest[0][1]
-        for ai in range(na):
-            children = (arrival_node(ai + 1),) if na > 1 else ()
-            labels.append(StateLabel((cache_node(children, sym),)))
-    return LabeledMap(d0, d1, labels)
+    return LabeledMap(d0, d1, _cache_codes(nc, na))

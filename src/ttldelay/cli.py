@@ -29,7 +29,13 @@ from ttldelay import distributions as dist
 from ttldelay.approximation import hierarchy_approx
 from ttldelay.errors import ConfigError, TTLDelayError
 from ttldelay.simulator import SimConfig, simulate
-from ttldelay.spec import CacheNode, CacheTreeSpec, with_delay_means
+from ttldelay.spec import (
+    CacheNode,
+    CacheTreeSpec,
+    lump_plus_width,
+    partition_count,
+    with_delay_means,
+)
 from ttldelay.trace_pipeline import (
     coxian_pdf,
     fit_ph_em,
@@ -39,6 +45,10 @@ from ttldelay.trace_pipeline import (
 )
 
 LUMP_AUTO_THRESHOLD = 10_000
+# libyaml's parser and emitter when PyYAML was built with them: the same
+# documents, several times faster than the pure-Python ones.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 log = logging.getLogger(__name__)
 
@@ -62,8 +72,6 @@ def _engine(module, name):
 
 build_tree = _engine("ttldelay.hierarchy", "build_tree")
 delay_pencil = _engine("ttldelay.hierarchy", "delay_pencil")
-lump_plus_width = _engine("ttldelay.hierarchy", "lump_plus_width")
-partition_count = _engine("ttldelay.lumping", "partition_count")
 hit_probability = _engine("ttldelay.metrics", "hit_probability")
 delay_upper_bound = _engine("ttldelay.metrics", "delay_upper_bound")
 optimal_delay = _engine("ttldelay.metrics", "optimal_delay")
@@ -114,7 +122,7 @@ def parse_node(cfg, context="tree"):
 def load_config(path):
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -317,7 +325,7 @@ def cmd_fit_trace(args):
             "EM stopped at its iteration limit (%d iterations) before converging",
             len(report.log_likelihood_trace),
         )
-    text = yaml.safe_dump(doc, sort_keys=False)
+    text = yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -20,22 +20,22 @@ requests answered by an origin fetch (system misses).
 
 A delay sweep scales every delay rate by one factor and moves nothing else,
 so :func:`delay_pencil` composes the tree once, as the pencil
-``A + rate * B`` with fixed labels and ``d1``, and each point of the sweep is
-a sparse sum instead of a new composition, and its limit is the exact
-zero-delay MAP.
+``A + rate * B`` with fixed state codes and ``d1``, and each point of the
+sweep is a sparse sum instead of a new composition, and its limit is the
+exact zero-delay MAP.
 
-Every step works on sparse matrices: a Kronecker sum of sparse factors, a
-state mask, and the reclassified child events as COO triplets.  Child events
-are classified from per-state root codes (each child's kind and whether it
-sits at an entry phase), as masks over all nonzeros at once.  The cost grows
-with the nonzeros of the composed MAP and the labels it builds; the
-dominating cost is the sparse LU of the steady-state solve, whose fill
-per-level lumping keeps small for symmetric trees.
+Every step works on sparse matrices and integer state codes: the
+children-parent Kronecker sum as COO triplets by index arithmetic, a state
+mask, and the reclassified child events as COO triplets.  Child events are
+classified from per-state root codes (each child's kind and whether it sits
+at an entry phase), as masks over all nonzeros at once, and a snapped target
+is found by a binary search on its codes.  No label is built; the cost grows
+with the nonzeros of the composed MAP, and the dominating cost is the
+steady-state solve, whose fill per-level lumping keeps small for symmetric
+trees.
 """
 
-import math
 from dataclasses import dataclass
-from itertools import groupby, product
 
 import numpy as np
 from scipy import sparse
@@ -45,17 +45,23 @@ from ttldelay.cache_builders import (
     build_parent_cache,
     build_single_cache,
     fetch_entry_distribution,
+    own_codes,
 )
 from ttldelay.errors import ConfigError, PencilLimitError
 from ttldelay.map_algebra import (
+    IN_CODE,
+    OUT_CODE,
     LabeledMap,
-    StateLabel,
+    StateCodes,
     empty_map,
+    kron_sum_triplets,
     kronecker_sum,
     off_diagonal,
+    node_width,
+    row_keys,
 )
-from ttldelay.lumping import lump_symmetric_level, partition_count
-from ttldelay.spec import cache_state_count
+from ttldelay.lumping import lump_symmetric_level
+from ttldelay.spec import lump_plus_width, sibling_runs  # noqa: F401
 
 
 def level_superpose(maps):
@@ -69,30 +75,36 @@ def level_superpose(maps):
     return result
 
 
-def _snap_matrix(targets, forests, restart, entries, bounds):
+def _snap_matrix(codes, targets, tops, restart, entries, bounds):
     """Rows ``targets`` of the children's snap matrix: the ``restart``
     (mid-fetch) children collapse onto their entry distribution, since a
     chain start freezes their clocks and the parent's admission restarts
-    them from scratch.  Snapped roots are re-sorted within each sibling run
-    (between consecutive ``bounds``), as a lumped level labels its states.
+    them from scratch.  Each target expands into every combination of entry
+    phases, the first child's varying slowest, with the child's root code at
+    column ``tops[j]``.  Snapped subtrees are re-sorted within each sibling
+    run (between consecutive ``bounds``), as a lumped level orders them, and
+    each combination's state is found by its codes' key.
     """
-    index = {forest: i for i, forest in enumerate(forests)}
-    rows, cols, shares = [], [], []
-    for t in targets.tolist():
-        options = [
-            [((node[0], ("F", k + 1)), w) for k, w in enumerate(entry) if w > 0]
-            if snap else [(node, 1.0)]
-            for node, snap, entry in zip(forests[t], restart[t], entries)
-        ]
-        for combo in product(*options):
-            nodes, weights = zip(*combo)
-            forest = tuple(
-                node for a, b in zip(bounds, bounds[1:]) for node in sorted(nodes[a:b])
-            )
-            rows.append(t)
-            cols.append(index[forest])
-            shares.append(math.prod(weights))
-    n = len(forests)
+    rows, table, shares = targets, codes.table[targets], np.ones(len(targets))
+    for j, entry in enumerate(entries):
+        phases = np.flatnonzero(entry > 0)
+        snap = restart[rows, j]
+        copies = np.where(snap, len(phases), 1)
+        pick = np.repeat(np.arange(len(rows)), copies)
+        option = np.arange(len(pick)) - np.repeat(np.cumsum(copies) - copies, copies)
+        rows, table, shares, snap = rows[pick], table[pick], shares[pick], snap[pick]
+        k = phases[option[snap]]
+        table[snap, tops[j]] = k
+        shares[snap] *= entry[k]
+    starts = np.r_[0, tops[:-1] + 1]
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a > 1:  # a run's subtrees are equal-width byte strings
+            lo, hi = starts[a], tops[b - 1] + 1
+            run = np.ascontiguousarray(table[:, lo:hi]).view(f"V{(hi - lo) // (b - a)}")
+            table[:, lo:hi] = np.sort(run, axis=1).view(np.uint8)
+    order = codes.order()
+    cols = order[np.searchsorted(row_keys(codes.table)[order], row_keys(table))]
+    n = len(codes.table)
     return sparse.csr_array((shares, (rows, cols)), shape=(n, n))
 
 
@@ -109,45 +121,46 @@ def line_superpose(parent, children, parent_entry, child_runs):
     """
     if parent.d1.count_nonzero():
         raise ConfigError("parent MAP must have no active transitions")
-    p_syms = [label.forest[0][1] for label in parent.labels]
-    if p_syms[:2] != [("O", 0), ("I", 0)] or any(s[0] != "F" for s in p_syms[2:]):
+    npar = parent.size
+    if (parent.codes.shape != (((), False),)
+            or not np.array_equal(parent.codes.table[:, 0], own_codes(npar))):
         raise ConfigError("parent MAP states must be ordered [Out, In, F_1..F_f]")
-    forests = [label.forest for label in children.labels]
-    entries = [entry for entry, n in child_runs for _ in range(n)]
-    widths = {len(forest) for forest in forests}
-    if widths != {len(entries)}:
+    codes = children.codes
+    entries = [np.asarray(entry) for entry, n in child_runs for _ in range(n)]
+    if len(codes.shape) != len(entries):
         raise ConfigError(
             f"{len(entries)} child entry distributions for children MAP "
-            f"labels of width {sorted(widths)}"
+            f"labels of width {len(codes.shape)}"
         )
     bounds = np.cumsum([0] + [n for _, n in child_runs]).tolist()
-    nc, npar, width = children.size, parent.size, len(entries)
+    nc, n_children = children.size, len(entries)
 
-    # Root codes of every children state, one per child: its kind, and
-    # whether it is at an entry phase of its delay (a fetching child waits
-    # there until the parent admits; its delay clock only starts then).
-    roots = [(node[1], e) for forest in forests for node, e in zip(forest, entries)]
-    kind = np.array([s[0] for s, _ in roots]).reshape(nc, width)  # O, I or F
-    at_entry = np.array([s[0] == "F" and e[s[1] - 1] > 0 for s, e in roots])
-    at_entry = at_entry.reshape(nc, width)
-    fetching = kind == "F"
+    # Root codes of every children state, one per child, in its column
+    # ``tops[j]``: its kind, and whether it is at an entry phase of its delay
+    # (a fetching child waits there until the parent admits; its delay clock
+    # only starts then).
+    tops = np.cumsum([node_width(node) for node in codes.shape]) - 1
+    roots = codes.table[:, tops]
+    entry_phase = np.zeros((n_children, OUT_CODE + 1), dtype=bool)
+    for j, entry in enumerate(entries):
+        entry_phase[j, :len(entry)] = entry > 0
+    at_entry = entry_phase[np.arange(n_children), roots]
+    fetching = roots < IN_CODE
 
     # Every child transition moves exactly one child, so the change in how
     # many children are out, in and fetching names that child's root move,
     # for plain and sorted labels alike.
-    counts = {k: (kind == k).sum(axis=1) for k in "OIF"}
+    counts = {"O": (roots == OUT_CODE).sum(axis=1), "I": (roots == IN_CODE).sum(axis=1),
+              "F": fetching.sum(axis=1)}
 
     def moves(src, dst, leaving, entering):
         change = {k: counts[k][dst] - counts[k][src] for k in (leaving, entering)}
         return (change[leaving] == -1) & (change[entering] == 1)
 
-    # Step (a): Kronecker sum, children index varying slowest.  State
-    # (child ci, parent pi) has index ci * npar + pi.  Only its rates are
-    # kept; the labels of the valid states are built at the end, so the
-    # product's own labels are freed here.
-    combo = kronecker_sum(children, parent)
-    hidden, active = combo.d0.tocoo(), combo.d1.tocoo()
-    del combo
+    # Step (a): Kronecker sum, children index varying slowest, as COO
+    # triplets.  State (child ci, parent pi) has index ci * npar + pi.
+    h_row, h_col, h_data = kron_sum_triplets(children.d0, parent.d0)
+    a_row, a_col, a_data = kron_sum_triplets(children.d1, parent.d1)
 
     # Step (b), states: a fetching parent needs some child fetching and every
     # fetching child at an entry phase.  The rule treats all fetch phases of
@@ -179,7 +192,7 @@ def line_superpose(parent, children, parent_entry, child_runs):
         (rates[starts_chain], (src[starts_chain], dst[starts_chain])), shape=(nc, nc)
     )
     snap = _snap_matrix(
-        np.unique(dst[starts_chain]), forests, fetching & ~at_entry, entries, bounds
+        codes, np.unique(dst[starts_chain]), tops, fetching & ~at_entry, entries, bounds
     )
     origin_fetch = np.zeros((npar, npar))
     origin_fetch[0, 2:] = parent_entry  # Out -> F_k: the parent fetches too
@@ -190,34 +203,30 @@ def line_superpose(parent, children, parent_entry, child_runs):
 
     # Step (b), transitions: a child cannot be admitted while the parent is
     # still fetching, whatever the surrounding states look like.
-    row_child, row_parent = np.divmod(hidden.row.astype(np.int64), npar)
-    admission_blocked = (row_parent >= 2) & moves(
-        row_child, hidden.col.astype(np.int64) // npar, "F", "I"
-    )
-    keep0 = (hidden.row != hidden.col) & ~admission_blocked
-    keep1 = active.row % npar >= 2  # events under a fetching parent
+    row_child, row_parent = np.divmod(h_row, npar)
+    admission_blocked = (row_parent >= 2) & moves(row_child, h_col // npar, "F", "I")
+    keep0 = (h_row != h_col) & ~admission_blocked
+    keep1 = a_row % npar >= 2  # events under a fetching parent
 
     d0 = _restrict(
         valid,
-        [hidden.row[keep0], src[moved] * npar + 1, src[absorbed] * npar],
-        [hidden.col[keep0], dst[moved] * npar + 1, dst[absorbed] * npar],
-        [hidden.data[keep0], rates[moved], rates[absorbed]],
+        [h_row[keep0], src[moved] * npar + 1, src[absorbed] * npar],
+        [h_col[keep0], dst[moved] * npar + 1, dst[absorbed] * npar],
+        [h_data[keep0], rates[moved], rates[absorbed]],
     )
     d1 = _restrict(
         valid,
-        [active.row[keep1], escalated.row],
-        [active.col[keep1], escalated.col],
-        [active.data[keep1], escalated.data],
+        [a_row[keep1], escalated.row],
+        [a_col[keep1], escalated.col],
+        [a_data[keep1], escalated.data],
     )
 
     # Deleted transitions freeze the affected clocks: restore conservation.
     d0 = d0 - sparse.diags_array(d0.sum(axis=1) + d1.sum(axis=1))
 
-    labels = []
-    for s in np.flatnonzero(valid):
-        ci, pi = divmod(int(s), npar)
-        labels.append(StateLabel(((forests[ci], p_syms[pi]),)))
-    return LabeledMap(d0, d1, tuple(labels))
+    ci, pi = np.divmod(np.flatnonzero(valid), npar)
+    table = np.hstack([codes.table[ci], parent.codes.table[pi]])
+    return LabeledMap(d0, d1, StateCodes(table, ((codes.shape, False),)))
 
 
 def _restrict(valid, rows, cols, vals):
@@ -230,21 +239,6 @@ def _restrict(valid, rows, cols, vals):
     return sparse.csr_array(
         (vals[inside], (index[rows[inside]], index[cols[inside]])), shape=(n, n)
     )
-
-
-def sibling_runs(children):
-    """Runs of adjacent siblings of equal shape: the exchangeable sub-trees
-    that per-level lumping merges."""
-    return [list(run) for _, run in groupby(children, key=lambda node: node.shape)]
-
-
-def lump_plus_width(node):
-    """State count of a subtree with every sibling run lumped, at every level,
-    before invalid-state removal."""
-    width = cache_state_count(node)
-    for first, *rest in sibling_runs(node.children):
-        width *= partition_count(lump_plus_width(first), 1 + len(rest))
-    return width
 
 
 def _compose(spec, lump_per_level, delay_unit):
@@ -289,17 +283,17 @@ class DelayPencil:
     Multiplying every delay rate by ``rate`` (every delay mean by
     ``1 / rate``, shapes kept) gives the hidden matrix ``a + rate * b``:
     ``b`` holds the delay rates, ``a`` the others.  The active matrix ``d1``
-    and the labels do not depend on the delays.
+    and the state codes (or labels) do not depend on the delays.
     """
 
     a: sparse.csr_array
     b: sparse.csr_array
     d1: sparse.csr_array
-    labels: tuple
+    codes: StateCodes
 
     def at(self, rate):
         """The MAP with every delay rate multiplied by ``rate``."""
-        return LabeledMap(self.a + rate * self.b, self.d1, self.labels)
+        return LabeledMap(self.a + rate * self.b, self.d1, self.codes)
 
     def limit(self):
         """The exact zero-delay MAP, ``at(rate)`` as rate -> infinity: the
@@ -320,8 +314,8 @@ class DelayPencil:
         if np.any(end < 0) or np.any(end[rows] != end[cols]):
             raise PencilLimitError("a delay transition changes its fetch chain's end state")
         e = sparse.csr_array((np.ones(n), (np.arange(n), np.searchsorted(stops, end))))
-        labels = [self.labels[i] for i in stops]
-        return LabeledMap(self.a[stops] @ e, self.d1[stops] @ e, labels)
+        codes = StateCodes(self.codes.table[stops], self.codes.shape)
+        return LabeledMap(self.a[stops] @ e, self.d1[stops] @ e, codes)
 
 
 def delay_pencil(spec, lump_per_level=False):
@@ -333,4 +327,4 @@ def delay_pencil(spec, lump_per_level=False):
     ``a + 1j * b``.
     """
     system = _compose(spec, lump_per_level, 1j)
-    return DelayPencil(system.d0.real, system.d0.imag, system.d1, system.labels)
+    return DelayPencil(system.d0.real, system.d0.imag, system.d1, system.codes)

@@ -6,20 +6,24 @@ one another can be merged without approximation (Buchholz, J. Appl. Prob.
 1994).  The lumped level is built directly over multisets of sibling
 sub-states, without the ``m_S**n`` product: each block is a frequency vector
 over sub-states, which is why the block count is the number of weak
-compositions ``C(n + m_S - 1, m_S - 1)``.  The strong-lumpability oracle that
-checks a level against the lumped full product lives with the tests.
+compositions ``C(n + m_S - 1, m_S - 1)``.  Sub-states are ranked by their
+codes (:class:`ttldelay.map_algebra.StateCodes`), whose order is label order,
+and a block's codes are its sub-states' codes side by side.  The
+strong-lumpability oracle that checks a level against the lumped full product
+lives with the tests.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb
 
+import numpy as np
 from scipy import sparse
 
 from ttldelay.errors import CapacityError
-from ttldelay.map_algebra import LabeledMap, StateLabel
+from ttldelay.map_algebra import LabeledMap, StateCodes
 from ttldelay.settings import default_settings
+from ttldelay.spec import partition_count
 
 
 @dataclass(frozen=True)
@@ -29,31 +33,21 @@ class LumpedMap:
     map: LabeledMap
 
 
-def partition_count(m_s, n):
-    """Number of sibling-permutation blocks for ``n`` sub-trees of ``m_s`` states.
-
-    Exact integer arithmetic; this is the stars-and-bars count of frequency
-    vectors.
-    """
-    if m_s < 1 or n < 1:
-        raise ValueError("m_s and n must be positive")
-    return comb(n + m_s - 1, m_s - 1)
-
-
 def lump_symmetric_level(sibling, n):
     """Superpose ``n`` copies of ``sibling``, lumped over sibling permutations.
 
-    Sub-states are ranked by label; a block is a nondecreasing ``n``-tuple of
-    ranks, blocks come in lexicographic order and each block's label
-    concatenates its sub-state forests in that order.  A sub-state move
-    ``a -> b`` of rate ``r`` taken by one of the ``c`` siblings in ``a`` moves
-    the block to the one with ``a`` replaced by ``b`` at rate ``c * r``.
+    Sub-states are ranked in label order, read off the sibling's codes; a
+    block is a nondecreasing ``n``-tuple of ranks, blocks come in
+    lexicographic order and each block's codes (so its label) concatenate
+    its sub-states' in that order.  A sub-state move ``a -> b`` of rate ``r``
+    taken by one of the ``c`` siblings in ``a`` moves the block to the one
+    with ``a`` replaced by ``b`` at rate ``c * r``.
     """
     count = partition_count(sibling.size, n)
     cap = default_settings().state_cap
     if count > cap:
         raise CapacityError(count, cap, hint="the level is too wide even lumped")
-    order = sorted(range(sibling.size), key=lambda s: sibling.labels[s].forest)
+    order = sibling.codes.order()
     blocks = list(combinations_with_replacement(range(sibling.size), n))
     index = {block: i for i, block in enumerate(blocks)}
 
@@ -73,9 +67,6 @@ def lump_symmetric_level(sibling, n):
                     rates.append(c * r)
         return sparse.csr_array((rates, (rows, cols)), shape=(count, count))
 
-    forests = [sibling.labels[s].forest for s in order]
-    labels = tuple(
-        StateLabel(tuple(node for a in block for node in forests[a]))
-        for block in blocks
-    )
-    return LumpedMap(LabeledMap(lumped(sibling.d0), lumped(sibling.d1), labels))
+    table = sibling.codes.table[order][np.array(blocks)].reshape(count, -1)
+    codes = StateCodes(table, sibling.codes.shape * n)
+    return LumpedMap(LabeledMap(lumped(sibling.d0), lumped(sibling.d1), codes))

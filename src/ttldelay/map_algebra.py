@@ -6,12 +6,10 @@ them sparse (a Kronecker sum of sparse factors is sparse).  The steady state
 of a large chain comes from GCROT(m,k) on the embedded-chain scaling of the
 balance equations, preconditioned by a symmetric Gauss-Seidel sweep; a small
 chain, or one where GCROT misses, is solved by a sparse LU factorization.
-Every state carries a :class:`StateLabel` describing what the state means in
-terms of the cache tree: one symbol per cache plus the phase of each
-phase-type arrival process.
 
-Labels are nested tuples so that composition operations (Kronecker sums, line
-superposition, lumping) can manipulate them structurally:
+Each state has a :class:`StateLabel` describing what it means in terms of the
+cache tree: one symbol per cache plus the phase of each phase-type arrival
+process.  Labels are nested tuples:
 
 * a node is ``(children, symbol)`` where ``children`` is a tuple of nodes,
 * cache symbols are ``("O", 0)`` (out), ``("I", 0)`` (in cache) or
@@ -21,10 +19,16 @@ superposition, lumping) can manipulate them structurally:
 
 A :class:`StateLabel` is a tuple of such nodes (a forest): level superposition
 concatenates forests, line superposition wraps a forest under a new root.
+Composition builds no label.  A composed MAP holds :class:`StateCodes`, one
+row of small integers per state, and ``LabeledMap.labels`` decodes them when
+it is first read.  Composition works on the rows: a Kronecker sum places its
+factors' rows side by side, as its state index is their mixed-radix number
+(Plateau, SIGMETRICS 1985), and rows sort as labels do.
 """
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -78,6 +82,65 @@ class StateLabel:
     forest: tuple
 
 
+# Node codes: phase k of a fetch (F_k) or of an arrival (A_k) is k - 1, and
+# In and Out come last, so codes sort as the symbols do (F_k < I < O).
+IN_CODE, OUT_CODE = 254, 255
+
+
+def _symbol(code):
+    return OUT if code == OUT_CODE else IN if code == IN_CODE else fetch(code + 1)
+
+
+def node_width(node):
+    """Columns a node of a :class:`StateCodes` shape takes: its subtree's."""
+    return 1 + sum(map(node_width, node[0]))
+
+
+def _forests(shape, table):
+    """The forest of ``shape`` that each row of ``table`` codes.  Each node is
+    built once per distinct code of its subtree and shared between rows."""
+    nodes, lo = [], 0
+    for node in shape:
+        hi = lo + node_width(node)
+        distinct, inverse = np.unique(table[:, lo:hi], axis=0, return_inverse=True)
+        below = _forests(node[0], distinct[:, :-1])
+        made = [
+            arrival_node(c + 1) if node[1] else cache_node(children, _symbol(c))
+            for children, c in zip(below, distinct[:, -1].tolist())
+        ]
+        nodes.append([made[i] for i in inverse.ravel().tolist()])
+        lo = hi
+    return list(zip(*nodes)) if nodes else [()] * len(table)
+
+
+def row_keys(table):
+    """One byte-string key per row of a ``uint8`` table, ordered as the rows are."""
+    table = np.ascontiguousarray(table)
+    return table.view(f"V{table.shape[1]}").ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class StateCodes:
+    """The states of a composed MAP as integer codes of their labels.
+
+    All states share one forest ``shape``: a tuple of ``(children shape,
+    is_arrival)`` per node.  Row ``s`` of the ``uint8`` array ``table`` holds
+    the codes of state ``s``'s nodes in post-order, a node's children before
+    the node.  So rows compare as the labels do: label order is the rows'
+    lexicographic order, and a row's bytes are its mixed-radix key.
+    """
+
+    table: np.ndarray
+    shape: tuple
+
+    def labels(self):
+        return tuple(map(StateLabel, _forests(self.shape, self.table)))
+
+    def order(self):
+        """The states in label order."""
+        return np.argsort(row_keys(self.table), kind="stable")
+
+
 class RateMatrix(sparse.csr_array):
     """CSR matrix of transition rates.
 
@@ -113,19 +176,26 @@ def _rate_matrix(x):
 
 @dataclass(frozen=True)
 class LabeledMap:
-    """A MAP: hidden matrix ``d0``, active matrix ``d1``, one label per state.
+    """A MAP: hidden matrix ``d0``, active matrix ``d1`` and its states, as
+    :class:`StateCodes` or as one label per state.
 
     Both matrices are stored as read-only CSR; dense input is converted.
     """
 
     d0: RateMatrix
     d1: RateMatrix
-    labels: tuple
+    codes: object
 
     def __post_init__(self):
         object.__setattr__(self, "d0", _rate_matrix(self.d0))
         object.__setattr__(self, "d1", _rate_matrix(self.d1))
-        object.__setattr__(self, "labels", tuple(self.labels))
+
+    @cached_property
+    def labels(self):
+        """One :class:`StateLabel` per state, built from the codes on first read."""
+        if isinstance(self.codes, StateCodes):
+            return self.codes.labels()
+        return tuple(self.codes)
 
     @property
     def size(self):
@@ -155,7 +225,8 @@ class SteadyState:
 
 def empty_map():
     """The one-state MAP with no caches; identity element of superposition."""
-    return LabeledMap(np.zeros((1, 1)), np.zeros((1, 1)), (StateLabel(()),))
+    no_nodes = StateCodes(np.zeros((1, 0), dtype=np.uint8), ())
+    return LabeledMap(np.zeros((1, 1)), np.zeros((1, 1)), no_nodes)
 
 
 def off_diagonal(m):
@@ -165,25 +236,50 @@ def off_diagonal(m):
     return coo.row[keep], coo.col[keep], coo.data[keep]
 
 
-def kronecker_sum(m1, m2):
-    """Superpose two independent MAPs via the Kronecker sum.
-
-    The left operand's index varies slowest; labels concatenate in the same
-    order.
+def kron_sum_triplets(a, b):
+    """COO triplets of the Kronecker sum ``a (x) I + I (x) b`` of two square
+    sparse matrices, the index of ``a`` varying slowest, without duplicates
+    or zeros.  The values are those of the CSR sum of the two Kronecker
+    products: ``x * 1 + 0`` off the diagonal and ``a_ii * 1 + b_jj * 1`` on
+    it, in complex arithmetic for a pencil, which fixes the sign of each zero
+    real or imaginary part.  Raises :class:`CapacityError` when the product
+    has more than ``state_cap`` states.
     """
-    n1, n2 = m1.size, m2.size
+    n1, n2 = a.shape[0], b.shape[0]
     cap = default_settings().state_cap
     if n1 * n2 > cap:
         raise CapacityError(n1 * n2, cap)
-    eye1, eye2 = sparse.eye_array(n1), sparse.eye_array(n2)
+    (ra, ca, va), (rb, cb, vb) = off_diagonal(a), off_diagonal(b)
+    fast, slow = np.arange(n2), np.arange(n1)[:, None] * n2
+    diag = (a.diagonal()[:, None] * 1.0 + b.diagonal() * 1.0).ravel()
+    on = np.flatnonzero(diag)
+    rows, cols = (
+        np.concatenate([(x.astype(np.int64)[:, None] * n2 + fast).ravel(), (slow + y).ravel(), on])
+        for x, y in ((ra, rb), (ca, cb))
+    )
+    values = np.concatenate([np.repeat(va, n2), np.tile(vb, n1)]) * 1.0 + 0.0
+    return rows, cols, np.concatenate([values, diag[on]])
+
+
+def kronecker_sum(m1, m2):
+    """Superpose two independent MAPs via the Kronecker sum.
+
+    The left operand's index varies slowest; both operands carry
+    :class:`StateCodes`, and code rows (so labels) concatenate in the same
+    order.
+    """
+    n = m1.size * m2.size
 
     def ksum(a, b):
-        return sparse.kron(a, eye2, format="csr") + sparse.kron(eye1, b, format="csr")
+        rows, cols, data = kron_sum_triplets(a, b)
+        return sparse.csr_array((data, (rows, cols)), shape=(n, n))
 
-    labels = tuple(
-        StateLabel(a.forest + b.forest) for a in m1.labels for b in m2.labels
+    codes = StateCodes(
+        np.hstack([np.repeat(m1.codes.table, m2.size, axis=0),
+                   np.tile(m2.codes.table, (m1.size, 1))]),
+        m1.codes.shape + m2.codes.shape,
     )
-    return LabeledMap(ksum(m1.d0, m2.d0), ksum(m1.d1, m2.d1), labels)
+    return LabeledMap(ksum(m1.d0, m2.d0), ksum(m1.d1, m2.d1), codes)
 
 
 def _recurrent_class_count(q):

@@ -3,13 +3,15 @@
 A :class:`CacheTreeSpec` says what the tree is: each cache's TTL, the fetch
 delay over the link above it and, at the leaves, the request stream.  Every
 view of the system reads it: the exact engine (:mod:`ttldelay.hierarchy`),
-the approximation, the simulator and the command line.  This module needs
-only the distributions, so a command that never builds a MAP does not load
-the sparse linear algebra behind the exact engine.
+the approximation, the simulator and the command line.  The state counts the
+engine would reach, lumped or not, are read off the spec here too.  This
+module needs only the distributions, so a command that never builds a MAP
+does not load the sparse linear algebra behind the exact engine.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from ttldelay import distributions as dist
 from ttldelay.errors import ConfigError
@@ -106,6 +108,32 @@ def cache_state_count(node):
     if node.arrival is not None:
         states *= len(node.arrival.ph()[0])
     return states
+
+
+def partition_count(m_s, n):
+    """Number of sibling-permutation blocks for ``n`` sub-trees of ``m_s`` states.
+
+    Exact integer arithmetic; this is the stars-and-bars count of frequency
+    vectors.
+    """
+    if m_s < 1 or n < 1:
+        raise ValueError("m_s and n must be positive")
+    return math.comb(n + m_s - 1, m_s - 1)
+
+
+def sibling_runs(children):
+    """Runs of adjacent siblings of equal shape: the exchangeable sub-trees
+    that per-level lumping merges."""
+    return [list(run) for _, run in groupby(children, key=lambda node: node.shape)]
+
+
+def lump_plus_width(node):
+    """State count of a subtree with every sibling run lumped, at every level,
+    before invalid-state removal."""
+    width = cache_state_count(node)
+    for first, *rest in sibling_runs(node.children):
+        width *= partition_count(lump_plus_width(first), 1 + len(rest))
+    return width
 
 
 def _max_tree_rate(spec):

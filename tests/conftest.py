@@ -1,9 +1,12 @@
+from itertools import combinations_with_replacement, product
+
 import numpy as np
 import pytest
 
-from ttldelay.cache_builders import CacheNode, CacheTreeSpec
+from ttldelay.cache_builders import CacheNode, CacheTreeSpec, fetch_entry_distribution
 from ttldelay.distributions import Erlang, Exponential, require_ph
-from ttldelay.map_algebra import LabeledMap, StateLabel, arrival_node, off_diagonal
+from ttldelay.hierarchy import sibling_runs
+from ttldelay.map_algebra import LabeledMap, StateCodes, StateLabel, off_diagonal
 
 
 def single_mmm(tau_delta, tau_t=2.0, rate=1.0):
@@ -63,8 +66,9 @@ def ph_renewal_map(d):
     require_ph(d, "renewal distribution")
     alpha, s = d.ph()
     exit_rates = -s.sum(axis=1)
-    labels = tuple(StateLabel((arrival_node(i + 1),)) for i in range(len(alpha)))
-    return LabeledMap(s, np.outer(exit_rates, alpha), labels)
+    # One arrival node per state, coded by its phase: labels ((), ("A", k)).
+    phases = StateCodes(np.arange(len(alpha), dtype=np.uint8)[:, None], (((), True),))
+    return LabeledMap(s, np.outer(exit_rates, alpha), phases)
 
 
 def encode(label):
@@ -83,6 +87,41 @@ def _encode_node(node):
         inner = "|".join(_encode_node(c) for c in children)
         return f"({inner}){_encode_sym(symbol)}"
     return _encode_sym(symbol)
+
+
+def reference_labels(node, lump_per_level=False):
+    """The labels of ``node``'s composed MAP, in state order, from the
+    composition rules alone: a leaf's states are its cache states (slow) times
+    its arrival phases; siblings concatenate, the first varying slowest; a
+    lumped run lists the sorted multisets of its sibling's labels in
+    lexicographic order; a parent wraps each children label under each of its
+    own states (fast), except that it fetches only while some child fetches
+    and every fetching child sits at an entry phase of its delay."""
+    symbols = [("O", 0), ("I", 0)] + [("F", k + 1) for k in range(len(node.delay.ph()[0]))]
+    if node.is_leaf:
+        phases = len(node.arrival.ph()[0])
+        below = [((((), ("A", a + 1)),) if phases > 1 else ()) for a in range(phases)]
+        return [StateLabel(((forest, s),)) for s in symbols for forest in below]
+    runs = sibling_runs(node.children) if lump_per_level else [[c] for c in node.children]
+    parts, entries = [], []
+    for first, *rest in runs:
+        forests = [label.forest for label in reference_labels(first, lump_per_level)]
+        if rest:
+            forests = [sum(block, ()) for block in
+                       combinations_with_replacement(sorted(forests), 1 + len(rest))]
+        parts.append(forests)
+        entries += [fetch_entry_distribution(first.delay)] * (1 + len(rest))
+
+    def admits(forest):
+        fetching = [(sym[1], e) for (_, sym), e in zip(forest, entries) if sym[0] == "F"]
+        return bool(fetching) and all(e[k - 1] > 0 for k, e in fetching)
+
+    return [
+        StateLabel(((forest, s),))
+        for forest in (sum(combo, ()) for combo in product(*parts))
+        for s in symbols
+        if s[0] != "F" or admits(forest)
+    ]
 
 
 def validate_map(m):

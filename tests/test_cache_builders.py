@@ -71,6 +71,14 @@ class TestCacheStateMap:
         with pytest.raises(UnsupportedDistributionError):
             build_parent_cache(Erlang(2, 1.0), Exponential(1.0))
 
+    def test_phase_counts_fit_one_byte_code(self):
+        # A state's code holds each phase in one byte, beside In and Out.
+        assert build_parent_cache(Exponential(0.5), Erlang(254, 2.0)).size == 256
+        with pytest.raises(UnsupportedDistributionError, match="254 phases"):
+            build_parent_cache(Exponential(0.5), Erlang(255, 2.0))
+        with pytest.raises(UnsupportedDistributionError, match="254 phases"):
+            build_single_cache(Erlang(255, 1.0), Exponential(0.5), Exponential(1.0))
+
 
 class TestSingleCache:
     def test_mmm_matches_reference_matrices(self):

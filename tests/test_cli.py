@@ -447,6 +447,12 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG:") and "line" in err
 
+    def test_malformed_yaml_raises_config_error_at_line_and_column(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("tree:\n  id: x\n   ttl: 3\n")
+        with pytest.raises(ConfigError, match=r"bad\.yaml at line 3, column 7: "):
+            load_config(path)
+
     def test_deterministic_rejected_by_analyze(self, tmp_path, capsys):
         path = tmp_path / "det.yaml"
         path.write_text(

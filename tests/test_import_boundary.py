@@ -1,9 +1,10 @@
 """Commands that never build a MAP start without SciPy.
 
 Only the exact engine (and ``fit-trace --density-out``, through ``expm``)
-needs SciPy; ``ttldelay.cli`` loads it on the first engine call.  Each case
-runs in a fresh interpreter with ``PYTHONPATH=src``, so what other tests have
-imported cannot hide a regression.
+needs SciPy; ``ttldelay.cli`` loads it on the first engine call, and
+``lump-stats`` reads its counts off the spec.  Each case runs in a fresh
+interpreter with ``PYTHONPATH=src``, so what other tests have imported
+cannot hide a regression.
 """
 
 import csv
@@ -54,6 +55,7 @@ def test_importing_the_cli_loads_no_scipy():
 @pytest.mark.parametrize("command, options", [
     ("approx", ["--sweep", "tau_delta=0:0.5:2"]),
     ("simulate", ["--sweep", "tau_delta=0:1:1", "--requests", "2000", "--seed", "1"]),
+    ("lump-stats", ["--n", "1:1:3"]),
 ])
 def test_numpy_only_commands_load_no_scipy(tmp_path, command, options):
     out = tmp_path / "out.csv"

@@ -27,18 +27,15 @@ from ttldelay.errors import (
     TTLDelayError,
     UnsupportedDistributionError,
 )
-from ttldelay.settings import NumericSettings, default_settings
 
 __all__ = [
     "CapacityError",
     "ConditioningError",
     "ConfigError",
     "DegenerateProcessError",
-    "NumericSettings",
     "ReducibleChainError",
     "TTLDelayError",
     "UnsupportedDistributionError",
-    "default_settings",
 ]
 
 __version__ = "0.1.0"

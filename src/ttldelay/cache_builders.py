@@ -1,8 +1,5 @@
 """Constructors for single-cache MAPs.
 
-The cache-tree specification (``CacheNode``, ``CacheTreeSpec`` and
-``cache_state_count``) lives in :mod:`ttldelay.spec` and is re-exported here.
-
 A cache's life cycle for one object has states ``Out``, ``In`` and, while a
 miss is being resolved, a block of fetching states ``F_1 .. F_f`` driven by
 the fetch-delay distribution.  Fetch phases count down: a miss enters at
@@ -23,7 +20,6 @@ import numpy as np
 from ttldelay import distributions as dist
 from ttldelay.errors import UnsupportedDistributionError
 from ttldelay.map_algebra import IN_CODE, OUT_CODE, LabeledMap, StateCodes
-from ttldelay.spec import CacheNode, CacheTreeSpec, cache_state_count  # noqa: F401
 
 
 def own_codes(n):

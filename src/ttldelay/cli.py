@@ -28,6 +28,7 @@ import yaml
 from ttldelay import distributions as dist
 from ttldelay.approximation import hierarchy_approx
 from ttldelay.errors import ConfigError, TTLDelayError
+from ttldelay.metrics import delay_upper_bound, hit_probability, optimal_delay
 from ttldelay.simulator import SimConfig, simulate
 from ttldelay.spec import (
     CacheNode,
@@ -60,7 +61,7 @@ def _engine(module, name):
     to import than everything else a command loads; the approximation, the
     simulator and the trace fitter need only NumPy.  Commands call the engine
     through these module attributes, where perfbench's tracer wraps
-    ``build_tree`` and ``hit_probability``.
+    ``build_tree``; ``hit_probability`` imports the engine itself.
     """
 
     def call(*args, **kwargs):
@@ -72,9 +73,6 @@ def _engine(module, name):
 
 build_tree = _engine("ttldelay.hierarchy", "build_tree")
 delay_pencil = _engine("ttldelay.hierarchy", "delay_pencil")
-hit_probability = _engine("ttldelay.metrics", "hit_probability")
-delay_upper_bound = _engine("ttldelay.metrics", "delay_upper_bound")
-optimal_delay = _engine("ttldelay.metrics", "optimal_delay")
 
 
 def _num(x):

@@ -12,7 +12,7 @@ class CapacityError(TTLDelayError):
 
     code = "E_CAPACITY"
 
-    def __init__(self, required, allowed, hint="enable lumping to reduce the state set"):
+    def __init__(self, required, allowed, hint):
         self.required = required
         self.allowed = allowed
         super().__init__(

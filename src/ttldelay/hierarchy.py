@@ -61,7 +61,8 @@ from ttldelay.map_algebra import (
     row_keys,
 )
 from ttldelay.lumping import lump_symmetric_level
-from ttldelay.spec import lump_plus_width, sibling_runs  # noqa: F401
+from ttldelay.settings import state_cap
+from ttldelay.spec import sibling_runs
 
 
 def level_superpose(maps):
@@ -245,6 +246,7 @@ def _compose(spec, lump_per_level, delay_unit):
     """Post-order composition of the system MAP, with every delay rate
     multiplied by ``delay_unit``."""
     spec.validate(exact=True)
+    state_cap()  # a bad override fails even where nothing is composed
 
     def build(node):
         if node.is_leaf:

@@ -20,9 +20,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 from scipy import sparse
 
-from ttldelay.errors import CapacityError
 from ttldelay.map_algebra import LabeledMap, StateCodes
-from ttldelay.settings import default_settings
+from ttldelay.settings import check_state_count
 from ttldelay.spec import partition_count
 
 
@@ -44,9 +43,7 @@ def lump_symmetric_level(sibling, n):
     with ``a`` replaced by ``b`` at rate ``c * r``.
     """
     count = partition_count(sibling.size, n)
-    cap = default_settings().state_cap
-    if count > cap:
-        raise CapacityError(count, cap, hint="the level is too wide even lumped")
+    check_state_count(count, hint="the level is too wide even lumped")
     order = sibling.codes.order()
     blocks = list(combinations_with_replacement(range(sibling.size), n))
     index = {block: i for i, block in enumerate(blocks)}

@@ -35,8 +35,8 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, gcrotmk, onenormest, splu
 
-from ttldelay.errors import CapacityError, ConditioningError, ReducibleChainError
-from ttldelay.settings import default_settings
+from ttldelay.errors import ConditioningError, ReducibleChainError
+from ttldelay.settings import check_state_count
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +58,11 @@ STALL_BAND = 10.0
 # check; the condition estimate needs only its leading digits.
 PI_RTOL = 1e-13
 CONDITION_RTOL = 1e-4
+# A steady state passes when no component is below -RESIDUAL_TOL and its
+# balance residual is within RESIDUAL_TOL times the largest rate (at least 1);
+# a solve whose 1-norm condition estimate exceeds COND_LIMIT is rejected.
+RESIDUAL_TOL = 1e-8
+COND_LIMIT = 1e12
 
 
 def fetch(phase):
@@ -243,12 +248,10 @@ def kron_sum_triplets(a, b):
     products: ``x * 1 + 0`` off the diagonal and ``a_ii * 1 + b_jj * 1`` on
     it, in complex arithmetic for a pencil, which fixes the sign of each zero
     real or imaginary part.  Raises :class:`CapacityError` when the product
-    has more than ``state_cap`` states.
+    has more states than the cap (:mod:`ttldelay.settings`).
     """
     n1, n2 = a.shape[0], b.shape[0]
-    cap = default_settings().state_cap
-    if n1 * n2 > cap:
-        raise CapacityError(n1 * n2, cap)
+    check_state_count(n1 * n2)
     (ra, ca, va), (rb, cb, vb) = off_diagonal(a), off_diagonal(b)
     fast, slow = np.arange(n2), np.arange(n1)[:, None] * n2
     diag = (a.diagonal()[:, None] * 1.0 + b.diagonal() * 1.0).ravel()
@@ -300,8 +303,8 @@ def steady_state(m):
     :func:`krylov_steady_state`; when GCROT misses, the miss is logged and
     the system goes to :func:`direct_steady_state`, as every smaller chain
     does.  Both paths estimate the 1-norm condition number the same way and
-    check the result against the same limits (see :class:`NumericSettings`);
-    ``SteadyState.method`` tells which path answered.
+    check the result against the same limits, ``RESIDUAL_TOL`` and
+    ``COND_LIMIT``; ``SteadyState.method`` tells which path answered.
     """
     q = m.generator()
     n = q.shape[0]
@@ -330,33 +333,32 @@ def _balance_system(q):
     return a, b
 
 
-def _condition(a, solve, solve_transposed, settings):
+def _condition(a, solve, solve_transposed):
     """Hager's 1-norm condition estimate of ``a``, as LAPACK's ``dgecon``.
 
     ``solve`` and ``solve_transposed`` apply the inverse of ``a`` and of its
-    transpose.  An estimate above ``cond_limit`` raises.
+    transpose.  An estimate above ``COND_LIMIT`` raises.
     """
     n = a.shape[0]
     inverse = LinearOperator((n, n), matvec=solve, rmatvec=solve_transposed, dtype=float)
     # t=1 keeps the estimate deterministic: larger t draws random columns.
     cond = abs(a).sum(axis=0).max() * onenormest(inverse, t=1)
-    if not np.isfinite(cond) or cond > settings.cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ConditioningError(
-            f"steady-state condition estimate {cond:.2e} "
-            f"exceeds limit {settings.cond_limit:.2e}"
+            f"steady-state condition estimate {cond:.2e} exceeds limit {COND_LIMIT:.2e}"
         )
     return float(cond)
 
 
-def _checked_pi(pi, q, settings):
+def _checked_pi(pi, q):
     """``pi`` clipped at zero and normalised; raises if it is not a steady state."""
-    if np.any(pi < -settings.residual_tol):
+    if np.any(pi < -RESIDUAL_TOL):
         raise ConditioningError("steady-state solution has negative components")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     residual = np.max(np.abs(q.T @ pi))
     # Written so that a NaN residual fails too.
-    if not residual <= settings.residual_tol * max(abs(q).max(), 1.0):
+    if not residual <= RESIDUAL_TOL * max(abs(q).max(), 1.0):
         raise ConditioningError(f"steady-state residual {residual:.3e} above tolerance")
     return pi
 
@@ -368,14 +370,13 @@ def direct_steady_state(q):
     of composed generators low; the condition estimate solves with the same
     factors.
     """
-    settings = default_settings()
     a, b = _balance_system(q)
     try:
         lu = splu(a, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise ConditioningError(f"steady-state system is singular: {exc}") from exc
-    cond = _condition(a, lu.solve, lambda x: lu.solve(x, trans="T"), settings)
-    return SteadyState(_checked_pi(lu.solve(b), q, settings), cond, "direct")
+    cond = _condition(a, lu.solve, lambda x: lu.solve(x, trans="T"))
+    return SteadyState(_checked_pi(lu.solve(b), q), cond, "direct")
 
 
 class KrylovMiss(Exception):
@@ -468,7 +469,6 @@ def krylov_steady_state(q):
     :class:`KrylovMiss` when a solve stalls or pi fails the negativity or
     residual check.
     """
-    settings = default_settings()
     a, b = _balance_system(q)
     d = -q.diagonal()
     scaled = (a @ sparse.diags_array(1.0 / d)).tocsr()
@@ -476,14 +476,13 @@ def krylov_steady_state(q):
     precond, precond_t = _symmetric_gauss_seidel(scaled)
     cu, cu_t = [], []
     try:
-        pi = _checked_pi(_gcrotmk(scaled, b, PI_RTOL, cu, precond) / d, q, settings)
+        pi = _checked_pi(_gcrotmk(scaled, b, PI_RTOL, cu, precond) / d, q)
     except ConditioningError as exc:
         raise KrylovMiss(str(exc)) from exc
     cond = _condition(
         a,
         lambda x: _gcrotmk(scaled, x, CONDITION_RTOL, cu, precond) / d,
         lambda x: _gcrotmk(scaled_t, np.ravel(x) / d, CONDITION_RTOL, cu_t, precond_t),
-        settings,
     )
     return SteadyState(pi, cond, "krylov")
 

@@ -4,7 +4,8 @@ Includes the hit probability of a composed system MAP, the delay impairment
 (relative hit-probability loss due to fetch delays), its closed form for the
 all-exponential single cache, a Lambert-W primitive, and the delay bound
 below which near-periodic request streams *gain* hit probability from a
-fetch delay.
+fetch delay.  Only the functions that read a MAP import the exact engine,
+and SciPy with it, when they run; the rest need NumPy and ``math``.
 """
 
 import logging
@@ -13,13 +14,6 @@ import math
 import numpy as np
 
 from ttldelay.errors import DegenerateProcessError
-from ttldelay.hierarchy import build_tree, delay_pencil
-from ttldelay.map_algebra import event_rate
-from ttldelay.spec import (  # noqa: F401  (re-exported)
-    _max_tree_rate,
-    with_delay_means,
-    zero_delay_variant,
-)
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +24,8 @@ def hit_probability(system, total_request_rate):
     ``total_request_rate`` is the summed arrival rate over all leaves; the
     active transitions of the system MAP are its misses.
     """
+    from ttldelay.map_algebra import event_rate
+
     if total_request_rate <= 0:
         raise DegenerateProcessError("total request rate must be positive")
     miss_rate = event_rate(system)
@@ -40,12 +36,16 @@ def hit_probability(system, total_request_rate):
 
 
 def tree_hit_probability(spec, lump_per_level=True):
+    from ttldelay.hierarchy import build_tree
+
     system = build_tree(spec, lump_per_level=lump_per_level)
     return hit_probability(system, spec.total_request_rate())
 
 
 def delay_impairment(spec, lump_per_level=True):
     """Relative hit-probability loss caused by the fetch delays in ``spec``."""
+    from ttldelay.hierarchy import delay_pencil
+
     pencil = delay_pencil(spec, lump_per_level=lump_per_level)
     total = spec.total_request_rate()
     p_delay = hit_probability(pencil.at(1.0), total)

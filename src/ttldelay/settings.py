@@ -1,51 +1,38 @@
-"""Numeric tolerances and limits, overridable through one environment variable.
+"""The exact engine's one overridable limit: the cap on composed states.
 
-Set ``TTLDELAY_NUMERICS`` to a comma-separated list of ``key=value`` pairs to
-override individual fields, e.g. ``TTLDELAY_NUMERICS="state_cap=500000"``.
-Each check reads it when it runs; an unknown key or a bad value raises ConfigError.
+Set ``TTLDELAY_NUMERICS="state_cap=500000"`` to raise it.  Each check reads
+the variable when it runs; any other key, or a value that is not a positive
+integer, raises ConfigError.
 """
 
-import math
 import os
-from dataclasses import dataclass, fields
 
-from ttldelay.errors import ConfigError
+from ttldelay.errors import CapacityError, ConfigError
 
 ENV_VAR = "TTLDELAY_NUMERICS"
+STATE_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class NumericSettings:
-    """Tolerances used by the exact engine.
-
-    residual_tol  steady-state residual tolerance per component
-    state_cap     hard cap on composed state-space size
-    cond_limit    condition-number estimate above which solves are rejected
-    """
-
-    residual_tol: float = 1e-8
-    state_cap: int = 200_000
-    cond_limit: float = 1e12
-
-
-def _parse_overrides(text):
-    overrides = {}
-    valid = {f.name: f.type for f in fields(NumericSettings)}
-    for item in filter(str.strip, text.split(",")):
+def state_cap():
+    """The cap on composed states, honouring the environment override."""
+    cap = STATE_CAP
+    for item in filter(str.strip, os.environ.get(ENV_VAR, "").split(",")):
         key, _, value = (part.strip() for part in item.partition("="))
-        if key not in valid:
+        if key != "state_cap":
             raise ConfigError(f"{ENV_VAR}: unknown numeric setting {key!r}")
         try:
-            overrides[key] = valid[key](value)
+            cap = int(value)
         except ValueError:
-            overrides[key] = math.nan
-        if not (math.isfinite(overrides[key]) and overrides[key] > 0):
+            cap = 0
+        if cap <= 0:
             raise ConfigError(
-                f"{ENV_VAR}: {key} must be a finite positive {valid[key].__name__}, got {value!r}"
+                f"{ENV_VAR}: state_cap must be a positive integer, got {value!r}"
             )
-    return overrides
+    return cap
 
 
-def default_settings():
-    """Return the settings record, honouring the environment override."""
-    return NumericSettings(**_parse_overrides(os.environ.get(ENV_VAR, "")))
+def check_state_count(count, hint="enable lumping to reduce the state set"):
+    """Raise :class:`CapacityError` when ``count`` states exceed the cap."""
+    cap = state_cap()
+    if count > cap:
+        raise CapacityError(count, cap, hint)

@@ -55,7 +55,7 @@ class SimConfig:
     """
 
     spec: object
-    requests: int = 0
+    requests: int
     warmup_fraction: float = 0.1
     seed: int = 0
     replications: int = 1

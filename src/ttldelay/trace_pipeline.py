@@ -3,7 +3,7 @@ Coxian phase-type fitting by expectation maximization, and phase-count
 selection by information criteria.
 
 The E-step discretizes the forward and backward filters of the absorbing
-Markov chain with ``grid_steps`` fourth-order Runge-Kutta steps per sample
+Markov chain with ``GRID_STEPS`` fourth-order Runge-Kutta steps per sample
 and folds them into the occupancy/jump integrals with composite Simpson
 quadrature, in closed form.  One RK4 step is a fixed quartic in the
 subgenerator, so the step matrices of all samples are one GEMM of their step
@@ -15,7 +15,6 @@ squaring over all samples at once.
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,14 @@ BOXCOX_GRID = tuple(np.arange(-2.0, 2.01, 0.5))
 # RK4 is stable for h * rate up to this bound on the negative real axis; the
 # eigenvalues of a Coxian subgenerator are its negated rates.
 RK4_STABILITY_LIMIT = 2.785
+# EM loop: at most MAX_ITERS iterations, converged once the log-likelihood
+# gains less than TOL, and up to MAX_RESTARTS re-initializations after a
+# non-finite likelihood.  GRID_STEPS, the RK4 steps per sample, is even, as
+# Simpson's rule needs.
+MAX_ITERS = 500
+TOL = 1e-7
+GRID_STEPS = 96
+MAX_RESTARTS = 5
 
 
 def interarrivals(timestamps):
@@ -210,23 +217,13 @@ def canonical_coxian(cox):
     return Coxian(tuple(rates), tuple(probs[:-1]))
 
 
-def fit_ph_em(
-    samples,
-    phases,
-    max_iters=500,
-    tol=1e-7,
-    grid_steps=96,
-    max_restarts=5,
-    sample_count_before=None,
-):
+def fit_ph_em(samples, phases, sample_count_before=None):
     """Fit a Coxian distribution to positive samples by EM.
 
-    Stops when the log-likelihood gain drops below ``tol`` (the report's
-    ``converged`` is then true) or after ``max_iters`` iterations.  Non-finite
+    Stops when the log-likelihood gain drops below ``TOL`` (the report's
+    ``converged`` is then true) or after ``MAX_ITERS`` iterations.  Non-finite
     likelihoods trigger deterministic re-initializations, up to
-    ``max_restarts``.  ``grid_steps`` is the even number (at least 2) of RK4
-    steps per sample that discretize the E-step integrals; Simpson's rule
-    needs an even count.
+    ``MAX_RESTARTS``.  The E-step takes ``GRID_STEPS`` RK4 steps per sample.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
@@ -235,31 +232,21 @@ def fit_ph_em(
         raise FitError("samples must be positive")
     if phases < 1:
         raise FitError("need at least one phase")
-    for name, value, least in (
-        ("max_iters", max_iters, 1),
-        ("max_restarts", max_restarts, 0),
-        ("grid_steps", grid_steps, 2),
-    ):
-        if not isinstance(value, numbers.Integral) or value < least:
-            raise FitError(f"{name} must be an integer >= {least}, got {value!r}")
-    if grid_steps % 2:
-        raise FitError(f"grid_steps must be even, got {grid_steps!r}")
-
     before = sample_count_before if sample_count_before is not None else samples.size
     last_error = None
-    for restart in range(max_restarts + 1):
+    for restart in range(MAX_RESTARTS + 1):
         rates, probs = _initial_parameters(samples, phases, restart)
         trace = []
         converged = False
         try:
-            for _ in range(max_iters):
+            for _ in range(MAX_ITERS):
                 occupancy, forward_jumps, exits, loglik = _estep(
-                    samples, rates, probs, grid_steps
+                    samples, rates, probs, GRID_STEPS
                 )
                 if not math.isfinite(loglik):
                     raise FitError("non-finite log-likelihood")
                 trace.append(loglik)
-                if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
+                if len(trace) > 1 and abs(trace[-1] - trace[-2]) < TOL:
                     converged = True
                     break
                 total = np.append(forward_jumps, 0.0) + exits
@@ -290,10 +277,10 @@ def fit_ph_em(
             converged=converged,
             restarts_used=restart,
         )
-    raise FitError(f"EM failed after {max_restarts} restarts: {last_error}")
+    raise FitError(f"EM failed after {MAX_RESTARTS} restarts: {last_error}")
 
 
-def select_phases(samples, candidate_range, **fit_kwargs):
+def select_phases(samples, candidate_range, sample_count_before=None):
     """Fit every candidate phase count and keep the BIC minimizer.
 
     Ties go to the smaller model.  Individual fit failures are tolerated as
@@ -306,7 +293,7 @@ def select_phases(samples, candidate_range, **fit_kwargs):
     errors = []
     for p in sorted(candidates):
         try:
-            report = fit_ph_em(samples, p, **fit_kwargs)
+            report = fit_ph_em(samples, p, sample_count_before)
         except FitError as exc:
             errors.append(f"{p} phases: {exc}")
             continue

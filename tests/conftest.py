@@ -3,10 +3,10 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from ttldelay.cache_builders import CacheNode, CacheTreeSpec, fetch_entry_distribution
+from ttldelay.cache_builders import fetch_entry_distribution
 from ttldelay.distributions import Erlang, Exponential, require_ph
-from ttldelay.hierarchy import sibling_runs
 from ttldelay.map_algebra import LabeledMap, StateCodes, StateLabel, off_diagonal
+from ttldelay.spec import CacheNode, CacheTreeSpec, sibling_runs
 
 
 def single_mmm(tau_delta, tau_t=2.0, rate=1.0):

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from ttldelay import trace_pipeline
 from ttldelay.approximation import (
     hierarchy_approx,
     hit_prob_single_approx,
@@ -21,7 +22,6 @@ from ttldelay.approximation import (
     miss_lst_no_delay,
     miss_lst_with_delay,
 )
-from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 from ttldelay.distributions import Erlang, Exponential
 from ttldelay.hierarchy import build_tree
 from ttldelay.lumping import partition_count
@@ -33,9 +33,9 @@ from ttldelay.metrics import (
     mmm_impairment_closed_form,
     optimal_delay,
     tree_hit_probability,
-    with_delay_means,
 )
 from ttldelay.simulator import SimConfig, simulate, simulate_trace
+from ttldelay.spec import CacheNode, CacheTreeSpec, with_delay_means
 from ttldelay.trace_pipeline import fit_ph_em, interarrivals, remove_outliers
 
 from conftest import e20_cache, two_level_tree, single_mmm
@@ -282,7 +282,8 @@ def test_criterion_9_miss_transform_factorization():
     )
 
 
-def test_criterion_10_trace_pipeline_corpus():
+def test_criterion_10_trace_pipeline_corpus(monkeypatch):
+    monkeypatch.setattr(trace_pipeline, "MAX_ITERS", 120)
     rng = np.random.default_rng(5150)
     corpus = {
         "exponential": rng.exponential(1.0, 900),
@@ -294,7 +295,7 @@ def test_criterion_10_trace_pipeline_corpus():
     }
     issues = []
     for name, samples in corpus.items():
-        rep = fit_ph_em(samples, 2, max_iters=120)
+        rep = fit_ph_em(samples, 2)
         if not all(
             b >= a - 1e-9
             for a, b in zip(rep.log_likelihood_trace, rep.log_likelihood_trace[1:])

@@ -18,11 +18,11 @@ from ttldelay.approximation import (
     miss_lst_with_delay,
     superposed_palm_moments,
 )
-from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH, ph_moment
 from ttldelay.errors import DegenerateProcessError
-from ttldelay.metrics import tree_hit_probability, zero_delay_variant
+from ttldelay.metrics import tree_hit_probability
+from ttldelay.spec import CacheNode, CacheTreeSpec, zero_delay_variant
 
 from conftest import two_level_tree, single_mmm
 from test_sparse_engine import DELAY_KINDS, draw_ph
@@ -194,7 +194,6 @@ class TestSingleCacheApprox:
     def test_erlang_arrivals_error_recorded_against_exact(self):
         r = hit_prob_single_approx(Erlang(2, 2.0), 0.5, Exponential(1.0))
         from conftest import e20_cache
-        from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 
         spec = CacheTreeSpec(
             CacheNode("c", ttl=Exponential(0.5), delay=Exponential(1.0),

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from ttldelay.cache_builders import (
-    CacheNode,
-    CacheTreeSpec,
     build_parent_cache,
     build_single_cache,
     fetch_entry_distribution,
@@ -12,6 +10,7 @@ from ttldelay.distributions import Coxian, Deterministic, Erlang, Exponential, G
 from ttldelay.errors import ConfigError, UnsupportedDistributionError
 from ttldelay.map_algebra import event_rate, steady_state
 from ttldelay.metrics import hit_probability
+from ttldelay.spec import CacheNode, CacheTreeSpec
 
 from conftest import encode, ph_renewal_map, single_mmm, validate_map
 

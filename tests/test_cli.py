@@ -10,7 +10,8 @@ from ttldelay import cli, hierarchy
 from ttldelay.cli import _num, load_config, main, parse_counts, parse_sweep
 from ttldelay.errors import ConfigError
 from ttldelay.hierarchy import build_tree, delay_pencil
-from ttldelay.metrics import hit_probability, with_delay_means
+from ttldelay.metrics import hit_probability
+from ttldelay.spec import with_delay_means
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -317,14 +318,11 @@ class TestFitTrace:
         assert capsys.readouterr().err == "E_VALUE: timestamps must be finite\n"
 
     def test_iteration_limit_warns(self, tmp_path, rng, monkeypatch, caplog):
-        import functools
-
         import yaml
 
-        from ttldelay import cli
-        from ttldelay.trace_pipeline import fit_ph_em
+        from ttldelay import trace_pipeline
 
-        monkeypatch.setattr(cli, "fit_ph_em", functools.partial(fit_ph_em, max_iters=3))
+        monkeypatch.setattr(trace_pipeline, "MAX_ITERS", 3)
         trace = tmp_path / "trace.txt"
         np.savetxt(trace, np.cumsum(rng.gamma(2.0, 0.5, 400)), fmt="%.6f")
         report = tmp_path / "fit.yaml"
@@ -528,12 +526,10 @@ class TestSweepParsing:
 
 
 def test_numeric_settings_env_override(monkeypatch):
-    from ttldelay.settings import default_settings
+    from ttldelay.settings import state_cap
 
-    monkeypatch.setenv("TTLDELAY_NUMERICS", "state_cap=123, residual_tol=1e-6")
-    s = default_settings()
-    assert s.state_cap == 123
-    assert s.residual_tol == 1e-6
+    monkeypatch.setenv("TTLDELAY_NUMERICS", "state_cap=123")
+    assert state_cap() == 123
 
 
 @pytest.mark.parametrize("override, key", [
@@ -549,16 +545,22 @@ def test_numeric_settings_env_override(monkeypatch):
     ("state_cap=10,tolerance=1", "tolerance"),
     ("row_sum_tol=1e-10", "row_sum_tol"),
     ("zero_delay_scale=1e6", "zero_delay_scale"),
+    ("residual_tol=1e-8", "residual_tol"),
+    ("cond_limit=1e12", "cond_limit"),
 ])
 def test_invalid_numeric_settings_fail_with_e_config(monkeypatch, capsys, override, key):
-    from ttldelay.settings import default_settings
-
     monkeypatch.setenv("TTLDELAY_NUMERICS", override)
-    with pytest.raises(ConfigError, match=key):
-        default_settings()
     assert main(["analyze", "--config", str(CONFIGS / "binary_two_level_mmm.yaml")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("E_CONFIG: TTLDELAY_NUMERICS") and key in err
+
+
+def test_invalid_numeric_setting_fails_where_nothing_is_composed(monkeypatch, capsys):
+    # A single cache makes no Kronecker sum and no lumped level.
+    monkeypatch.setenv("TTLDELAY_NUMERICS", "residual_tol=1e-8")
+    assert main(["analyze", "--config", str(CONFIGS / "single_cache_mmm.yaml")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_CONFIG: TTLDELAY_NUMERICS") and "residual_tol" in err
 
 
 @pytest.mark.parametrize("phases", ["2.5", "true", "'2'", "0"])

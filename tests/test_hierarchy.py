@@ -5,8 +5,6 @@ import pytest
 
 from ttldelay import hierarchy
 from ttldelay.cache_builders import (
-    CacheNode,
-    CacheTreeSpec,
     build_parent_cache,
     build_single_cache,
     fetch_entry_distribution,
@@ -23,6 +21,7 @@ from ttldelay.map_algebra import (
 )
 from ttldelay.metrics import hit_probability, tree_hit_probability
 from ttldelay.simulator import SimConfig, simulate
+from ttldelay.spec import CacheNode, CacheTreeSpec
 
 from conftest import encode, two_level_tree, single_mmm, validate_map
 

@@ -1,8 +1,9 @@
 """Commands that never build a MAP start without SciPy.
 
 Only the exact engine (and ``fit-trace --density-out``, through ``expm``)
-needs SciPy; ``ttldelay.cli`` loads it on the first engine call, and
-``lump-stats`` reads its counts off the spec.  Each case runs in a fresh
+needs SciPy; ``ttldelay.cli`` loads it on the first engine call,
+``lump-stats`` reads its counts off the spec, and ``bound`` without
+``--search`` is pure ``math``.  Each case runs in a fresh
 interpreter with ``PYTHONPATH=src``, so what other tests have imported
 cannot hide a regression.
 """
@@ -62,6 +63,10 @@ def test_numpy_only_commands_load_no_scipy(tmp_path, command, options):
     argv = [command, "--config", CONFIG, "--out", str(out), *options]
     assert scipy_modules_after(*argv) == "[]"
     assert len(out.read_text().splitlines()) > 1
+
+
+def test_bound_without_search_loads_no_scipy():
+    assert scipy_modules_after("bound", "--tau-t", "2") == "[]"
 
 
 def test_fit_trace_loads_no_scipy(tmp_path, trace):

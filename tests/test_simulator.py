@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 
-from ttldelay.cache_builders import CacheNode, CacheTreeSpec
 from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Deterministic, Erlang, Exponential
 from ttldelay.errors import ConfigError
 from ttldelay.metrics import tree_hit_probability
 from ttldelay.simulator import _Cache, _Run, SimConfig, simulate, simulate_trace
+from ttldelay.spec import CacheNode, CacheTreeSpec
 
 from conftest import two_level_tree, single_mmm
 from test_sparse_engine import trees
@@ -244,7 +244,7 @@ class TestTraceReplay:
 class TestConfigValidation:
     def test_needs_budget(self):
         with pytest.raises(ConfigError, match="budget"):
-            SimConfig(spec=single_mmm(1.0)).validate()
+            SimConfig(spec=single_mmm(1.0), requests=0).validate()
 
     @pytest.mark.parametrize("field, value", [
         ("requests", 2.5), ("replications", 1.5), ("seed", -1), ("seed", 1.5),

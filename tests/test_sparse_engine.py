@@ -39,17 +39,11 @@ from scipy import sparse
 from scipy.linalg import lapack
 
 from ttldelay import map_algebra
-from ttldelay.cache_builders import (
-    CacheNode,
-    CacheTreeSpec,
-    build_parent_cache,
-    build_single_cache,
-    cache_state_count,
-)
+from ttldelay.cache_builders import build_parent_cache, build_single_cache
 from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH
 from ttldelay.errors import ConditioningError, PencilLimitError
-from ttldelay.hierarchy import DelayPencil, build_tree, delay_pencil, lump_plus_width
+from ttldelay.hierarchy import DelayPencil, build_tree, delay_pencil
 from ttldelay.map_algebra import (
     CONDITION_RTOL,
     KRYLOV_MIN_STATES,
@@ -62,10 +56,13 @@ from ttldelay.map_algebra import (
     off_diagonal,
     steady_state,
 )
-from ttldelay.metrics import (
+from ttldelay.metrics import hit_probability, tree_hit_probability
+from ttldelay.spec import (
+    CacheNode,
+    CacheTreeSpec,
     _max_tree_rate,
-    hit_probability,
-    tree_hit_probability,
+    cache_state_count,
+    lump_plus_width,
     with_delay_means,
     zero_delay_variant,
 )
@@ -436,10 +433,10 @@ def test_condition_estimate_matches_dgecon(case):
 def test_cond_limit_just_below_the_estimate_rejects(case, monkeypatch):
     m = CONDITION_CASES[case]()
     estimate = dense_condition(m.generator().toarray())
-    monkeypatch.setenv("TTLDELAY_NUMERICS", f"cond_limit={0.999 * estimate!r}")
+    monkeypatch.setattr(map_algebra, "COND_LIMIT", 0.999 * estimate)
     with pytest.raises(ConditioningError, match="condition estimate"):
         steady_state(m)
-    monkeypatch.setenv("TTLDELAY_NUMERICS", f"cond_limit={1.001 * estimate!r}")
+    monkeypatch.setattr(map_algebra, "COND_LIMIT", 1.001 * estimate)
     steady_state(m)
 
 

@@ -29,10 +29,10 @@ children-parent Kronecker sum as COO triplets by index arithmetic, a state
 mask, and the reclassified child events as COO triplets.  Child events are
 classified from per-state root codes (each child's kind and whether it sits
 at an entry phase), as masks over all nonzeros at once, and a snapped target
-is found by a binary search on its codes.  No label is built; the cost grows
-with the nonzeros of the composed MAP, and the dominating cost is the
-steady-state solve, whose fill per-level lumping keeps small for symmetric
-trees.
+is found by a binary search on its codes.  No per-state object is built;
+the cost grows with the nonzeros of the composed MAP, and the dominating
+cost is the steady-state solve, whose fill per-level lumping keeps small for
+symmetric trees.
 """
 
 from dataclasses import dataclass
@@ -114,11 +114,12 @@ def line_superpose(parent, children, parent_entry, child_runs):
 
     ``parent`` must come from :func:`build_parent_cache` (no active
     transitions of its own).  ``child_runs`` holds one ``(entry, n)`` per
-    part of ``children``, in label order: a part is one child subtree
-    (``n = 1``) or a lumped level of ``n`` identical siblings, whose labels
-    keep their roots sorted.  ``parent_entry`` and each ``entry`` give the
-    probability split of a fresh fetch over the fetch phases ``F_1..F_f`` of
-    that cache, as :func:`fetch_entry_distribution` returns it for its delay.
+    part of ``children``, in the order of the children's code columns: a
+    part is one child subtree (``n = 1``) or a lumped level of ``n``
+    identical siblings, whose code rows keep their subtrees in code order.
+    ``parent_entry`` and each ``entry`` give the probability split of a
+    fresh fetch over the fetch phases ``F_1..F_f`` of that cache, as
+    :func:`fetch_entry_distribution` returns it for its delay.
     """
     if parent.d1.count_nonzero():
         raise ConfigError("parent MAP must have no active transitions")
@@ -131,7 +132,7 @@ def line_superpose(parent, children, parent_entry, child_runs):
     if len(codes.shape) != len(entries):
         raise ConfigError(
             f"{len(entries)} child entry distributions for children MAP "
-            f"labels of width {len(codes.shape)}"
+            f"codes of width {len(codes.shape)}"
         )
     bounds = np.cumsum([0] + [n for _, n in child_runs]).tolist()
     nc, n_children = children.size, len(entries)
@@ -150,7 +151,7 @@ def line_superpose(parent, children, parent_entry, child_runs):
 
     # Every child transition moves exactly one child, so the change in how
     # many children are out, in and fetching names that child's root move,
-    # for plain and sorted labels alike.
+    # for plain and sorted code rows alike.
     counts = {"O": (roots == OUT_CODE).sum(axis=1), "I": (roots == IN_CODE).sum(axis=1),
               "F": fetching.sum(axis=1)}
 
@@ -273,7 +274,7 @@ def build_tree(spec, lump_per_level=False):
 
     With ``lump_per_level``, each run of adjacent siblings of equal shape is
     built once and expanded as a lumped level; runs keep their positions, so
-    state order and labels follow the spec either way.
+    state order and codes follow the spec either way.
     """
     return _compose(spec, lump_per_level, 1.0)
 
@@ -285,7 +286,7 @@ class DelayPencil:
     Multiplying every delay rate by ``rate`` (every delay mean by
     ``1 / rate``, shapes kept) gives the hidden matrix ``a + rate * b``:
     ``b`` holds the delay rates, ``a`` the others.  The active matrix ``d1``
-    and the state codes (or labels) do not depend on the delays.
+    and the state codes do not depend on the delays.
     """
 
     a: sparse.csr_array

@@ -6,11 +6,11 @@ one another can be merged without approximation (Buchholz, J. Appl. Prob.
 1994).  The lumped level is built directly over multisets of sibling
 sub-states, without the ``m_S**n`` product: each block is a frequency vector
 over sub-states, which is why the block count is the number of weak
-compositions ``C(n + m_S - 1, m_S - 1)``.  Sub-states are ranked by their
-codes (:class:`ttldelay.map_algebra.StateCodes`), whose order is label order,
-and a block's codes are its sub-states' codes side by side.  The
-strong-lumpability oracle that checks a level against the lumped full product
-lives with the tests.
+compositions ``C(n + m_S - 1, m_S - 1)``.  Sub-states are ranked in the
+order of their code rows (:class:`ttldelay.map_algebra.StateCodes`), and a
+block's row is its sub-states' rows side by side.  The strong-lumpability
+oracle that checks a level against the lumped full product lives with the
+tests.
 """
 
 from collections import Counter
@@ -35,12 +35,12 @@ class LumpedMap:
 def lump_symmetric_level(sibling, n):
     """Superpose ``n`` copies of ``sibling``, lumped over sibling permutations.
 
-    Sub-states are ranked in label order, read off the sibling's codes; a
-    block is a nondecreasing ``n``-tuple of ranks, blocks come in
-    lexicographic order and each block's codes (so its label) concatenate
-    its sub-states' in that order.  A sub-state move ``a -> b`` of rate ``r``
-    taken by one of the ``c`` siblings in ``a`` moves the block to the one
-    with ``a`` replaced by ``b`` at rate ``c * r``.
+    Sub-states are ranked in the order of the sibling's code rows; a block
+    is a nondecreasing ``n``-tuple of ranks, blocks come in lexicographic
+    order and each block's code row concatenates its sub-states' rows in
+    that order.  A sub-state move ``a -> b`` of rate ``r`` taken by one of
+    the ``c`` siblings in ``a`` moves the block to the one with ``a``
+    replaced by ``b`` at rate ``c * r``.
     """
     count = partition_count(sibling.size, n)
     check_state_count(count, hint="the level is too wide even lumped")

@@ -7,28 +7,15 @@ of a large chain comes from GCROT(m,k) on the embedded-chain scaling of the
 balance equations, preconditioned by a symmetric Gauss-Seidel sweep; a small
 chain, or one where GCROT misses, is solved by a sparse LU factorization.
 
-Each state has a :class:`StateLabel` describing what it means in terms of the
-cache tree: one symbol per cache plus the phase of each phase-type arrival
-process.  Labels are nested tuples:
-
-* a node is ``(children, symbol)`` where ``children`` is a tuple of nodes,
-* cache symbols are ``("O", 0)`` (out), ``("I", 0)`` (in cache) or
-  ``("F", k)`` (fetching, phase ``k``),
-* the arrival phase of a phase-type request stream appears as a pseudo-node
-  ``((), ("A", k))`` attached below its leaf cache.
-
-A :class:`StateLabel` is a tuple of such nodes (a forest): level superposition
-concatenates forests, line superposition wraps a forest under a new root.
-Composition builds no label.  A composed MAP holds :class:`StateCodes`, one
-row of small integers per state, and ``LabeledMap.labels`` decodes them when
-it is first read.  Composition works on the rows: a Kronecker sum places its
-factors' rows side by side, as its state index is their mixed-radix number
-(Plateau, SIGMETRICS 1985), and rows sort as labels do.
+Each state's meaning in the cache tree (Out, In or the fetch phase of each
+cache, and the phase of each phase-type arrival process) is one row of small
+integers, held by :class:`StateCodes`.  Composition works on the rows: a
+Kronecker sum places its factors' rows side by side, as its state index is
+their mixed-radix number (Plateau, SIGMETRICS 1985).
 """
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -39,9 +26,6 @@ from ttldelay.errors import ConditioningError, ReducibleChainError
 from ttldelay.settings import check_state_count
 
 log = logging.getLogger(__name__)
-
-OUT = ("O", 0)
-IN = ("I", 0)
 
 # Chains above this size are solved by GCROT first.  Below it the LU is
 # about as fast: its fill is still small, and GCROT pays a fixed cost of
@@ -65,57 +49,14 @@ RESIDUAL_TOL = 1e-8
 COND_LIMIT = 1e12
 
 
-def fetch(phase):
-    """Symbol of a cache fetching in delay phase ``phase`` (1-based)."""
-    return ("F", int(phase))
-
-
-def cache_node(children, symbol):
-    """Label node for a cache with the given child nodes."""
-    return (tuple(children), symbol)
-
-
-def arrival_node(phase):
-    """Pseudo-node recording the phase of a PH arrival process."""
-    return ((), ("A", int(phase)))
-
-
-@dataclass(frozen=True)
-class StateLabel:
-    """Semantic label of one MAP state: a forest of cache-tree nodes."""
-
-    forest: tuple
-
-
 # Node codes: phase k of a fetch (F_k) or of an arrival (A_k) is k - 1, and
-# In and Out come last, so codes sort as the symbols do (F_k < I < O).
+# In and Out come last, so a cache's codes sort F_1 < ... < F_f < I < O.
 IN_CODE, OUT_CODE = 254, 255
-
-
-def _symbol(code):
-    return OUT if code == OUT_CODE else IN if code == IN_CODE else fetch(code + 1)
 
 
 def node_width(node):
     """Columns a node of a :class:`StateCodes` shape takes: its subtree's."""
     return 1 + sum(map(node_width, node[0]))
-
-
-def _forests(shape, table):
-    """The forest of ``shape`` that each row of ``table`` codes.  Each node is
-    built once per distinct code of its subtree and shared between rows."""
-    nodes, lo = [], 0
-    for node in shape:
-        hi = lo + node_width(node)
-        distinct, inverse = np.unique(table[:, lo:hi], axis=0, return_inverse=True)
-        below = _forests(node[0], distinct[:, :-1])
-        made = [
-            arrival_node(c + 1) if node[1] else cache_node(children, _symbol(c))
-            for children, c in zip(below, distinct[:, -1].tolist())
-        ]
-        nodes.append([made[i] for i in inverse.ravel().tolist()])
-        lo = hi
-    return list(zip(*nodes)) if nodes else [()] * len(table)
 
 
 def row_keys(table):
@@ -126,23 +67,22 @@ def row_keys(table):
 
 @dataclass(frozen=True, eq=False)
 class StateCodes:
-    """The states of a composed MAP as integer codes of their labels.
+    """The states of a composed MAP as rows of integer node codes.
 
     All states share one forest ``shape``: a tuple of ``(children shape,
-    is_arrival)`` per node.  Row ``s`` of the ``uint8`` array ``table`` holds
-    the codes of state ``s``'s nodes in post-order, a node's children before
-    the node.  So rows compare as the labels do: label order is the rows'
-    lexicographic order, and a row's bytes are its mixed-radix key.
+    is_arrival)`` per node, a node for each cache and for each phase-type
+    arrival process below its leaf.  Row ``s`` of the ``uint8`` array
+    ``table`` holds the codes of state ``s``'s nodes in post-order, a node's
+    children before the node.  A row's bytes are its mixed-radix key, and
+    code order, the rows' lexicographic order, is the order in which
+    lumping ranks sibling states.
     """
 
     table: np.ndarray
     shape: tuple
 
-    def labels(self):
-        return tuple(map(StateLabel, _forests(self.shape, self.table)))
-
     def order(self):
-        """The states in label order."""
+        """The states in code order."""
         return np.argsort(row_keys(self.table), kind="stable")
 
 
@@ -181,26 +121,19 @@ def _rate_matrix(x):
 
 @dataclass(frozen=True)
 class LabeledMap:
-    """A MAP: hidden matrix ``d0``, active matrix ``d1`` and its states, as
-    :class:`StateCodes` or as one label per state.
+    """A MAP: hidden matrix ``d0``, active matrix ``d1`` and the
+    :class:`StateCodes` of its states.
 
     Both matrices are stored as read-only CSR; dense input is converted.
     """
 
     d0: RateMatrix
     d1: RateMatrix
-    codes: object
+    codes: StateCodes
 
     def __post_init__(self):
         object.__setattr__(self, "d0", _rate_matrix(self.d0))
         object.__setattr__(self, "d1", _rate_matrix(self.d1))
-
-    @cached_property
-    def labels(self):
-        """One :class:`StateLabel` per state, built from the codes on first read."""
-        if isinstance(self.codes, StateCodes):
-            return self.codes.labels()
-        return tuple(self.codes)
 
     @property
     def size(self):
@@ -267,9 +200,8 @@ def kron_sum_triplets(a, b):
 def kronecker_sum(m1, m2):
     """Superpose two independent MAPs via the Kronecker sum.
 
-    The left operand's index varies slowest; both operands carry
-    :class:`StateCodes`, and code rows (so labels) concatenate in the same
-    order.
+    The left operand's index varies slowest, and each state's code row is
+    its factors' rows side by side in the same order.
     """
     n = m1.size * m2.size
 

@@ -5,7 +5,14 @@ import pytest
 
 from ttldelay.cache_builders import fetch_entry_distribution
 from ttldelay.distributions import Erlang, Exponential, require_ph
-from ttldelay.map_algebra import LabeledMap, StateCodes, StateLabel, off_diagonal
+from ttldelay.map_algebra import (
+    IN_CODE,
+    OUT_CODE,
+    LabeledMap,
+    StateCodes,
+    node_width,
+    off_diagonal,
+)
 from ttldelay.spec import CacheNode, CacheTreeSpec, sibling_runs
 
 
@@ -71,9 +78,54 @@ def ph_renewal_map(d):
     return LabeledMap(s, np.outer(exit_rates, alpha), phases)
 
 
-def encode(label):
-    """Compact text form of a ``StateLabel``, e.g. ``((O|A2)F1)I``."""
-    return "".join(_encode_node(node) for node in label.forest)
+def labels(m):
+    """The label of each state of ``m``, decoded from its ``StateCodes``.
+
+    A label is a forest, a tuple of nodes, one per top-level cache:
+
+    * a node is ``(children, symbol)`` where ``children`` is a tuple of nodes,
+    * cache symbols are ``("O", 0)`` (out), ``("I", 0)`` (in cache) or
+      ``("F", k)`` (fetching, phase ``k``),
+    * the arrival phase of a phase-type request stream appears as a
+      pseudo-node ``((), ("A", k))`` attached below its leaf cache.
+
+    Level superposition concatenates forests, line superposition wraps a
+    forest under a new root, and labels sort as the code rows do.
+    """
+    return tuple(_forests(m.codes.shape, m.codes.table))
+
+
+def _symbol(code):
+    if code == OUT_CODE:
+        return ("O", 0)
+    return ("I", 0) if code == IN_CODE else ("F", code + 1)
+
+
+def _forests(shape, table):
+    """The forest of ``shape`` that each row of ``table`` codes.  Each node is
+    built once per distinct code of its subtree and shared between rows."""
+    nodes, lo = [], 0
+    for node in shape:
+        hi = lo + node_width(node)
+        distinct, inverse = np.unique(table[:, lo:hi], axis=0, return_inverse=True)
+        below = _forests(node[0], distinct[:, :-1])
+        made = [
+            ((), ("A", c + 1)) if node[1] else (children, _symbol(c))
+            for children, c in zip(below, distinct[:, -1].tolist())
+        ]
+        nodes.append([made[i] for i in inverse.ravel().tolist()])
+        lo = hi
+    return list(zip(*nodes)) if nodes else [()] * len(table)
+
+
+def encode(forest):
+    """Compact text form of a label, e.g. ``((O|A2)F1)I``."""
+    return "".join(_encode_node(node) for node in forest)
+
+
+def state_index(m, text):
+    """Index of the first state of ``m`` whose label ``encode`` writes as ``text``."""
+    return [encode(forest) for forest in labels(m)].index(text)
 
 
 def _encode_sym(symbol):
@@ -101,11 +153,11 @@ def reference_labels(node, lump_per_level=False):
     if node.is_leaf:
         phases = len(node.arrival.ph()[0])
         below = [((((), ("A", a + 1)),) if phases > 1 else ()) for a in range(phases)]
-        return [StateLabel(((forest, s),)) for s in symbols for forest in below]
+        return [((forest, s),) for s in symbols for forest in below]
     runs = sibling_runs(node.children) if lump_per_level else [[c] for c in node.children]
     parts, entries = [], []
     for first, *rest in runs:
-        forests = [label.forest for label in reference_labels(first, lump_per_level)]
+        forests = reference_labels(first, lump_per_level)
         if rest:
             forests = [sum(block, ()) for block in
                        combinations_with_replacement(sorted(forests), 1 + len(rest))]
@@ -117,7 +169,7 @@ def reference_labels(node, lump_per_level=False):
         return bool(fetching) and all(e[k - 1] > 0 for k, e in fetching)
 
     return [
-        StateLabel(((forest, s),))
+        ((forest, s),)
         for forest in (sum(combo, ()) for combo in product(*parts))
         for s in symbols
         if s[0] != "F" or admits(forest)
@@ -140,10 +192,11 @@ def validate_map(m):
         return [f"d1 shape {d1.shape} differs from d0 shape {d0.shape}"]
     if n < 1:
         return ["empty state space"]
-    if len(m.labels) != n:
-        issues.append(f"{len(m.labels)} labels for {n} states")
-    elif len(set(m.labels)) != n:
-        issues.append("labels are not pairwise distinct")
+    table = m.codes.table
+    if len(table) != n:
+        issues.append(f"{len(table)} code rows for {n} states")
+    elif len(np.unique(table, axis=0)) != n:
+        issues.append("code rows are not pairwise distinct")
 
     diag = d0.diagonal()
     for i in np.flatnonzero(diag > 0):

@@ -12,7 +12,7 @@ from ttldelay.map_algebra import event_rate, steady_state
 from ttldelay.metrics import hit_probability
 from ttldelay.spec import CacheNode, CacheTreeSpec
 
-from conftest import encode, ph_renewal_map, single_mmm, validate_map
+from conftest import encode, labels, ph_renewal_map, single_mmm, state_index, validate_map
 
 # Pinned by a 10^7-request discrete-event run (seed 20250809):
 # single cache, Poisson(1) input, exponential TTL mean 2, Erlang-2 delay mean 1.
@@ -48,7 +48,7 @@ class TestCacheStateMap:
             m.d0.toarray(), [[0.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 1.0, -1.0]]
         )
         assert not m.d1.toarray().any()
-        assert [encode(lab) for lab in m.labels] == ["O", "I", "F1"]
+        assert [encode(forest) for forest in labels(m)] == ["O", "I", "F1"]
 
     def test_erlang_delay_downward_chain(self):
         f = 3
@@ -92,18 +92,16 @@ class TestSingleCache:
     def test_erlang_arrivals_six_states(self):
         m = build_single_cache(Erlang(2, 2.0), Exponential(0.5), Exponential(1.0))
         assert m.size == 6
-        encoded = {encode(lab) for lab in m.labels}
+        encoded = {encode(forest) for forest in labels(m)}
         assert encoded == {
             "(A1)O", "(A2)O", "(A1)I", "(A2)I", "(A1)F1", "(A2)F1",
         }
         # Arrival completion in Out is an active miss entering the fetch state
         # and resetting the arrival phase.
-        i = m.labels.index(next(l for l in m.labels if encode(l) == "(A2)O"))
-        j = m.labels.index(next(l for l in m.labels if encode(l) == "(A1)F1"))
+        i, j = state_index(m, "(A2)O"), state_index(m, "(A1)F1")
         assert m.d1[i, j] == pytest.approx(2.0)
         # Completion while in cache is a hit: hidden.
-        i = m.labels.index(next(l for l in m.labels if encode(l) == "(A2)I"))
-        j = m.labels.index(next(l for l in m.labels if encode(l) == "(A1)I"))
+        i, j = state_index(m, "(A2)I"), state_index(m, "(A1)I")
         assert m.d1[i, j] == 0.0
         assert m.d0[i, j] == pytest.approx(2.0)
         assert validate_map(m) == []
@@ -122,7 +120,7 @@ class TestSingleCache:
         # reset the arrival phase; for single-phase arrivals the reset folds
         # into the diagonal).
         m = build_single_cache(Erlang(2, 2.0), Exponential(0.5), Exponential(1.0))
-        i = m.labels.index(next(l for l in m.labels if encode(l) == "(A2)I"))
+        i = state_index(m, "(A2)I")
         off_diag = m.d0[i].sum() - m.d0[i, i] + m.d1[i].sum()
         assert off_diag == pytest.approx(0.5 + 2.0, abs=1e-12)
         assert m.d0[i].sum() + m.d1[i].sum() == pytest.approx(0.0, abs=1e-12)

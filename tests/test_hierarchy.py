@@ -23,7 +23,7 @@ from ttldelay.metrics import hit_probability, tree_hit_probability
 from ttldelay.simulator import SimConfig, simulate
 from ttldelay.spec import CacheNode, CacheTreeSpec
 
-from conftest import encode, two_level_tree, single_mmm, validate_map
+from conftest import encode, labels, two_level_tree, single_mmm, validate_map
 
 
 def mmm_leaf():
@@ -65,14 +65,15 @@ class TestLevelSuperpose:
 class TestLineSuperpose:
     def test_two_caches_in_line_state_set(self):
         line = line_superpose(mmm_parent(), mmm_leaf(), [1.0], [([1.0], 1)])
-        names = {encode(lab) for lab in line.labels}
+        names = {encode(forest) for forest in labels(line)}
         assert names == {"(O)O", "(O)I", "(I)O", "(I)I", "(F1)O", "(F1)I", "(F1)F1"}
         assert validate_map(line) == []
 
     def test_two_caches_in_line_active_transitions(self):
         line = line_superpose(mmm_parent(), mmm_leaf(), [1.0], [([1.0], 1)])
+        forests = labels(line)
         actives = {
-            (encode(line.labels[i]), encode(line.labels[j]))
+            (encode(forests[i]), encode(forests[j]))
             for i, j in zip(*np.nonzero(line.d1.toarray()))
         }
         assert actives == {("(O)O", "(F1)F1"), ("(F1)F1", "(F1)F1")}
@@ -102,9 +103,10 @@ class TestLineSuperpose:
         # parent's fetch chain.
         pair = level_superpose([mmm_leaf(), mmm_leaf()])
         tree = line_superpose(mmm_parent(), pair, [1.0], [([1.0], 1)] * 2)
+        forests = labels(tree)
         for i, j in zip(*np.nonzero(tree.d1.toarray())):
-            src_parent = tree.labels[i].forest[0][1]
-            dst_parent = tree.labels[j].forest[0][1]
+            src_parent = forests[i][0][1]
+            dst_parent = forests[j][0][1]
             assert src_parent[0] == "F" or (
                 src_parent[0] == "O" and dst_parent[0] == "F"
             )
@@ -112,8 +114,8 @@ class TestLineSuperpose:
     def test_no_invalid_state_survives(self):
         pair = level_superpose([mmm_leaf(), mmm_leaf()])
         tree = line_superpose(mmm_parent(), pair, [1.0], [([1.0], 1)] * 2)
-        for lab in tree.labels:
-            children, parent_sym = lab.forest[0]
+        for forest in labels(tree):
+            children, parent_sym = forest[0]
             if parent_sym[0] == "F":
                 assert any(node[1][0] == "F" for node in children)
 
@@ -235,7 +237,7 @@ class TestSiblingRuns:
         lumped = build_tree(spec, lump_per_level=True)
         assert calls == {"build": 3, "lump": []}
         plain = build_tree(spec, lump_per_level=False)
-        assert lumped.labels == plain.labels
+        assert labels(lumped) == labels(plain)
         np.testing.assert_array_equal(lumped.d0.toarray(), plain.d0.toarray())
         np.testing.assert_array_equal(lumped.d1.toarray(), plain.d1.toarray())
 

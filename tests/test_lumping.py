@@ -20,13 +20,13 @@ from ttldelay.lumping import lump_symmetric_level, partition_count
 from ttldelay.map_algebra import (
     KRYLOV_MIN_STATES,
     LabeledMap,
-    StateLabel,
+    StateCodes,
     event_rate,
     off_diagonal,
     steady_state,
 )
 
-from conftest import encode, flat_tree, validate_map
+from conftest import encode, flat_tree, labels, validate_map
 
 
 # The strong-lumpability oracle: a partition of a full product and a check
@@ -89,11 +89,12 @@ def verify_lumpability(m, partition, tol=1e-9):
                 f"block {b} -> block {jj}: member rates differ by {dev[jj]:.3e}"
             )
 
-    lengths = {len(lab.forest) for lab in m.labels}
+    forests = labels(m)
+    lengths = {len(forest) for forest in forests}
     if len(lengths) == 1 and lengths.pop() > 1 and m.size <= 5000:
         src, dst, rates = off_diagonal(q)
         for i, j in zip(src[rates != 0], dst[rates != 0]):
-            fi, fj = m.labels[i].forest, m.labels[j].forest
+            fi, fj = forests[i], forests[j]
             changed = sum(a != b for a, b in zip(fi, fj))
             if changed > 1:
                 failures.append(
@@ -127,24 +128,29 @@ def product_then_lump(sibling, n):
     """Reference: lump the full product of ``n`` siblings by sorted labels.
 
     Returns the product, its sibling-permutation partition and the lumped
-    MAP, whose rows are the representatives' rates summed per target block.
+    MAP, whose rows are the representatives' rates summed per target block
+    and whose states are the representatives' code rows.
     """
     product = level_superpose([sibling] * n)
-    signature = [tuple(sorted(label.forest)) for label in product.labels]
+    forests = labels(product)
+    signature = [tuple(sorted(forest)) for forest in forests]
     signatures = sorted(set(signature))
     block_index = {sig: b for b, sig in enumerate(signatures)}
     block_of = tuple(block_index[sig] for sig in signature)
     blocks = [[] for _ in signatures]
     for s, b in enumerate(block_of):
         blocks[b].append(s)
-    reps = [min(members, key=lambda s: product.labels[s].forest) for members in blocks]
+    reps = [min(members, key=forests.__getitem__) for members in blocks]
     partition = Partition(tuple(map(tuple, blocks)), block_of, tuple(reps))
     indicator = _block_indicator(block_of, len(blocks))
     lumped = LabeledMap(
         product.d0[reps] @ indicator,
         product.d1[reps] @ indicator,
-        tuple(StateLabel(sig) for sig in signatures),
+        StateCodes(product.codes.table[reps], product.codes.shape),
     )
+    # A block's smallest member lists its siblings sorted: its label is the
+    # block's signature.
+    assert labels(lumped) == tuple(signatures)
     return product, partition, lumped
 
 
@@ -176,7 +182,7 @@ class TestConstruction:
         sibling = make()
         product, partition, reference = product_then_lump(sibling, n)
         lumped = lump_symmetric_level(sibling, n).map
-        assert lumped.labels == reference.labels
+        assert labels(lumped) == labels(reference)
         assert abs(lumped.d0 - reference.d0).max() <= 1e-12
         assert abs(lumped.d1 - reference.d1).max() <= 1e-12
         assert lumped.size == partition.size == partition_count(sibling.size, n)
@@ -224,11 +230,12 @@ class TestLumpSymmetricLevel:
     def test_pair_of_identical_caches(self):
         pair, partition, _ = product_then_lump(leaf_map(), 2)
         lumped = lump_symmetric_level(leaf_map(), 2)
-        assert [encode(label) for label in lumped.map.labels] == [
+        assert [encode(forest) for forest in labels(lumped.map)] == [
             "F1F1", "F1I", "F1O", "II", "IO", "OO",
         ]
+        forests = labels(pair)
         blocks = {
-            frozenset(encode(pair.labels[s]) for s in block)
+            frozenset(encode(forests[s]) for s in block)
             for block in partition.blocks
         }
         assert blocks == {
@@ -241,8 +248,9 @@ class TestLumpSymmetricLevel:
         # One sibling lumps to itself, its states in label order.
         m = leaf_map()
         lumped = lump_symmetric_level(m, 1).map
-        order = sorted(range(m.size), key=lambda s: m.labels[s].forest)
-        assert lumped.labels == tuple(m.labels[s] for s in order)
+        forests = labels(m)
+        order = sorted(range(m.size), key=forests.__getitem__)
+        assert labels(lumped) == tuple(forests[s] for s in order)
         assert (lumped.d0 != m.d0[order][:, order]).nnz == 0
         assert (lumped.d1 != m.d1[order][:, order]).nnz == 0
 
@@ -259,12 +267,13 @@ class TestLumpSymmetricLevel:
         # Each block's label is the sorted forest of its smallest member.
         pair, partition, _ = product_then_lump(leaf_map(), 2)
         lumped = lump_symmetric_level(leaf_map(), 2).map
-        for block, rep, label in zip(
-            partition.blocks, partition.representatives, lumped.labels
+        forests = labels(pair)
+        for block, rep, forest in zip(
+            partition.blocks, partition.representatives, labels(lumped)
         ):
-            rep_forest = pair.labels[rep].forest
-            assert rep_forest == min(pair.labels[s].forest for s in block)
-            assert label.forest == rep_forest == tuple(sorted(rep_forest))
+            rep_forest = forests[rep]
+            assert rep_forest == min(forests[s] for s in block)
+            assert forest == rep_forest == tuple(sorted(rep_forest))
 
 
 class TestVerifyLumpability:
@@ -278,10 +287,9 @@ class TestVerifyLumpability:
         pair, partition, _ = product_then_lump(leaf_map(), 2)
         blocks = list(partition.blocks)
         # Merge the all-out block with the all-in block.
-        out_b = next(i for i, b in enumerate(blocks)
-                     if encode(pair.labels[b[0]]) == "OO")
-        in_b = next(i for i, b in enumerate(blocks)
-                    if encode(pair.labels[b[0]]) == "II")
+        forests = labels(pair)
+        out_b = next(i for i, b in enumerate(blocks) if encode(forests[b[0]]) == "OO")
+        in_b = next(i for i, b in enumerate(blocks) if encode(forests[b[0]]) == "II")
         merged = blocks[out_b] + blocks[in_b]
         new_blocks = [b for i, b in enumerate(blocks) if i not in (out_b, in_b)]
         new_blocks.append(merged)
@@ -339,21 +347,21 @@ class TestPermutationCovariance:
         n = 3
         triple = level_superpose([leaf_map()] * n)
         q = triple.generator()
-        index = {lab.forest: i for i, lab in enumerate(triple.labels)}
+        forests = labels(triple)
+        index = {forest: i for i, forest in enumerate(forests)}
         rng = np.random.default_rng(3)
         perms = list(permutations(range(n)))
         for _ in range(200):
             a, b = rng.integers(0, triple.size, 2)
             f = perms[rng.integers(len(perms))]
-            fa = tuple(triple.labels[a].forest[i] for i in f)
-            fb = tuple(triple.labels[b].forest[i] for i in f)
+            fa = tuple(forests[a][i] for i in f)
+            fb = tuple(forests[b][i] for i in f)
             assert q[index[fa], index[fb]] == q[a, b]
 
     def test_no_transition_changes_two_siblings(self):
         pair = level_superpose([leaf_map(), leaf_map()])
         q = pair.generator().toarray()
+        forests = labels(pair)
         for i, j in zip(*np.nonzero(q - np.diag(np.diag(q)))):
-            changed = sum(
-                x != y for x, y in zip(pair.labels[i].forest, pair.labels[j].forest)
-            )
+            changed = sum(x != y for x, y in zip(forests[i], forests[j]))
             assert changed <= 1

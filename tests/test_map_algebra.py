@@ -6,18 +6,17 @@ from ttldelay.cache_builders import build_single_cache
 from ttldelay.distributions import Coxian, Erlang, Exponential
 from ttldelay.errors import CapacityError, ReducibleChainError
 from ttldelay.map_algebra import (
-    IN,
-    OUT,
+    IN_CODE,
+    OUT_CODE,
     LabeledMap,
-    StateLabel,
-    cache_node,
+    StateCodes,
     empty_map,
     event_rate,
     kronecker_sum,
     steady_state,
 )
 
-from conftest import encode, ph_renewal_map, single_mmm, validate_map
+from conftest import encode, labels, ph_renewal_map, single_mmm, state_index, validate_map
 
 
 def mmm_map():
@@ -32,7 +31,7 @@ class TestValidate:
         m = mmm_map()
         d1 = m.d1.copy()
         d1[0, 2] = -d1[0, 2]
-        bad = LabeledMap(m.d0, d1, m.labels)
+        bad = LabeledMap(m.d0, d1, m.codes)
         issues = validate_map(bad)
         assert any("negative active rate" in msg for msg in issues)
 
@@ -40,21 +39,23 @@ class TestValidate:
         m = mmm_map()
         d0 = m.d0.copy()
         d0[1, 1] += 1e-6
-        issues = validate_map(LabeledMap(d0, m.d1, m.labels))
+        issues = validate_map(LabeledMap(d0, m.d1, m.codes))
         assert any("row sum nonzero" in msg for msg in issues)
 
     def test_duplicate_labels_flagged(self):
         m = mmm_map()
-        labels = (m.labels[0],) * 3
-        issues = validate_map(LabeledMap(m.d0, m.d1, labels))
+        repeated = StateCodes(m.codes.table[[0, 0, 0]], m.codes.shape)
+        issues = validate_map(LabeledMap(m.d0, m.d1, repeated))
         assert any("distinct" in msg for msg in issues)
+        short = StateCodes(m.codes.table[:2], m.codes.shape)
+        assert validate_map(LabeledMap(m.d0, m.d1, short)) == ["2 code rows for 3 states"]
 
 
 class TestKroneckerSum:
     def test_two_caches_give_nine_states(self):
         pair = kronecker_sum(mmm_map(), mmm_map())
         assert pair.size == 9
-        encoded = {encode(lab) for lab in pair.labels}
+        encoded = {encode(forest) for forest in labels(pair)}
         assert encoded == {a + b for a in ("O", "I", "F1") for b in ("O", "I", "F1")}
         assert validate_map(pair) == []
 
@@ -63,7 +64,7 @@ class TestKroneckerSum:
         same = kronecker_sum(m, empty_map())
         np.testing.assert_allclose(same.d0.toarray(), m.d0.toarray())
         np.testing.assert_allclose(same.d1.toarray(), m.d1.toarray())
-        assert same.labels == m.labels
+        assert labels(same) == labels(m)
 
     def test_two_ph_renewal_maps(self):
         r = ph_renewal_map(Erlang(2, 2.0))
@@ -88,7 +89,7 @@ class TestSteadyState:
         m = LabeledMap(
             [[-1.0, 1.0], [1.0, -1.0]],
             np.zeros((2, 2)),
-            (StateLabel((cache_node((), OUT),)), StateLabel((cache_node((), IN),))),
+            StateCodes(np.array([[OUT_CODE], [IN_CODE]], dtype=np.uint8), (((), False),)),
         )
         np.testing.assert_allclose(steady_state(m).pi, [0.5, 0.5], atol=1e-12)
 
@@ -107,9 +108,9 @@ class TestSteadyState:
                 [0.0, 0.0, 2.0, -2.0],
             ]
         )
-        labels = tuple(StateLabel((((), ("F", k)),)) for k in range(1, 5))
+        fetching = StateCodes(np.arange(4, dtype=np.uint8)[:, None], (((), False),))
         with pytest.raises(ReducibleChainError):
-            steady_state(LabeledMap(d0, np.zeros((4, 4)), labels))
+            steady_state(LabeledMap(d0, np.zeros((4, 4)), fetching))
 
 
 class TestEventRate:
@@ -119,7 +120,7 @@ class TestEventRate:
 
     def test_no_events(self):
         m = mmm_map()
-        silent = LabeledMap(m.generator(), np.zeros((3, 3)), m.labels)
+        silent = LabeledMap(m.generator(), np.zeros((3, 3)), m.codes)
         assert event_rate(silent) == 0.0
 
     def test_erlang_renewal_rate_is_inverse_mean(self):
@@ -161,27 +162,21 @@ def test_renewal_event_rate_matches_mean(data):
 @given(st.data(), st.floats(0.01, 100.0))
 def test_time_rescaling(data, c):
     m = ph_renewal_map(_random_renewal(data))
-    scaled = LabeledMap(c * m.d0, c * m.d1, m.labels)
+    scaled = LabeledMap(c * m.d0, c * m.d1, m.codes)
     np.testing.assert_allclose(steady_state(scaled).pi, steady_state(m).pi, atol=1e-9)
     assert event_rate(scaled) == pytest.approx(c * event_rate(m), rel=1e-12)
 
 
-def _decode_table(m):
-    """Text form -> label over the map's own labels; it inverts ``encode``
-    exactly when ``encode`` is injective on them."""
-    return {encode(lab): lab for lab in m.labels}
+def assert_round_trip(m):
+    """``state_index`` inverts ``encode`` on ``m``'s labels, so ``encode`` is
+    injective on them."""
+    for s, forest in enumerate(labels(m)):
+        assert state_index(m, encode(forest)) == s
 
 
 class TestLabels:
     def test_encode_decode_round_trip(self):
-        m = build_single_cache(Erlang(2, 2.0), Exponential(0.5), Erlang(2, 2.0))
-        table = _decode_table(m)
-        for lab in m.labels:
-            assert table[encode(lab)] == lab
+        assert_round_trip(build_single_cache(Erlang(2, 2.0), Exponential(0.5), Erlang(2, 2.0)))
 
     def test_round_trip_on_composed_labels(self):
-        pair = kronecker_sum(mmm_map(), mmm_map())
-        table = _decode_table(pair)
-        for lab in pair.labels:
-            assert table[encode(lab)] == lab
-        assert len(table) == pair.size
+        assert_round_trip(kronecker_sum(mmm_map(), mmm_map()))

@@ -1,8 +1,8 @@
 """Composed MAPs keep their state order, labels and matrices.
 
-Exact composition carries integer state codes and builds a ``StateLabel``
-only when ``.labels`` is read.  ``DIGESTS`` pins, bit for bit, the labels,
-``d0`` and ``d1`` of ``build_tree`` and the labels, ``a``, ``b`` and ``d1``
+Exact composition carries integer state codes, which ``conftest.labels``
+decodes into one label forest per state.  ``DIGESTS`` pins, bit for bit, the
+labels, ``d0`` and ``d1`` of ``build_tree`` and the labels, ``a``, ``b`` and ``d1``
 of ``delay_pencil`` (with its zero-delay limit), lumped and unlumped, on
 ``configs/`` (also under ``zero_delay_variant``), ``flat_tree(8)``, the
 lumped ternary depth-2 tree, coxian_three_level and eight seeded generated
@@ -26,7 +26,7 @@ from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH
 from ttldelay.hierarchy import build_tree, delay_pencil
 from ttldelay.spec import CacheNode, CacheTreeSpec, zero_delay_variant
 
-from conftest import flat_tree, reference_labels
+from conftest import flat_tree, labels, reference_labels
 from test_sparse_engine import LARGE_CASES, TERNARY, trees
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -82,8 +82,8 @@ def generated_tree(seed):
             return spec
 
 
-def digest(labels, *matrices):
-    h = hashlib.sha256(repr([label.forest for label in labels]).encode())
+def digest(forests, *matrices):
+    h = hashlib.sha256(repr(list(forests)).encode())
     for m in matrices:
         for arr in (m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)):
             h.update(np.ascontiguousarray(arr).tobytes())
@@ -96,9 +96,9 @@ def digests(spec, lump):
     pencil = delay_pencil(spec, lump_per_level=lump)
     limit = pencil.limit()
     return (
-        digest(built.labels, built.d0, built.d1),
-        digest(pencil.at(1.0).labels, pencil.a, pencil.b, pencil.d1)
-        + digest(limit.labels, limit.d0, limit.d1),
+        digest(labels(built), built.d0, built.d1),
+        digest(labels(pencil), pencil.a, pencil.b, pencil.d1)
+        + digest(labels(limit), limit.d0, limit.d1),
     )
 
 
@@ -161,15 +161,15 @@ def test_labels_follow_the_composition_rules(name):
     spec = CASES[name]
     for lump in (True,) if name in LUMPED_ONLY else (False, True):
         expected = tuple(reference_labels(spec.root, lump))
-        assert build_tree(spec, lump_per_level=lump).labels == expected
-        assert delay_pencil(spec, lump_per_level=lump).at(1.0).labels == expected
+        assert labels(build_tree(spec, lump_per_level=lump)) == expected
+        assert labels(delay_pencil(spec, lump_per_level=lump)) == expected
 
 
 def check_labels(spec):
     for lump in (False, True):
         expected = tuple(reference_labels(spec.root, lump))
-        assert build_tree(spec, lump_per_level=lump).labels == expected
-        assert delay_pencil(spec, lump_per_level=lump).at(1.0).labels == expected
+        assert labels(build_tree(spec, lump_per_level=lump)) == expected
+        assert labels(delay_pencil(spec, lump_per_level=lump)) == expected
 
 
 @hyp_settings(max_examples=15, deadline=None)

@@ -47,7 +47,6 @@ class PhTransform:
 
 def lst_of_ph(d):
     """Laplace-Stieltjes transform of a phase-type distribution."""
-    dist.require_ph(d, "transformed distribution")
     alpha, s = d.ph()
     return PhTransform(alpha, s, -s.sum(axis=1))
 
@@ -113,8 +112,6 @@ def expected_renewals_during_delay(x, delta):
     expected number of marked events of the product chain before the delay
     clock absorbs; exact, one linear solve.
     """
-    dist.require_ph(x, "arrival process")
-    dist.require_ph(delta, "fetch delay")
     alpha_x, s_x = x.ph()
     alpha_d, s_d = delta.ph()
     exit_x = -s_x.sum(axis=1)

@@ -61,7 +61,6 @@ def build_parent_cache(ttl, delay, delay_unit=1.0):
         raise UnsupportedDistributionError(
             "the exact engine supports exponential TTLs only"
         )
-    dist.require_ph(delay, "fetch delay")
     _, s_rev = _reversed_ph(delay)
     s_rev = s_rev * delay_unit
     exit_rev = -s_rev.sum(axis=1)
@@ -90,7 +89,6 @@ def build_single_cache(arrival, ttl, delay, delay_unit=1.0):
     ``miss`` holds Out -> F by the fetch entry distribution and F_k -> F_k).
     ``delay_unit`` multiplies the delay rates, as in :func:`build_parent_cache`.
     """
-    dist.require_ph(arrival, "arrival process")
     cache = build_parent_cache(ttl, delay, delay_unit)
     alpha_a, s_a = arrival.ph()
     renewal = np.outer(-s_a.sum(axis=1), alpha_a)

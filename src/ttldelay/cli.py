@@ -16,11 +16,11 @@ numbers in CSV output carry nine significant digits.  Errors print a single
 
 import argparse
 import csv
-import importlib
 import logging
 import math
 import secrets
 import sys
+import warnings
 
 import numpy as np
 import yaml
@@ -54,25 +54,21 @@ YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 log = logging.getLogger(__name__)
 
 
-def _engine(module, name):
-    """``module.name``, imported on its first call.
+# The exact engine needs SciPy's sparse linear algebra, which takes longer to
+# import than everything else a command loads; the approximation, the
+# simulator and the trace fitter need only NumPy.  So commands reach the engine
+# through these two functions, which import it on their first call, and where
+# perfbench's tracer wraps ``build_tree``; ``hit_probability`` imports it itself.
+def build_tree(spec, **options):
+    from ttldelay import hierarchy
 
-    The exact engine needs SciPy's sparse linear algebra, which takes longer
-    to import than everything else a command loads; the approximation, the
-    simulator and the trace fitter need only NumPy.  Commands call the engine
-    through these module attributes, where perfbench's tracer wraps
-    ``build_tree``; ``hit_probability`` imports the engine itself.
-    """
-
-    def call(*args, **kwargs):
-        return getattr(importlib.import_module(module), name)(*args, **kwargs)
-
-    call.__name__ = call.__qualname__ = name
-    return call
+    return hierarchy.build_tree(spec, **options)
 
 
-build_tree = _engine("ttldelay.hierarchy", "build_tree")
-delay_pencil = _engine("ttldelay.hierarchy", "delay_pencil")
+def delay_pencil(spec, **options):
+    from ttldelay import hierarchy
+
+    return hierarchy.delay_pencil(spec, **options)
 
 
 def _num(x):
@@ -97,7 +93,7 @@ def parse_distribution(cfg, context):
                                   tuple(map(tuple, cfg["subgenerator"])))
         if kind == "deterministic":
             return dist.Deterministic(float(cfg["value"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{context}: bad {kind} parameters: {exc}") from exc
     raise ConfigError(f"{context}: unknown distribution kind {kind!r}")
 
@@ -106,13 +102,15 @@ def parse_node(cfg, context="tree"):
     if not isinstance(cfg, dict) or "id" not in cfg:
         raise ConfigError(f"{context}: node must be a mapping with an 'id'")
     here = f"{context}/{cfg['id']}"
-    children = tuple(parse_node(c, here) for c in cfg.get("children", []))
+    children = cfg.get("children", [])
+    if not isinstance(children, list):
+        raise ConfigError(f"{here}: children must be a list of nodes")
     arrival = cfg.get("arrival")
     return CacheNode(
         id=str(cfg["id"]),
-        ttl=parse_distribution(cfg["ttl"], f"{here}.ttl"),
-        delay=parse_distribution(cfg["delay"], f"{here}.delay"),
-        children=children,
+        ttl=parse_distribution(cfg.get("ttl"), f"{here}.ttl"),
+        delay=parse_distribution(cfg.get("delay"), f"{here}.delay"),
+        children=tuple(parse_node(c, here) for c in children),
         arrival=parse_distribution(arrival, f"{here}.arrival") if arrival else None,
     )
 
@@ -293,7 +291,11 @@ def cmd_fit_trace(args):
     if args.bins < 1:
         raise ConfigError(f"--bins must be at least 1, got {args.bins}")
     try:
-        timestamps = np.loadtxt(args.trace, ndmin=1)
+        # ``interarrivals`` reports an empty trace; NumPy's warning would be
+        # a second stderr line.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            timestamps = np.loadtxt(args.trace, ndmin=1)
     except OSError as exc:
         raise ConfigError(f"cannot read trace {args.trace}: {exc}") from exc
     gaps = interarrivals(timestamps)

@@ -2,8 +2,9 @@
 
 Every kind except :class:`Deterministic` has a phase-type representation
 ``(alpha, S)``: ``alpha`` is the initial probability row vector and ``S`` the
-subgenerator, so the exit-rate column is ``-S @ 1``.  Deterministic values are
-accepted by the simulator only.
+subgenerator, so the exit-rate column is ``-S @ 1``.  ``Deterministic.ph()``
+raises :class:`UnsupportedDistributionError`, so deterministic values are
+accepted by the simulator only; ``ph()`` is the one phase-type test.
 """
 
 import math
@@ -177,21 +178,6 @@ class Deterministic:
 
     def scaled_to_mean(self, mean):
         return Deterministic(mean)
-
-
-PH_KINDS = (Exponential, Erlang, Coxian, GeneralPH)
-
-
-def is_ph(dist):
-    return isinstance(dist, PH_KINDS)
-
-
-def require_ph(dist, what):
-    if not is_ph(dist):
-        raise UnsupportedDistributionError(
-            f"{what} must be phase-type representable, got {type(dist).__name__}"
-        )
-    return dist
 
 
 def ph_mean(alpha, s):

@@ -62,7 +62,8 @@ class SimConfig:
 
     def validate(self):
         _check_integer("request budget (requests)", self.requests, 1)
-        _check_warmup(self.warmup_fraction)
+        if not 0 <= self.warmup_fraction < 1:
+            raise ConfigError("warmup fraction must lie in [0, 1)")
         _check_integer("replications", self.replications, 1)
         _check_integer("seed", self.seed, 0)
         self.spec.validate(exact=False)
@@ -73,11 +74,6 @@ def _check_integer(name, value, least):
     if not isinstance(value, numbers.Integral) or value < least:
         kind = "positive" if least > 0 else "non-negative"
         raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
-
-
-def _check_warmup(fraction):
-    if not 0 <= fraction < 1:
-        raise ConfigError("warmup fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -103,16 +99,12 @@ class _Cache:
     live in their arrival events, so a run holds no reference cycle and
     reference counting frees it, sample buffers and all, when it ends."""
 
-    __slots__ = (
-        "parent", "children", "ttl", "delay", "status", "version",
-        "timer_active", "__weakref__",
-    )
+    __slots__ = ("parent", "children", "ttl", "delay", "status", "version", "__weakref__")
 
     def __init__(self, parent):
         self.parent = parent
         self.status = ABSENT
         self.version = 0
-        self.timer_active = False
 
 
 def _build(node, above, rng, arrivals):
@@ -147,29 +139,25 @@ class _Run:
             heapq.heappush(self.heap, (next(source), next(self.seq), _ARRIVAL, path, source))
 
     def _start_fetch(self, c):
+        # The clock runs unless the parent fetches.  Every fetching child's
+        # clock ran under the absent ``c``; the new fetch freezes it.
         c.status = FETCHING
         c.version += 1
-        parent = c.parent
-        if parent is not None and parent.status == FETCHING:
-            c.timer_active = False
-        else:
-            c.timer_active = True
+        if c.parent is None or c.parent.status != FETCHING:
             heapq.heappush(self.heap, (self.now + next(c.delay), next(self.seq),
                                        _FETCH_DONE, c, c.version))
-        # The new fetch freezes any running child fetches below it.
         for child in c.children:
-            if child.status == FETCHING and child.timer_active:
+            if child.status == FETCHING:
                 child.version += 1
-                child.timer_active = False
 
     def _admit(self, c):
+        # Every fetching child's clock was frozen under the fetching ``c``.
         c.status = PRESENT
         c.version += 1
         heapq.heappush(self.heap, (self.now + next(c.ttl), next(self.seq),
                                    _EXPIRY, c, c.version))
         for child in c.children:
-            if child.status == FETCHING and not child.timer_active:
-                child.timer_active = True
+            if child.status == FETCHING:
                 child.version += 1
                 heapq.heappush(self.heap, (self.now + next(child.delay), next(self.seq),
                                            _FETCH_DONE, child, child.version))
@@ -289,9 +277,7 @@ def simulate_trace(timestamps, spec, seed=0, warmup_fraction=0.1):
         raise ConfigError("trace timestamps must be finite")
     if np.any(np.diff(timestamps) < 0):
         raise ConfigError("trace timestamps must be ascending")
-    _check_warmup(warmup_fraction)
-    _check_integer("seed", seed, 0)
-    spec.validate(exact=False)
+    SimConfig(spec, timestamps.size, warmup_fraction, seed).validate()
     if not spec.root.is_leaf:
         raise ConfigError("trace replay requires a single-cache spec")
     run = _Run(spec, np.random.default_rng([seed, 0]), map(float, timestamps))

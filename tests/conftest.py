@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ttldelay.cache_builders import fetch_entry_distribution
-from ttldelay.distributions import Erlang, Exponential, require_ph
+from ttldelay.distributions import Erlang, Exponential
 from ttldelay.map_algebra import (
     IN_CODE,
     OUT_CODE,
@@ -70,7 +70,6 @@ def e20_cache(tau_delta, tau_t=2.0):
 
 def ph_renewal_map(d):
     """Renewal MAP of a PH distribution: events at each absorption/restart."""
-    require_ph(d, "renewal distribution")
     alpha, s = d.ph()
     exit_rates = -s.sum(axis=1)
     # One arrival node per state, coded by its phase: labels ((), ("A", k)).

@@ -1,6 +1,8 @@
 import csv
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +319,18 @@ class TestFitTrace:
         assert main(["fit-trace", "--trace", str(trace), "--phases", "1"]) == 1
         assert capsys.readouterr().err == "E_VALUE: timestamps must be finite\n"
 
+    def test_empty_trace_is_one_error_line(self, tmp_path):
+        # A fresh process, so NumPy's warning would reach stderr unrecorded.
+        trace = tmp_path / "trace.txt"
+        trace.write_text("")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttldelay.cli", "fit-trace", "--trace", str(trace)],
+            env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "E_VALUE: need at least two timestamps\n"
+
     def test_iteration_limit_warns(self, tmp_path, rng, monkeypatch, caplog):
         import yaml
 
@@ -472,6 +486,23 @@ class TestErrors:
         assert main(["simulate", "--config", str(path), "--requests", "100"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG:") and "singular" in err
+
+    @pytest.mark.parametrize("text, where", [
+        (SINGLE.replace("mean: 2.0", "mean: 0"), "tree/cache.ttl"),
+        (SINGLE.replace("exponential, mean: 1.0}\n  arrival",
+                        "erlang, phases: 2, mean: 0}\n  arrival"), "tree/cache.delay"),
+        (SINGLE.replace("  ttl: {kind: exponential, mean: 2.0}\n", ""), "tree/cache.ttl"),
+        (SINGLE.replace("  delay: {kind: exponential, mean: 1.0}\n", ""),
+         "tree/cache.delay"),
+        (SINGLE.replace("  arrival", "  children: 5\n  arrival"), "tree/cache"),
+    ], ids=["zero_mean", "zero_erlang_mean", "no_ttl", "no_delay", "children_not_list"])
+    def test_malformed_node_is_one_config_error(self, tmp_path, capsys, text, where):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["analyze", "--config", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"E_CONFIG: {where}")
 
     def test_leaf_without_arrival(self, tmp_path, capsys):
         path = tmp_path / "no_arrival.yaml"

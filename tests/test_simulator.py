@@ -9,7 +9,16 @@ from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Deterministic, Erlang, Exponential
 from ttldelay.errors import ConfigError
 from ttldelay.metrics import tree_hit_probability
-from ttldelay.simulator import _Cache, _Run, SimConfig, simulate, simulate_trace
+from ttldelay.simulator import (
+    _ARRIVAL,
+    _FETCH_DONE,
+    FETCHING,
+    SimConfig,
+    _Cache,
+    _Run,
+    simulate,
+    simulate_trace,
+)
 from ttldelay.spec import CacheNode, CacheTreeSpec
 
 from conftest import two_level_tree, single_mmm
@@ -90,9 +99,29 @@ class TestChainCausality:
 
         rng = np.random.default_rng([99, 0])
         Instrumented(two_level_tree(2.0), rng).serve(200_000, 0.0)
-        from ttldelay.simulator import FETCHING
-
         assert admissions and all(s != FETCHING for s in admissions)
+
+    @pytest.mark.parametrize("spec", [
+        ph_tree(), load_config(CONFIGS / "binary_three_level_mme2.yaml")[0],
+    ], ids=["ph_tree", "three_level"])
+    def test_fetch_clock_runs_exactly_under_a_non_fetching_parent(self, spec):
+        # After every request, a cache holds a live fetch-completion event
+        # exactly when it fetches and its parent (if any) does not.
+        run = _Run(spec, np.random.default_rng([7, 0]))
+        frozen = 0
+        for _ in range(2000):
+            run.serve(1, 0.0)
+            caches = {c for e in run.heap if e[2] == _ARRIVAL for c in e[3]}
+            live = [e[3] for e in run.heap if e[2] == _FETCH_DONE and e[4] == e[3].version]
+            assert len(set(live)) == len(live) and set(live) <= caches
+            for c in caches:
+                parent_fetching = c.parent is not None and c.parent.status == FETCHING
+                if c.status != FETCHING:
+                    assert c not in live
+                else:
+                    assert (c in live) == (not parent_fetching)
+                    frozen += parent_fetching
+        assert frozen  # the run did freeze clocks under fetching parents
 
 
 class TestReplications:

@@ -153,7 +153,7 @@ def hit_prob_single_approx(x, lambda_t, delta, input_rate=None):
 
 def _ph_equilibrium(alpha, s):
     """Initial vector of the stationary-excess distribution of a PH law."""
-    mean = dist.ph_mean(alpha, s)
+    mean = dist.ph_moment(alpha, s, 1)
     beta = -alpha @ np.linalg.inv(s) / mean
     return np.asarray(beta).ravel()
 

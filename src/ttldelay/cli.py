@@ -46,6 +46,9 @@ from ttldelay.trace_pipeline import (
 )
 
 LUMP_AUTO_THRESHOLD = 10_000
+# A sweep longer than this is a mistyped step: the largest sweep in use has
+# 80 points.  The count is checked before any point is listed.
+MAX_SWEEP_POINTS = 100_000
 # libyaml's parser and emitter when PyYAML was built with them: the same
 # documents, several times faster than the pure-Python ones.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -161,7 +164,10 @@ def parse_sweep(text):
         raise ConfigError("sweep start must not be negative")
     if stop < start:
         raise ConfigError("sweep stop must not precede start")
-    n = int(round((stop - start) / step))
+    steps = (stop - start) / step
+    if not math.isfinite(steps) or round(steps) >= MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep of {steps + 1:.6g} points is longer than {MAX_SWEEP_POINTS}")
+    n = int(round(steps))
     values = [start + k * step for k in range(n + 1)]
     if values[-1] > stop + 1e-12:
         values.pop()

@@ -87,7 +87,7 @@ class Coxian:
             raise ValueError("continue probabilities must lie in [0, 1]")
 
     def mean(self):
-        return ph_mean(*self.ph())
+        return ph_moment(*self.ph(), 1)
 
     def ph(self):
         k = len(self.rates)
@@ -140,7 +140,7 @@ class GeneralPH:
         object.__setattr__(self, "subgenerator", tuple(map(tuple, s)))
 
     def mean(self):
-        return ph_mean(*self.ph())
+        return ph_moment(*self.ph(), 1)
 
     def ph(self):
         return np.asarray(self.initial), np.asarray(self.subgenerator, dtype=float)
@@ -178,11 +178,6 @@ class Deterministic:
 
     def scaled_to_mean(self, mean):
         return Deterministic(mean)
-
-
-def ph_mean(alpha, s):
-    """Mean of a PH distribution, -alpha S^-1 1."""
-    return float(-alpha @ np.linalg.solve(s, np.ones(len(alpha))))
 
 
 def ph_moment(alpha, s, k):

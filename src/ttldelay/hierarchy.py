@@ -36,6 +36,7 @@ symmetric trees.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import sparse
@@ -53,7 +54,6 @@ from ttldelay.map_algebra import (
     OUT_CODE,
     LabeledMap,
     StateCodes,
-    empty_map,
     kron_sum_triplets,
     kronecker_sum,
     off_diagonal,
@@ -66,14 +66,8 @@ from ttldelay.spec import sibling_runs
 
 
 def level_superpose(maps):
-    """Superpose independent sibling sub-MAPs; empty input gives the unit MAP."""
-    maps = list(maps)
-    if not maps:
-        return empty_map()
-    result = maps[0]
-    for m in maps[1:]:
-        result = kronecker_sum(result, m)
-    return result
+    """Superpose independent sibling sub-MAPs, a left fold of Kronecker sums."""
+    return reduce(kronecker_sum, maps)
 
 
 def _snap_matrix(codes, targets, tops, restart, entries, bounds):

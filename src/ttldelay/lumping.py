@@ -8,19 +8,19 @@ sub-states, without the ``m_S**n`` product: each block is a frequency vector
 over sub-states, which is why the block count is the number of weak
 compositions ``C(n + m_S - 1, m_S - 1)``.  Sub-states are ranked in the
 order of their code rows (:class:`ttldelay.map_algebra.StateCodes`), and a
-block's row is its sub-states' rows side by side.  The strong-lumpability
-oracle that checks a level against the lumped full product lives with the
-tests.
+block's row is its sub-states' rows side by side.  Every move of every block
+is built at once as arrays, its target found by a binary search on the
+target's code row.  The strong-lumpability oracle that checks a level
+against the lumped full product lives with the tests.
 """
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 from scipy import sparse
 
-from ttldelay.map_algebra import LabeledMap, StateCodes
+from ttldelay.map_algebra import LabeledMap, StateCodes, row_keys
 from ttldelay.settings import check_state_count
 from ttldelay.spec import partition_count
 
@@ -45,25 +45,25 @@ def lump_symmetric_level(sibling, n):
     count = partition_count(sibling.size, n)
     check_state_count(count, hint="the level is too wide even lumped")
     order = sibling.codes.order()
-    blocks = list(combinations_with_replacement(range(sibling.size), n))
-    index = {block: i for i, block in enumerate(blocks)}
+    ranks = chain.from_iterable(combinations_with_replacement(range(sibling.size), n))
+    blocks = np.fromiter(ranks, np.intp, count * n).reshape(count, n)
+    sub_table = sibling.codes.table[order]
+    table = sub_table[blocks].reshape(count, -1)
+    # Each block's distinct sub-states a at their first position j; c siblings are in a.
+    i, j = np.nonzero(np.diff(blocks, axis=1, prepend=-1))
+    a, c, keys = blocks[i, j], np.diff(i * n + j, append=count * n), row_keys(table)
 
     def lumped(d):
-        ranked = d[order][:, order].tocoo()
-        moves = [[] for _ in order]
-        for a, b, r in zip(ranked.row.tolist(), ranked.col.tolist(), ranked.data.tolist()):
-            moves[a].append((b, r))
-        rows, cols, rates = [], [], []
-        for i, block in enumerate(blocks):
-            for a, c in Counter(block).items():
-                rest = list(block)
-                rest.remove(a)
-                for b, r in moves[a]:
-                    rows.append(i)
-                    cols.append(index[tuple(sorted(rest + [b]))])
-                    rates.append(c * r)
+        ranked = d[order][:, order].tocsr()
+        starts, sizes = ranked.indptr[a], np.diff(ranked.indptr)[a]
+        pick = np.repeat(np.arange(len(a)), sizes)
+        entry = np.arange(len(pick)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        moved = blocks[i[pick]]
+        moved[np.arange(len(pick)), j[pick]] = ranked.indices[entry]
+        moved.sort(axis=1)
+        rows, rates = i[pick], c[pick] * ranked.data[entry]
+        cols = np.searchsorted(keys, row_keys(sub_table[moved].reshape(len(rows), -1)))
         return sparse.csr_array((rates, (rows, cols)), shape=(count, count))
 
-    table = sibling.codes.table[order][np.array(blocks)].reshape(count, -1)
     codes = StateCodes(table, sibling.codes.shape * n)
     return LumpedMap(LabeledMap(lumped(sibling.d0), lumped(sibling.d1), codes))

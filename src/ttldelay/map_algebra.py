@@ -161,12 +161,6 @@ class SteadyState:
         self.pi.setflags(write=False)
 
 
-def empty_map():
-    """The one-state MAP with no caches; identity element of superposition."""
-    no_nodes = StateCodes(np.zeros((1, 0), dtype=np.uint8), ())
-    return LabeledMap(np.zeros((1, 1)), np.zeros((1, 1)), no_nodes)
-
-
 def off_diagonal(m):
     """COO triplets of the off-diagonal entries of a sparse matrix."""
     coo = m.tocoo()

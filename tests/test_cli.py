@@ -544,9 +544,17 @@ class TestSweepParsing:
 
     def test_invalid_ranges(self):
         for text in ("tau_delta=0:0:1", "tau_delta=2:1:0", "tau_delta=0:1",
-                     "other=0:1:2", "tau_delta=-1:1:2"):
+                     "other=0:1:2", "tau_delta=-1:1:2",
+                     "tau_delta=0:1e-320:1", "tau_delta=0:1e-9:1"):
             with pytest.raises(ConfigError):
                 parse_sweep(text)
+
+    def test_overlong_sweep_is_one_error_line(self, single_cfg, capsys):
+        # The point count overflows to infinity; no point is listed.
+        assert main(["analyze", "--config", single_cfg,
+                     "--sweep", "tau_delta=0:1e-320:1"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("E_CONFIG:") and "inf points" in line
 
     def test_count_ranges(self):
         assert list(parse_counts("2:3:11")) == [2, 5, 8, 11]

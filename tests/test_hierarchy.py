@@ -14,7 +14,6 @@ from ttldelay.errors import ConfigError
 from ttldelay.hierarchy import build_tree, level_superpose, line_superpose
 from ttldelay.lumping import lump_symmetric_level
 from ttldelay.map_algebra import (
-    empty_map,
     event_rate,
     kronecker_sum,
     steady_state,
@@ -44,9 +43,6 @@ class TestLevelSuperpose:
         m = mmm_leaf()
         same = level_superpose([m])
         assert same is m
-
-    def test_empty_gives_unit(self):
-        assert level_superpose([]).size == 1
 
     def test_three_identical(self):
         triple = level_superpose([mmm_leaf()] * 3)

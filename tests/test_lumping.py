@@ -23,6 +23,7 @@ from ttldelay.map_algebra import (
     StateCodes,
     event_rate,
     off_diagonal,
+    row_keys,
     steady_state,
 )
 
@@ -168,8 +169,8 @@ def flat_fifty():
 
 CONSTRUCTION_CASES = [
     *((leaf_map, n) for n in (2, 3, 4)),
-    *((coxian_leaf, n) for n in (2, 3, 4)),
-    (line_subtree, 2),
+    *((coxian_leaf, n) for n in (2, 3, 4, 5)),
+    *((line_subtree, n) for n in (2, 3)),  # 21,952 product states at n = 3
 ]
 
 
@@ -182,6 +183,9 @@ class TestConstruction:
         sibling = make()
         product, partition, reference = product_then_lump(sibling, n)
         lumped = lump_symmetric_level(sibling, n).map
+        # Blocks are found by key: the level's code rows strictly increase.
+        keys = row_keys(lumped.codes.table).tolist()
+        assert keys == sorted(set(keys))
         assert labels(lumped) == labels(reference)
         assert abs(lumped.d0 - reference.d0).max() <= 1e-12
         assert abs(lumped.d1 - reference.d1).max() <= 1e-12

@@ -10,7 +10,6 @@ from ttldelay.map_algebra import (
     OUT_CODE,
     LabeledMap,
     StateCodes,
-    empty_map,
     event_rate,
     kronecker_sum,
     steady_state,
@@ -58,13 +57,6 @@ class TestKroneckerSum:
         encoded = {encode(forest) for forest in labels(pair)}
         assert encoded == {a + b for a in ("O", "I", "F1") for b in ("O", "I", "F1")}
         assert validate_map(pair) == []
-
-    def test_empty_map_is_identity(self):
-        m = mmm_map()
-        same = kronecker_sum(m, empty_map())
-        np.testing.assert_allclose(same.d0.toarray(), m.d0.toarray())
-        np.testing.assert_allclose(same.d1.toarray(), m.d1.toarray())
-        assert labels(same) == labels(m)
 
     def test_two_ph_renewal_maps(self):
         r = ph_renewal_map(Erlang(2, 2.0))

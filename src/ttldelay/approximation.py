@@ -189,66 +189,70 @@ def fit_ph_moments(m1, m2, m3):
 
     Returns ``(distribution, note)`` where ``note`` is None for an exact
     three-moment match and a short description when a fallback reduced the
-    match to two moments or projected m3 into the feasible region.
+    match to two moments or projected m3 into the feasible region.  Raises
+    ValueError for moments that are not positive or whose powers overflow.
     """
     if m1 <= 0 or m2 <= 0:
         raise ValueError("moments must be positive")
-    cv2 = m2 / m1**2 - 1.0
-    if abs(cv2 - 1.0) < 1e-9:
-        note = None if abs(m3 - 6 * m1**3) < 1e-6 * m1**3 else "m3 ignored (exponential)"
-        return dist.Exponential(1.0 / m1), note
-    if cv2 < 1.0 / 3.0:
-        # An order-3 PH cannot reach cv^2 below 1/3.
-        return dist.Erlang(3, 3.0 / m1), "cv^2 below 1/3: Erlang-3, mean-only match"
-    if cv2 < 0.5:
-        # Mixed Erlang(2)/Erlang(3) on a common rate: two-moment match
-        # (Tijms' E_{k-1,k} recipe with k = 3).
-        k = 3
-        p = (k * cv2 - math.sqrt(k * (1 + cv2) - k * k * cv2)) / (1 + cv2)
-        p = min(max(p, 0.0), 1.0)
-        rate = (k - p) / m1
-        alpha = (1.0, 0.0, 0.0)
-        s = (
-            (-rate, rate, 0.0),
-            (0.0, -rate, (1.0 - p) * rate),
-            (0.0, 0.0, -rate),
-        )
-        return (
-            dist.GeneralPH(alpha, s),
-            "cv^2 in [1/3, 0.5): Erlang mixture, two-moment match",
-        )
+    try:
+        cv2 = m2 / m1**2 - 1.0
+        if abs(cv2 - 1.0) < 1e-9:
+            note = None if abs(m3 - 6 * m1**3) < 1e-6 * m1**3 else "m3 ignored (exponential)"
+            return dist.Exponential(1.0 / m1), note
+        if cv2 < 1.0 / 3.0:
+            # An order-3 PH cannot reach cv^2 below 1/3.
+            return dist.Erlang(3, 3.0 / m1), "cv^2 below 1/3: Erlang-3, mean-only match"
+        if cv2 < 0.5:
+            # Mixed Erlang(2)/Erlang(3) on a common rate: two-moment match
+            # (Tijms' E_{k-1,k} recipe with k = 3).
+            k = 3
+            p = (k * cv2 - math.sqrt(k * (1 + cv2) - k * k * cv2)) / (1 + cv2)
+            p = min(max(p, 0.0), 1.0)
+            rate = (k - p) / m1
+            alpha = (1.0, 0.0, 0.0)
+            s = (
+                (-rate, rate, 0.0),
+                (0.0, -rate, (1.0 - p) * rate),
+                (0.0, 0.0, -rate),
+            )
+            return (
+                dist.GeneralPH(alpha, s),
+                "cv^2 in [1/3, 0.5): Erlang mixture, two-moment match",
+            )
 
-    # Acyclic PH(2): exact three-moment match inside the feasible region.
-    note = None
-    if cv2 <= 1.0:
-        lower = 3 * m1**3 * (3 * cv2 - 1 + math.sqrt(2) * (1 - cv2) ** 1.5)
-        upper = 6 * m1**3 * cv2
-    else:
-        lower = 1.5 * m1**3 * (1 + cv2) ** 2
-        upper = math.inf
-    eps = 1e-9 * m1**3
-    if not lower - eps <= m3 <= upper + eps:
-        m3 = lower * 10.0 / 9.0 if cv2 > 1.0 else 0.5 * (lower + upper)
-        note = "m3 projected into the PH(2) feasible region"
-    else:
-        m3 = min(max(m3, lower), upper)
-    d = 2 * m1**2 - m2
-    c = 3 * m2**2 - 2 * m1 * m3
-    b = 3 * m1 * m2 - m3
-    disc = max(b * b - 6 * c * d, 0.0)
-    a = math.sqrt(disc)
-    if c > 0:
-        p = (-b + 6 * m1 * d + a) / (b + a)
-        l1, l2 = (b - a) / c, (b + a) / c
-    elif c < 0:
-        p = (b - 6 * m1 * d + a) / (-b + a)
-        l1, l2 = (b + a) / c, (b - a) / c
-    else:
-        p, l1, l2 = 0.0, 1.0 / m1, 1.0 / m1
-    p = min(max(p, 0.0), 1.0)
-    alpha = (p, 1.0 - p)
-    s = ((-l1, l1), (0.0, -l2))
-    return dist.GeneralPH(alpha, s), note
+        # Acyclic PH(2): exact three-moment match inside the feasible region.
+        note = None
+        if cv2 <= 1.0:
+            lower = 3 * m1**3 * (3 * cv2 - 1 + math.sqrt(2) * (1 - cv2) ** 1.5)
+            upper = 6 * m1**3 * cv2
+        else:
+            lower = 1.5 * m1**3 * (1 + cv2) ** 2
+            upper = math.inf
+        eps = 1e-9 * m1**3
+        if not lower - eps <= m3 <= upper + eps:
+            m3 = lower * 10.0 / 9.0 if cv2 > 1.0 else 0.5 * (lower + upper)
+            note = "m3 projected into the PH(2) feasible region"
+        else:
+            m3 = min(max(m3, lower), upper)
+        d = 2 * m1**2 - m2
+        c = 3 * m2**2 - 2 * m1 * m3
+        b = 3 * m1 * m2 - m3
+        disc = max(b * b - 6 * c * d, 0.0)
+        a = math.sqrt(disc)
+        if c > 0:
+            p = (-b + 6 * m1 * d + a) / (b + a)
+            l1, l2 = (b - a) / c, (b + a) / c
+        elif c < 0:
+            p = (b - 6 * m1 * d + a) / (-b + a)
+            l1, l2 = (b + a) / c, (b - a) / c
+        else:
+            p, l1, l2 = 0.0, 1.0 / m1, 1.0 / m1
+        p = min(max(p, 0.0), 1.0)
+        alpha = (p, 1.0 - p)
+        s = ((-l1, l1), (0.0, -l2))
+        return dist.GeneralPH(alpha, s), note
+    except OverflowError as exc:
+        raise ValueError(f"moments {m1:.3g}, {m2:.3g}, {m3:.3g} overflow the PH fit") from exc
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ import numpy as np
 
 from ttldelay import distributions as dist
 from ttldelay.errors import UnsupportedDistributionError
-from ttldelay.map_algebra import IN_CODE, OUT_CODE, LabeledMap, StateCodes
+from ttldelay.map_algebra import (IN_CODE, OUT_CODE, LabeledMap, StateCodes,
+                                  kron_sum_triplets, kron_triplets, triplet_matrix)
 
 
 def own_codes(n):
@@ -99,10 +100,6 @@ def build_single_cache(arrival, ttl, delay, delay_unit=1.0):
     miss = np.zeros((nc, nc))
     miss[0, 2:] = fetch_entry_distribution(delay)
     miss[2:, 2:] = np.eye(nc - 2)
-    d0 = (
-        np.kron(cache.d0.toarray(), np.eye(na))
-        + np.kron(np.eye(nc), s_a)
-        + np.kron(hit, renewal)
-    )
-    d1 = np.kron(miss, renewal)
+    d0 = triplet_matrix(nc * na, kron_sum_triplets(cache.d0, s_a), kron_triplets(hit, renewal))
+    d1 = triplet_matrix(nc * na, kron_triplets(miss, renewal))
     return LabeledMap(d0, d1, _cache_codes(nc, na))

@@ -157,7 +157,10 @@ def parse_sweep(text):
     parts = rng.split(":")
     if len(parts) != 3:
         raise ConfigError("sweep range must be start:step:stop")
-    start, step, stop = (float(p) for p in parts)
+    try:
+        start, step, stop = (float(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"sweep range must be numbers, got {rng!r}") from exc
     if step <= 0 or not all(math.isfinite(v) for v in (start, step, stop)):
         raise ConfigError("sweep bounds must be finite with a positive step")
     if start < 0:

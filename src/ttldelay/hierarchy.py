@@ -55,10 +55,12 @@ from ttldelay.map_algebra import (
     LabeledMap,
     StateCodes,
     kron_sum_triplets,
+    kron_triplets,
     kronecker_sum,
     off_diagonal,
     node_width,
     row_keys,
+    triplet_matrix,
 )
 from ttldelay.lumping import lump_symmetric_level
 from ttldelay.settings import state_cap
@@ -99,8 +101,7 @@ def _snap_matrix(codes, targets, tops, restart, entries, bounds):
             table[:, lo:hi] = np.sort(run, axis=1).view(np.uint8)
     order = codes.order()
     cols = order[np.searchsorted(row_keys(codes.table)[order], row_keys(table))]
-    n = len(codes.table)
-    return sparse.csr_array((shares, (rows, cols)), shape=(n, n))
+    return triplet_matrix(len(codes.table), (rows, cols, shares))
 
 
 def line_superpose(parent, children, parent_entry, child_runs):
@@ -184,15 +185,12 @@ def line_superpose(parent, children, parent_entry, child_runs):
     events = children.d1.tocoo()
     src, dst, rates = events.row.astype(np.int64), events.col.astype(np.int64), events.data
     starts_chain = moves(src, dst, "O", "F")
-    chain = sparse.csr_array(
-        (rates[starts_chain], (src[starts_chain], dst[starts_chain])), shape=(nc, nc)
-    )
+    chain = triplet_matrix(nc, (src[starts_chain], dst[starts_chain], rates[starts_chain]))
     snap = _snap_matrix(
         codes, np.unique(dst[starts_chain]), tops, fetching & ~at_entry, entries, bounds
     )
     origin_fetch = np.zeros((npar, npar))
     origin_fetch[0, 2:] = parent_entry  # Out -> F_k: the parent fetches too
-    escalated = sparse.kron(chain @ snap, origin_fetch, format="coo")
     # Hidden self-loops change nothing: the diagonal is rebuilt below.
     moved = src != dst
     absorbed = moved & ~starts_chain
@@ -206,16 +204,12 @@ def line_superpose(parent, children, parent_entry, child_runs):
 
     d0 = _restrict(
         valid,
-        [h_row[keep0], src[moved] * npar + 1, src[absorbed] * npar],
-        [h_col[keep0], dst[moved] * npar + 1, dst[absorbed] * npar],
-        [h_data[keep0], rates[moved], rates[absorbed]],
+        (h_row[keep0], h_col[keep0], h_data[keep0]),
+        (src[moved] * npar + 1, dst[moved] * npar + 1, rates[moved]),
+        (src[absorbed] * npar, dst[absorbed] * npar, rates[absorbed]),
     )
-    d1 = _restrict(
-        valid,
-        [a_row[keep1], escalated.row],
-        [a_col[keep1], escalated.col],
-        [a_data[keep1], escalated.data],
-    )
+    d1 = _restrict(valid, (a_row[keep1], a_col[keep1], a_data[keep1]),
+                   kron_triplets(chain @ snap, origin_fetch))
 
     # Deleted transitions freeze the affected clocks: restore conservation.
     d0 = d0 - sparse.diags_array(d0.sum(axis=1) + d1.sum(axis=1))
@@ -225,16 +219,14 @@ def line_superpose(parent, children, parent_entry, child_runs):
     return LabeledMap(d0, d1, StateCodes(table, ((codes.shape, False),)))
 
 
-def _restrict(valid, rows, cols, vals):
-    """CSR over the states where ``valid`` holds, from COO parts on the full
-    product; entries touching another state are dropped, duplicates summed."""
-    rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
+def _restrict(valid, *parts):
+    """CSR over the states where ``valid`` holds, from COO triplet parts of the
+    full product, without entries touching other states; duplicates summed."""
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
     inside = valid[rows] & valid[cols]
     index = np.cumsum(valid) - 1
-    n = int(index[-1]) + 1
-    return sparse.csr_array(
-        (vals[inside], (index[rows[inside]], index[cols[inside]])), shape=(n, n)
-    )
+    return triplet_matrix(int(index[-1]) + 1,
+                          (index[rows[inside]], index[cols[inside]], vals[inside]))
 
 
 def _compose(spec, lump_per_level, delay_unit):

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 
 import numpy as np
-from scipy import sparse
 
-from ttldelay.map_algebra import LabeledMap, StateCodes, row_keys
+from ttldelay.map_algebra import LabeledMap, StateCodes, row_keys, triplet_matrix
 from ttldelay.settings import check_state_count
 from ttldelay.spec import partition_count
 
@@ -63,7 +62,7 @@ def lump_symmetric_level(sibling, n):
         moved.sort(axis=1)
         rows, rates = i[pick], c[pick] * ranked.data[entry]
         cols = np.searchsorted(keys, row_keys(sub_table[moved].reshape(len(rows), -1)))
-        return sparse.csr_array((rates, (rows, cols)), shape=(count, count))
+        return triplet_matrix(count, (rows, cols, rates))
 
     codes = StateCodes(table, sibling.codes.shape * n)
     return LumpedMap(LabeledMap(lumped(sibling.d0), lumped(sibling.d1), codes))

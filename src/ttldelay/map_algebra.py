@@ -161,34 +161,60 @@ class SteadyState:
         self.pi.setflags(write=False)
 
 
+def _triplets(m):
+    """COO triplets of the nonzeros of a dense or sparse matrix."""
+    if sparse.issparse(m):
+        m = m.tocoo()
+        return m.row, m.col, m.data
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols]
+
+
 def off_diagonal(m):
-    """COO triplets of the off-diagonal entries of a sparse matrix."""
-    coo = m.tocoo()
-    keep = coo.row != coo.col
-    return coo.row[keep], coo.col[keep], coo.data[keep]
+    """COO triplets of the off-diagonal entries of a dense or sparse matrix."""
+    rows, cols, vals = _triplets(m)
+    keep = rows != cols
+    return rows[keep], cols[keep], vals[keep]
+
+
+def _kron(ta, tb, shape):
+    """Triplets of ``a (x) b`` from those of ``a`` and of ``b``, whose shape is ``shape``."""
+    (ra, ca, va), (rb, cb, vb) = ta, tb
+    rows, cols = ((x.astype(np.int64)[:, None] * n + y).ravel()
+                  for x, y, n in ((ra, rb, shape[0]), (ca, cb, shape[1])))
+    return rows, cols, (va[:, None] * vb).ravel()
+
+
+def kron_triplets(a, b):
+    """COO triplets of the Kronecker product ``a (x) b`` of two dense or
+    sparse matrices, the index of ``a`` varying slowest."""
+    return _kron(_triplets(a), _triplets(b), b.shape)
 
 
 def kron_sum_triplets(a, b):
     """COO triplets of the Kronecker sum ``a (x) I + I (x) b`` of two square
-    sparse matrices, the index of ``a`` varying slowest, without duplicates
-    or zeros.  The values are those of the CSR sum of the two Kronecker
-    products: ``x * 1 + 0`` off the diagonal and ``a_ii * 1 + b_jj * 1`` on
-    it, in complex arithmetic for a pencil, which fixes the sign of each zero
-    real or imaginary part.  Raises :class:`CapacityError` when the product
-    has more states than the cap (:mod:`ttldelay.settings`).
+    dense or sparse matrices, the index of ``a`` varying slowest, without
+    duplicates or zeros.  The values are those of the CSR sum of the two
+    Kronecker products: ``x * 1 + 0`` off the diagonal and ``a_ii * 1 +
+    b_jj * 1`` on it, in complex arithmetic for a pencil, which fixes the
+    sign of each zero real or imaginary part.  Raises :class:`CapacityError`
+    when the product has more states than the cap (:mod:`ttldelay.settings`).
     """
     n1, n2 = a.shape[0], b.shape[0]
     check_state_count(n1 * n2)
-    (ra, ca, va), (rb, cb, vb) = off_diagonal(a), off_diagonal(b)
-    fast, slow = np.arange(n2), np.arange(n1)[:, None] * n2
+    eye = [(np.arange(n), np.arange(n), np.ones(n)) for n in (n1, n2)]
+    (r1, c1, v1), (r2, c2, v2) = (_kron(off_diagonal(a), eye[1], b.shape),
+                                  _kron(eye[0], off_diagonal(b), b.shape))
     diag = (a.diagonal()[:, None] * 1.0 + b.diagonal() * 1.0).ravel()
     on = np.flatnonzero(diag)
-    rows, cols = (
-        np.concatenate([(x.astype(np.int64)[:, None] * n2 + fast).ravel(), (slow + y).ravel(), on])
-        for x, y in ((ra, rb), (ca, cb))
-    )
-    values = np.concatenate([np.repeat(va, n2), np.tile(vb, n1)]) * 1.0 + 0.0
-    return rows, cols, np.concatenate([values, diag[on]])
+    return (np.concatenate([r1, r2, on]), np.concatenate([c1, c2, on]),
+            np.concatenate([v1 + 0.0, v2 + 0.0, diag[on]]))
+
+
+def triplet_matrix(n, *parts):
+    """The ``n`` x ``n`` CSR matrix of COO triplet parts, duplicates summed."""
+    rows, cols, values = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return sparse.csr_array((values, (rows, cols)), shape=(n, n))
 
 
 def kronecker_sum(m1, m2):
@@ -198,17 +224,13 @@ def kronecker_sum(m1, m2):
     its factors' rows side by side in the same order.
     """
     n = m1.size * m2.size
-
-    def ksum(a, b):
-        rows, cols, data = kron_sum_triplets(a, b)
-        return sparse.csr_array((data, (rows, cols)), shape=(n, n))
-
     codes = StateCodes(
         np.hstack([np.repeat(m1.codes.table, m2.size, axis=0),
                    np.tile(m2.codes.table, (m1.size, 1))]),
         m1.codes.shape + m2.codes.shape,
     )
-    return LabeledMap(ksum(m1.d0, m2.d0), ksum(m1.d1, m2.d1), codes)
+    return LabeledMap(triplet_matrix(n, kron_sum_triplets(m1.d0, m2.d0)),
+                      triplet_matrix(n, kron_sum_triplets(m1.d1, m2.d1)), codes)
 
 
 def _recurrent_class_count(q):
@@ -268,7 +290,8 @@ def _condition(a, solve, solve_transposed):
     n = a.shape[0]
     inverse = LinearOperator((n, n), matvec=solve, rmatvec=solve_transposed, dtype=float)
     # t=1 keeps the estimate deterministic: larger t draws random columns.
-    cond = abs(a).sum(axis=0).max() * onenormest(inverse, t=1)
+    with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+        cond = abs(a).sum(axis=0).max() * onenormest(inverse, t=1)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ConditioningError(
             f"steady-state condition estimate {cond:.2e} exceeds limit {COND_LIMIT:.2e}"
@@ -319,13 +342,9 @@ def _symmetric_gauss_seidel(s):
     natural order, so SuperLU adds no fill.
     """
     n = s.shape[0]
-    coo = s.tocoo()
-    keep = coo.row < n - 1
-    g = sparse.coo_array(
-        (np.append(coo.data[keep], 1.0),
-         (np.append(coo.row[keep], n - 1), np.append(coo.col[keep], n - 1))),
-        shape=(n, n),
-    )
+    rows, cols, vals = _triplets(s)
+    keep = rows < n - 1
+    g = triplet_matrix(n, (rows[keep], cols[keep], vals[keep]), ([n - 1], [n - 1], [1.0]))
     lower, upper = (
         splu(part(g, format="csc"), permc_spec="NATURAL", diag_pivot_thresh=0.0,
              relax=1, panel_size=1)

@@ -80,7 +80,6 @@ def _check_integer(name, value, least):
 class SimEstimate:
     p_hit: float
     half_width_95: float
-    origin_fetch_count: int
     request_count: int
 
 
@@ -163,7 +162,7 @@ class _Run:
                                            _FETCH_DONE, child, child.version))
 
     def serve(self, requests, warmup_fraction):
-        """Serve ``requests`` requests; their batch tallies and origin fetches.
+        """Serve ``requests`` requests; return their batch tallies.
 
         Between requests, an expiry makes its cache absent and a completed
         fetch admits.  A request climbs the leading run of absent caches,
@@ -182,7 +181,7 @@ class _Run:
         push, pop = heapq.heappush, heapq.heappop
         start_fetch, admit = self._start_fetch, self._admit
         tallies = []
-        misses = counted = origin = 0
+        misses = counted = 0
         for observed in range(requests):
             time, _, kind, c, version = pop(heap)
             while kind != _ARRIVAL:
@@ -208,7 +207,6 @@ class _Run:
                 for c in reversed(path[:absent]):
                     start_fetch(c)
             if absent == len(path):
-                origin += 1
                 miss = True
             else:
                 c = path[absent]
@@ -228,7 +226,7 @@ class _Run:
                 misses = counted = 0
         if counted:
             tallies.append((misses, counted))
-        return tallies, origin
+        return tallies
 
 
 def _confidence(batch_means):
@@ -240,16 +238,14 @@ def _confidence(batch_means):
 def _pooled(replications):
     """One estimate from the batch tallies of one or more replications."""
     batches = []
-    origin = 0
-    for tallies, origin_fetches in replications:
+    for tallies in replications:
         if not tallies:
             raise ConfigError("no requests survived the warmup period")
         batches += tallies
-        origin += origin_fetches
     counted = sum(n for _, n in batches)
     p_hit = 1.0 - sum(m for m, _ in batches) / counted
     half = _confidence([1.0 - m / n for m, n in batches])
-    return SimEstimate(p_hit, half, origin, counted)
+    return SimEstimate(p_hit, half, counted)
 
 
 def simulate(cfg):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ttldelay.cache_builders import (
 )
 from ttldelay.distributions import Coxian, Deterministic, Erlang, Exponential, GeneralPH
 from ttldelay.errors import ConfigError, UnsupportedDistributionError
+from ttldelay.hierarchy import delay_pencil
 from ttldelay.map_algebra import event_rate, steady_state
 from ttldelay.metrics import hit_probability
 from ttldelay.spec import CacheNode, CacheTreeSpec
@@ -146,6 +149,20 @@ class TestSingleCache:
         entries = m.d1[out_idx]
         np.testing.assert_allclose(sorted(entries[entries > 0]), [0.3, 0.7])
         assert validate_map(m) == []
+
+    def test_large_leaf_is_composed_sparsely(self):
+        # Erlang-40 requests and delay: 1,680 states, whose dense complex
+        # pencil matrices would take 45 MB each.
+        spec = CacheTreeSpec(CacheNode("c", ttl=Exponential(0.5), delay=Erlang(40, 40.0),
+                                       arrival=Erlang(40, 40.0)))
+        tracemalloc.start()
+        try:
+            pencil = delay_pencil(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pencil.a.shape == (1680, 1680)
+        assert peak < 10e6
 
 
 class TestTreeSpec:

@@ -533,6 +533,30 @@ class TestErrors:
             "E_VALUE: rate must be finite and positive, got inf"
         )
 
+    def test_approx_moment_overflow_is_one_error_line(self, capsys):
+        # A delay mean of 1e160 overflows the powers of the miss-stream moments.
+        assert main(["approx", "--config", str(CONFIGS / "single_cache_mmm.yaml"),
+                     "--sweep", "tau_delta=1e160:1:1e160"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("E_VALUE:") and "overflow" in line
+
+    def test_condition_overflow_is_one_error_line(self, capsys):
+        # The condition estimate overflows to inf, quietly, and is rejected.
+        assert main(["analyze", "--config", str(CONFIGS / "binary_two_level_mmm.yaml"),
+                     "--sweep", "tau_delta=1e308:1:1e308"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("E_CONDITIONING:") and "inf exceeds limit" in line
+
+    def test_leaf_over_state_cap_is_one_capacity_error(self, tmp_path, capsys, monkeypatch):
+        # Erlang-10 requests and delay: 12 cache states times 10 phases.
+        path = tmp_path / "erlang10.yaml"
+        path.write_text(SINGLE.replace("{kind: exponential, mean: 1.0}",
+                                       "{kind: erlang, phases: 10, mean: 1.0}"))
+        monkeypatch.setenv("TTLDELAY_NUMERICS", "state_cap=100")
+        assert main(["analyze", "--config", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("E_CAPACITY: state space of size 120 exceeds the cap of 100")
+
 
 class TestSweepParsing:
     def test_inclusive_endpoints(self):
@@ -545,7 +569,7 @@ class TestSweepParsing:
     def test_invalid_ranges(self):
         for text in ("tau_delta=0:0:1", "tau_delta=2:1:0", "tau_delta=0:1",
                      "other=0:1:2", "tau_delta=-1:1:2",
-                     "tau_delta=0:1e-320:1", "tau_delta=0:1e-9:1"):
+                     "tau_delta=0:1e-320:1", "tau_delta=0:1e-9:1", "tau_delta=a:1:2"):
             with pytest.raises(ConfigError):
                 parse_sweep(text)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from scipy import sparse
 
 from ttldelay.cache_builders import build_single_cache
 from ttldelay.distributions import Coxian, Erlang, Exponential
@@ -11,6 +12,8 @@ from ttldelay.map_algebra import (
     LabeledMap,
     StateCodes,
     event_rate,
+    kron_sum_triplets,
+    kron_triplets,
     kronecker_sum,
     steady_state,
 )
@@ -63,6 +66,20 @@ class TestKroneckerSum:
         pair = kronecker_sum(r, r)
         assert pair.size == 4
         np.testing.assert_allclose((pair.d0 + pair.d1).sum(axis=1), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("to_sparse", [False, True], ids=["dense", "sparse"])
+    def test_triplets_equal_numpy_kron(self, to_sparse):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(3, 4)) * (rng.random((3, 4)) < 0.5)
+        b = (rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))) * (rng.random((2, 5)) < 0.5)
+        s, t = rng.normal(size=(3, 3)), rng.normal(size=(4, 4)) * (rng.random((4, 4)) < 0.5)
+        form = sparse.csr_array if to_sparse else np.asarray
+        rows, cols, vals = kron_triplets(form(a), form(b))
+        got = sparse.csr_array((vals, (rows, cols)), shape=(6, 20)).toarray()
+        assert np.array_equal(got, np.kron(a, b))
+        rows, cols, vals = kron_sum_triplets(form(s), form(t))
+        got = sparse.csr_array((vals, (rows, cols)), shape=(12, 12)).toarray()
+        assert np.array_equal(got, np.kron(s, np.eye(4)) + np.kron(np.eye(3), t))
 
     def test_capacity_cap(self, monkeypatch):
         m = mmm_map()

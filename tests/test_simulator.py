@@ -72,10 +72,6 @@ class TestTreeAgreement:
             se = est.half_width_95 / 1.96
             assert abs(est.p_hit - exact) <= 3 * se
 
-    def test_origin_fetches_are_counted(self):
-        est = simulate(SimConfig(spec=two_level_tree(1.0), requests=50_000, seed=3))
-        assert 0 < est.origin_fetch_count < est.request_count
-
 
 @pytest.mark.slow
 @hyp_settings(max_examples=20, deadline=None, derandomize=True)
@@ -159,26 +155,25 @@ class TestPinnedEstimates:
 
     @staticmethod
     def fields(est):
-        return (est.p_hit, est.half_width_95, est.origin_fetch_count,
-                est.request_count)
+        return est.p_hit, est.half_width_95, est.request_count
 
     def test_phase_type_tree(self):
         est = simulate(SimConfig(spec=ph_tree(), requests=20_000, seed=5))
         assert self.fields(est) == (0.7781666666666667, 0.008290134127181154,
-                                    1922, 18000)
+                                    18000)
 
     def test_three_level_config_two_replications(self):
         spec, _ = load_config(CONFIGS / "binary_three_level_mme2.yaml")
         est = simulate(SimConfig(spec=spec, requests=20_000, seed=3,
                                  replications=2))
         assert self.fields(est) == (0.8875277777777778, 0.005081374286618642,
-                                    2036, 36000)
+                                    36000)
 
     def test_trace_replay(self):
         timestamps = np.cumsum(np.random.default_rng(5).exponential(1.0, 20_000))
         est = simulate_trace(timestamps, single_mmm(1.0), seed=5)
         assert self.fields(est) == (0.4982777777777778, 0.0069668737949193545,
-                                    5035, 18000)
+                                    18000)
 
     def test_integer_trace_with_expiries_on_arrivals(self):
         # A hit at t refreshes the TTL to expire at t + 1, exactly when the
@@ -190,7 +185,7 @@ class TestPinnedEstimates:
         )
         est = simulate_trace(timestamps.astype(float), spec, seed=1)
         assert self.fields(est) == (0.48111111111111116, 0.022387056039208552,
-                                    1719, 4500)
+                                    4500)
 
     def test_deterministic_two_level_tree(self):
         leaves = (
@@ -204,7 +199,7 @@ class TestPinnedEstimates:
                       children=leaves)
         )
         est = simulate(SimConfig(spec=spec, requests=5000, seed=1))
-        assert self.fields(est) == (0.8, 4.9921715471057503e-17, 1000, 4500)
+        assert self.fields(est) == (0.8, 4.9921715471057503e-17, 4500)
 
 
 class TestReferenceCounting:

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ttldelay import distributions as dist
-from ttldelay.errors import DegenerateProcessError
+from ttldelay.errors import CapacityError, DegenerateProcessError
+
+MAX_POOLED_PHASES = 7_000  # three dense N-by-N arrays of a pooled product: 1.2 GB
 
 
 @dataclass(frozen=True)
@@ -161,27 +163,24 @@ def _ph_equilibrium(alpha, s):
 def superposed_palm_moments(components):
     """First three moments of the inter-event time of pooled stationary renewals.
 
-    ``components`` is a list of ``(rate, distribution)`` pairs.  Given an
-    event of component k, the time to the next pooled event is the minimum of
-    component k's fresh interval and the other components' stationary excess
-    lifetimes; products of PH tails are PH tails on the Kronecker product.
+    ``components`` is a list of ``(rate, distribution)`` pairs of total rate L.
+    The pooled stream's forward recurrence time R, the minimum of the stationary
+    excess lifetimes, is PH on their Kronecker product, and Palm inversion
+    (Baccelli & Brémaud 2003) gives ``E0[T^(k+1)] = (k+1) E[R^k] / L``.
     """
     total_rate = sum(r for r, _ in components)
     phs = [d.ph() for _, d in components]
-    moments = np.zeros(3)
-    for k, (rate_k, _) in enumerate(components):
-        gamma = np.ones(1)
-        g = np.zeros((1, 1))
-        for j, (alpha, s) in enumerate(phs):
-            start = alpha if j == k else _ph_equilibrium(alpha, s)
-            gamma = _kron(gamma, start)
-            g = _kron(g, np.eye(len(start))) + _kron(np.eye(g.shape[0]), s)
-        v = np.ones(len(gamma))
-        weight = rate_k / total_rate
-        for i in range(3):
-            v = np.linalg.solve(-g, v)
-            moments[i] += weight * math.factorial(i + 1) * float(gamma @ v)
-    return tuple(moments)
+    phases = math.prod(len(alpha) for alpha, _ in phs)
+    if phases > MAX_POOLED_PHASES:
+        raise CapacityError(phases, MAX_POOLED_PHASES,
+                            "too many sibling phases to pool; try --strategy poisson")
+    gamma, g = np.ones(1), np.zeros((1, 1))
+    for alpha, s in phs:
+        gamma = _kron(gamma, _ph_equilibrium(alpha, s))
+        g = _kron(g, np.eye(len(alpha))) + _kron(np.eye(len(g)), s)
+    r1 = np.linalg.solve(-g, np.ones(len(gamma)))  # E[R] = gamma r1
+    r2 = np.linalg.solve(-g, r1)  # E[R^2] = 2 gamma r2
+    return 1.0 / total_rate, 2.0 * (gamma @ r1) / total_rate, 6.0 * (gamma @ r2) / total_rate
 
 
 def fit_ph_moments(m1, m2, m3):
@@ -301,7 +300,6 @@ def hierarchy_approx(spec, strategy="renewal"):
                     input_dist, note = fit_ph_moments(m1, m2, m3)
                     if note:
                         notes.append(f": {note}")
-                    input_dist = input_dist.scaled_to_mean(1.0 / input_rate)
         lambda_t = 1.0 / node.ttl.mean()
         result = hit_prob_single_approx(
             input_dist, lambda_t, node.delay, input_rate=input_rate

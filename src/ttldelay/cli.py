@@ -84,10 +84,10 @@ def parse_distribution(cfg, context):
     kind = cfg["kind"]
     try:
         if kind == "exponential":
-            rate = cfg["rate"] if "rate" in cfg else 1.0 / cfg["mean"]
+            rate = float(cfg["rate"]) if "rate" in cfg else 1.0 / float(cfg["mean"])
             return dist.Exponential(rate)
         if kind == "erlang":
-            rate = cfg["rate"] if "rate" in cfg else cfg["phases"] / cfg["mean"]
+            rate = float(cfg["rate"]) if "rate" in cfg else cfg["phases"] / float(cfg["mean"])
             return dist.Erlang(cfg["phases"], rate)
         if kind == "coxian":
             return dist.Coxian(tuple(cfg["rates"]), tuple(cfg["continue_probs"]))

@@ -31,7 +31,9 @@ def state_cap():
     return cap
 
 
-def check_state_count(count, hint="enable lumping to reduce the state set"):
+def check_state_count(
+    count, hint=f"raise it with {ENV_VAR}=state_cap=<n>; lumping shrinks only equal siblings"
+):
     """Raise :class:`CapacityError` when ``count`` states exceed the cap."""
     cap = state_cap()
     if count > cap:

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from ttldelay import approximation
 from ttldelay.approximation import (
     _kron,
+    _ph_equilibrium,
     expected_renewals_during_delay,
     fit_ph_moments,
     hierarchy_approx,
@@ -230,7 +231,56 @@ class TestMomentFit:
         assert ph_moment(af, sf, 2) == pytest.approx(1.4, rel=1e-9)
 
 
+def per_sibling_palm_moments(components):
+    """The pooled Palm moments by conditioning on the component of the event:
+    after an event of component k, the time to the next pooled event is the
+    minimum of k's fresh interval and the others' stationary excess lifetimes,
+    PH on the Kronecker product; the moments are the rate-weighted mixture."""
+    total_rate = sum(r for r, _ in components)
+    phs = [d.ph() for _, d in components]
+    moments = np.zeros(3)
+    for k, (rate_k, _) in enumerate(components):
+        gamma, g = np.ones(1), np.zeros((1, 1))
+        for j, (alpha, s) in enumerate(phs):
+            start = alpha if j == k else _ph_equilibrium(alpha, s)
+            gamma = _kron(gamma, start)
+            g = _kron(g, np.eye(len(start))) + _kron(np.eye(len(g)), s)
+        moments += [rate_k / total_rate * ph_moment(gamma, g, i) for i in (1, 2, 3)]
+    return moments
+
+
+def random_law(rng):
+    """One of the four PH kinds with random rates, of at most three phases."""
+    kind, rate = rng.integers(4), rng.uniform(0.2, 5.0)
+    if kind == 0:
+        return Exponential(rate)
+    if kind == 1:
+        return Erlang(int(rng.integers(2, 4)), rate)
+    if kind == 2:
+        return Coxian(tuple(rng.uniform(0.2, 5.0, 2)), (rng.uniform(0.05, 0.95),))
+    p = rng.uniform(0.05, 0.95)
+    return GeneralPH((p, 1.0 - p), ((-rate, 0.5 * rate), (0.3 * rate, -2.0 * rate)))
+
+
 class TestPalmSuperposition:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_sibling_construction(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            laws = [random_law(rng) for _ in range(rng.integers(2, 5))]
+            components = [(1.0 / d.mean(), d) for d in laws]
+            np.testing.assert_allclose(superposed_palm_moments(components),
+                                       per_sibling_palm_moments(components), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("d", [
+        Exponential(2.0), Erlang(3, 1.5), Coxian((1.5, 0.75), (0.5,)),
+        GeneralPH((0.3, 0.7), ((-2.0, 1.0), (0.5, -1.0))),
+    ], ids=["exponential", "erlang", "coxian", "general"])
+    def test_one_component_keeps_its_own_moments(self, d):
+        expected = [ph_moment(*d.ph(), k) for k in (1, 2, 3)]
+        np.testing.assert_allclose(superposed_palm_moments([(1.0 / d.mean(), d)]),
+                                   expected, rtol=1e-13, atol=0)
+
     def test_pooled_poisson_is_poisson(self):
         comps = [(1.0, Exponential(1.0)), (2.0, Exponential(2.0))]
         m1, m2, m3 = superposed_palm_moments(comps)

@@ -495,7 +495,10 @@ class TestErrors:
         (SINGLE.replace("  delay: {kind: exponential, mean: 1.0}\n", ""),
          "tree/cache.delay"),
         (SINGLE.replace("  arrival", "  children: 5\n  arrival"), "tree/cache"),
-    ], ids=["zero_mean", "zero_erlang_mean", "no_ttl", "no_delay", "children_not_list"])
+        (SINGLE.replace("arrival: {kind: exponential, mean: 1.0}",
+                        "arrival: {kind: exponential, mean: abc}"), "tree/cache.arrival"),
+    ], ids=["zero_mean", "zero_erlang_mean", "no_ttl", "no_delay", "children_not_list",
+            "non_numeric_mean"])
     def test_malformed_node_is_one_config_error(self, tmp_path, capsys, text, where):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
@@ -503,6 +506,22 @@ class TestErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"E_CONFIG: {where}")
+
+    # YAML 1.1 reads 1e-3 and 1e+3 as strings: its floats need a dot and a
+    # signed exponent.
+    @pytest.mark.parametrize("exponent, decimal", [
+        ("{kind: exponential, mean: 1e-3}", "{kind: exponential, mean: 0.001}"),
+        ("{kind: exponential, rate: 1e+3}", "{kind: exponential, rate: 1000.0}"),
+        ("{kind: erlang, phases: 2, mean: 1e+3}", "{kind: erlang, phases: 2, mean: 1000.0}"),
+        ("{kind: erlang, phases: 2, rate: 1e-3}", "{kind: erlang, phases: 2, rate: 0.001}"),
+    ], ids=["exponential_mean", "exponential_rate", "erlang_mean", "erlang_rate"])
+    def test_exponent_form_numbers_are_read(self, tmp_path, exponent, decimal):
+        specs = []
+        for name, law in (("exponent", exponent), ("decimal", decimal)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(SINGLE.replace("{kind: exponential, mean: 2.0}", law))
+            specs.append(load_config(path))
+        assert specs[0] == specs[1]
 
     def test_leaf_without_arrival(self, tmp_path, capsys):
         path = tmp_path / "no_arrival.yaml"
@@ -556,6 +575,21 @@ class TestErrors:
         assert main(["analyze", "--config", str(path)]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("E_CAPACITY: state space of size 120 exceeds the cap of 100")
+        # Lumping cannot shrink a leaf: the hint names the override instead.
+        assert "TTLDELAY_NUMERICS=state_cap=" in line and "enable lumping" not in line
+
+    def test_wide_sibling_pool_is_one_capacity_error(self, tmp_path, capsys):
+        # Nine leaves with 3-phase miss laws pool into 3^9 = 19,683 phases,
+        # refused before any product is formed; Poisson pooling needs none.
+        first, second = TWO_LEVEL.index("    - id: leaf1"), TWO_LEVEL.index("    - id: leaf2")
+        leaf = TWO_LEVEL[first:second]
+        path = tmp_path / "flat9.yaml"
+        leaves = "".join(leaf.replace("leaf1", f"leaf{i}") for i in range(9))
+        path.write_text(TWO_LEVEL[:first] + leaves)
+        assert main(["approx", "--config", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("E_CAPACITY: state space of size 19683 exceeds the cap of")
+        assert main(["approx", "--config", str(path), "--strategy", "poisson"]) == 0
 
 
 class TestSweepParsing:

@@ -13,8 +13,8 @@ Event semantics (the same sample-path rules the exact engine encodes):
 * A fetch completes its cache's own delay after the cache's parent admits;
   while the parent fetches, the child's delay clock is frozen and restarts
   on the parent's admission.  Serving or idle parents count as admitted.
-* Admission draws a fresh TTL; expiry makes the cache absent; hits refresh
-  the serving cache's TTL.  Pending fetches survive TTL events above them.
+* Admission draws a fresh TTL deadline, a hit refreshes it, and a climb
+  finds a cache past it absent.  Pending fetches survive expiries above them.
 
 Every leaf has one arrival source, an iterator of its request times: the
 running sums of its sampled interarrival draws, or for :func:`simulate_trace`
@@ -42,7 +42,7 @@ from ttldelay.errors import ConfigError
 
 ABSENT, PRESENT, FETCHING = 0, 1, 2
 
-_ARRIVAL, _EXPIRY, _FETCH_DONE = 0, 1, 2
+_ARRIVAL, _FETCH_DONE = 0, 1
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ class SimConfig:
 
     def validate(self):
         _check_integer("request budget (requests)", self.requests, 1)
-        if not 0 <= self.warmup_fraction < 1:
-            raise ConfigError("warmup fraction must lie in [0, 1)")
+        if not (isinstance(self.warmup_fraction, numbers.Real) and 0 <= self.warmup_fraction < 1):
+            raise ConfigError(f"warmup fraction must lie in [0, 1), got {self.warmup_fraction!r}")
         _check_integer("replications", self.replications, 1)
         _check_integer("seed", self.seed, 0)
         self.spec.validate(exact=False)
@@ -98,7 +98,8 @@ class _Cache:
     live in their arrival events, so a run holds no reference cycle and
     reference counting frees it, sample buffers and all, when it ends."""
 
-    __slots__ = ("parent", "children", "ttl", "delay", "status", "version", "__weakref__")
+    __slots__ = ("parent", "children", "ttl", "delay", "status", "version", "expires",
+                 "__weakref__")
 
     def __init__(self, parent):
         self.parent = parent
@@ -122,8 +123,11 @@ def _build(node, above, rng, arrivals):
 class _Run:
     """One replication: a single-threaded event loop.
 
-    Events are heap tuples ``(time, seq, kind, cache, version)``; an arrival
-    carries its leaf's path and request times in place of the last two.
+    The heap holds arrivals and fetch completions, tuples ``(time, seq, kind,
+    cache, version)``; an arrival carries its leaf's path and request times
+    in place of the last two.  A completion is stale once a freeze bumps its
+    cache's version.  A TTL is the deadline ``cache.expires = (time, seq)``,
+    read on a climb, so ties break as between heap events.
     ``times``, when given, replaces the leaves' sampled request times.
     """
 
@@ -141,7 +145,6 @@ class _Run:
         # The clock runs unless the parent fetches.  Every fetching child's
         # clock ran under the absent ``c``; the new fetch freezes it.
         c.status = FETCHING
-        c.version += 1
         if c.parent is None or c.parent.status != FETCHING:
             heapq.heappush(self.heap, (self.now + next(c.delay), next(self.seq),
                                        _FETCH_DONE, c, c.version))
@@ -152,21 +155,18 @@ class _Run:
     def _admit(self, c):
         # Every fetching child's clock was frozen under the fetching ``c``.
         c.status = PRESENT
-        c.version += 1
-        heapq.heappush(self.heap, (self.now + next(c.ttl), next(self.seq),
-                                   _EXPIRY, c, c.version))
+        c.expires = (self.now + next(c.ttl), next(self.seq))
         for child in c.children:
             if child.status == FETCHING:
-                child.version += 1
                 heapq.heappush(self.heap, (self.now + next(child.delay), next(self.seq),
                                            _FETCH_DONE, child, child.version))
 
     def serve(self, requests, warmup_fraction):
         """Serve ``requests`` requests; return their batch tallies.
 
-        Between requests, an expiry makes its cache absent and a completed
-        fetch admits.  A request climbs the leading run of absent caches,
-        each of which starts a fetch (top-down, so lower fetches pend
+        Between requests, a completed fetch admits.  A request climbs the
+        leading run of absent caches (a present cache past its deadline turns
+        absent), each of which starts a fetch (top-down, so lower fetches pend
         directly).  The first non-absent cache stops it: a present cache
         serves it (hit, TTL refresh), a fetching cache absorbs it into the
         pending fetch.  It is a system miss exactly when everything from the
@@ -183,15 +183,12 @@ class _Run:
         tallies = []
         misses = counted = 0
         for observed in range(requests):
-            time, _, kind, c, version = pop(heap)
+            time, order, kind, c, version = pop(heap)
             while kind != _ARRIVAL:
                 if version == c.version:
-                    if kind == _EXPIRY:
-                        c.status = ABSENT
-                    else:
-                        self.now = time
-                        admit(c)
-                time, _, kind, c, version = pop(heap)
+                    self.now = time
+                    admit(c)
+                time, order, kind, c, version = pop(heap)
             path, source = c, version
             nxt = next(source, None)
             if nxt is not None:
@@ -199,23 +196,21 @@ class _Run:
 
             absent = 0
             for c in path:
-                if c.status != ABSENT:
+                if c.status == PRESENT and c.expires < (time, order):
+                    c.status = ABSENT
+                elif c.status != ABSENT:
                     break
                 absent += 1
             if absent:
                 self.now = time
-                for c in reversed(path[:absent]):
-                    start_fetch(c)
-            if absent == len(path):
-                miss = True
+                for a in reversed(path[:absent]):
+                    start_fetch(a)
+            # ``c`` stopped the climb, or is the root it reached, now fetching.
+            if c.status == PRESENT:
+                c.expires = (time + next(c.ttl), next(seq))
+                miss = False
             else:
-                c = path[absent]
-                if c.status == PRESENT:
-                    c.version += 1
-                    push(heap, (time + next(c.ttl), next(seq), _EXPIRY, c, c.version))
-                    miss = False
-                else:
-                    miss = all(c.status == FETCHING for c in path[absent:])
+                miss = all(c.status == FETCHING for c in path[absent:])
 
             if observed < warmup:
                 continue
@@ -266,7 +261,11 @@ def simulate_trace(timestamps, spec, seed=0, warmup_fraction=0.1):
     arrival process is ignored in favour of the trace.  A replay is one
     replication whose request budget is the trace length.
     """
-    timestamps = np.asarray(timestamps, dtype=float)
+    timestamps = np.asarray(timestamps)
+    if timestamps.ndim != 1 or timestamps.dtype.kind not in "iuf":
+        raise ConfigError("trace timestamps must be a flat sequence of real numbers, got "
+                          f"shape {timestamps.shape} of {timestamps.dtype}")
+    timestamps = timestamps.astype(float, copy=False)
     if timestamps.size == 0:
         raise ConfigError("empty trace")
     if not np.all(np.isfinite(timestamps)):

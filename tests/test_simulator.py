@@ -1,4 +1,5 @@
 import gc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from ttldelay.simulator import (
     _ARRIVAL,
     _FETCH_DONE,
     FETCHING,
+    PRESENT,
     SimConfig,
     _Cache,
     _Run,
@@ -102,11 +104,13 @@ class TestChainCausality:
     ], ids=["ph_tree", "three_level"])
     def test_fetch_clock_runs_exactly_under_a_non_fetching_parent(self, spec):
         # After every request, a cache holds a live fetch-completion event
-        # exactly when it fetches and its parent (if any) does not.
+        # exactly when it fetches and its parent (if any) does not, and the
+        # heap holds nothing but arrivals and fetch completions.
         run = _Run(spec, np.random.default_rng([7, 0]))
         frozen = 0
         for _ in range(2000):
             run.serve(1, 0.0)
+            assert {e[2] for e in run.heap} <= {_ARRIVAL, _FETCH_DONE}
             caches = {c for e in run.heap if e[2] == _ARRIVAL for c in e[3]}
             live = [e[3] for e in run.heap if e[2] == _FETCH_DONE and e[4] == e[3].version]
             assert len(set(live)) == len(live) and set(live) <= caches
@@ -118,6 +122,32 @@ class TestChainCausality:
                     assert (c in live) == (not parent_fetching)
                     frozen += parent_fetching
         assert frozen  # the run did freeze clocks under fetching parents
+
+    def test_ttl_deadline_is_read_on_the_climb(self):
+        # Chain root -> mid -> leaf; requests at t = 2, 4, 6, ...; every delay
+        # is 0.25.  A miss at t fetches root, then mid, then leaf: root holds
+        # until t + 0.25 + 1.875 = t + 2.125, mid until t + 0.5 + 0.5 = t + 1
+        # and leaf until t + 0.75 + 1 = t + 1.75.  Mid's deadline passes while
+        # the leaf is present, and no event touches mid before the climb at
+        # t + 2 finds leaf and mid absent and root present: a hit that starts
+        # mid's fetch and refreshes root until t + 3.875.  Mid then holds
+        # until t + 2.75 and leaf until t + 3.5, so at t + 4 all three are
+        # past their deadlines: a miss, where a mid still read as present
+        # would serve a hit.  The pattern repeats: miss, hit, miss, hit, ...
+        d = Deterministic
+        leaf = CacheNode("leaf", ttl=d(1.0), delay=d(0.25), arrival=d(2.0))
+        mid = CacheNode("mid", ttl=d(0.5), delay=d(0.25), children=(leaf,))
+        spec = CacheTreeSpec(CacheNode("root", ttl=d(1.875), delay=d(0.25),
+                                       children=(mid,)))
+        run = _Run(spec, np.random.default_rng([0, 0]))
+        _, mid_cache, root = run.heap[0][3]
+        misses = []
+        for _ in range(8):
+            [(miss, _)] = run.serve(1, 0.0)
+            misses.append(miss)
+            assert mid_cache.status == FETCHING
+            assert root.status == (FETCHING if miss else PRESENT)
+        assert misses == [1, 0] * 4
 
 
 class TestReplications:
@@ -263,6 +293,26 @@ class TestTraceReplay:
     def test_multi_cache_trace_rejected(self):
         with pytest.raises(ConfigError, match="single-cache"):
             simulate_trace([0.0, 1.0], two_level_tree(1.0))
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: simulate_trace(np.arange(6.0).reshape(2, 3), single_mmm(1.0)),
+         "flat sequence of real numbers"),
+        (lambda: simulate_trace(3.0, single_mmm(1.0)), "flat sequence of real numbers"),
+        (lambda: simulate_trace(np.arange(5.0) + 1j, single_mmm(1.0)),
+         "flat sequence of real numbers"),
+        (lambda: simulate_trace(np.arange(100.0), single_mmm(1.0), warmup_fraction=None),
+         r"warmup fraction must lie in \[0, 1\), got None"),
+        (lambda: simulate_trace(np.arange(100.0), single_mmm(1.0), warmup_fraction="0.1"),
+         r"warmup fraction must lie in \[0, 1\), got '0.1'"),
+        (lambda: simulate(SimConfig(spec=single_mmm(1.0), requests=10, warmup_fraction=None)),
+         r"warmup fraction must lie in \[0, 1\), got None"),
+    ], ids=["2d_trace", "scalar_trace", "complex_trace", "warmup_none", "warmup_string",
+            "simulate_warmup_none"])
+    def test_malformed_trace_or_warmup_rejected(self, call, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a dropped imaginary part only warns
+            with pytest.raises(ConfigError, match=match):
+                call()
 
 
 class TestConfigValidation:

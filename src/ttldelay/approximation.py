@@ -38,10 +38,12 @@ class PhTransform:
         return self(0.0)
 
     def moments(self, count=3):
-        """Raw moments; only meaningful for a proper law, ``exit = -S 1``."""
-        return tuple(
-            dist.ph_moment(self.alpha, self.S, k) for k in range(1, count + 1)
-        )
+        """Raw moments k! alpha (-S)^-k 1; only meaningful for a proper law, ``exit = -S 1``."""
+        v, out = np.ones(len(self.alpha)), []
+        for k in range(1, count + 1):
+            v = np.linalg.solve(-self.S, v)
+            out.append(math.factorial(k) * float(self.alpha @ v))
+        return tuple(out)
 
     def mean(self):
         return self.moments(1)[0]
@@ -73,10 +75,10 @@ def miss_lst_no_delay(fx, l):
     if q >= 1.0 - 1e-12:
         raise DegenerateProcessError("cache never misses (q = 1)")
     n = len(fx.alpha)
-    s = np.block([
-        [l.S + np.outer(l.exit, l.alpha), fx.S - l.S],
-        [np.zeros((n, n)), fx.S],
-    ])
+    s = np.zeros((2 * n, 2 * n))
+    s[:n, :n] = l.S + np.outer(l.exit, l.alpha)
+    s[:n, n:] = fx.S - l.S
+    s[n:, n:] = fx.S
     return PhTransform(
         np.concatenate([fx.alpha, np.zeros(n)]), s,
         np.concatenate([np.zeros(n), fx.exit]),
@@ -88,10 +90,10 @@ def miss_lst_with_delay(fx, l, fdelta):
     convolved with the delay's."""
     miss = miss_lst_no_delay(fx, l)
     n, m = len(miss.alpha), len(fdelta.alpha)
-    s = np.block([
-        [miss.S, np.outer(miss.exit, fdelta.alpha)],
-        [np.zeros((m, n)), fdelta.S],
-    ])
+    s = np.zeros((n + m, n + m))
+    s[:n, :n] = miss.S
+    s[:n, n:] = np.outer(miss.exit, fdelta.alpha)
+    s[n:, n:] = fdelta.S
     return PhTransform(
         np.concatenate([miss.alpha, np.zeros(m)]), s,
         np.concatenate([np.zeros(n), fdelta.exit]),

@@ -234,12 +234,13 @@ def kronecker_sum(m1, m2):
 
 
 def _recurrent_class_count(q):
-    n_comp, assignment = connected_components(q != 0, directed=True, connection="strong")
+    # A canonical CSR sum stores no zeros, so the pattern of q is its edges.
+    n_comp, assignment = connected_components(q, directed=True, connection="strong")
+    src = assignment[np.repeat(np.arange(q.shape[0]), np.diff(q.indptr))]
+    dst = assignment[q.indices]
     # A class is recurrent when no transition leaves it.
     leaves = np.zeros(n_comp, dtype=bool)
-    rows, cols, rates = off_diagonal(q)
-    src, dst = assignment[rows[rates > 0]], assignment[cols[rates > 0]]
-    leaves[np.unique(src[src != dst])] = True
+    leaves[src[(src != dst) & (q.data > 0)]] = True
     return int(np.sum(~leaves))
 
 
@@ -272,10 +273,18 @@ def steady_state(m):
     return direct_steady_state(q)
 
 
+def _kept(m, keep):
+    """The (data, indices, indptr) of compressed ``m`` left with the entries ``keep`` marks."""
+    return m.data[keep], m.indices[keep], np.concatenate([[0], np.cumsum(keep)])[m.indptr]
+
+
 def _balance_system(q):
-    """A = [q^T without its last row; 1^T]; A pi = e_n is the steady state."""
+    """A = [q^T without its last row; 1^T]; A pi = e_n is the steady state.  Column j
+    of the CSC A is row j of the canonical CSR ``q`` less its last-column entry, then 1."""
     n = q.shape[0]
-    a = sparse.vstack([q.T.tocsr()[:-1], np.ones((1, n))], format="csc")
+    data, indices, ptr = _kept(q, q.indices < n - 1)
+    a = sparse.csc_array((np.insert(data, ptr[1:], 1.0), np.insert(indices, ptr[1:], n - 1),
+                          ptr + np.arange(n + 1)), shape=(n, n))
     b = np.zeros(n)
     b[-1] = 1.0
     return a, b
@@ -342,13 +351,15 @@ def _symmetric_gauss_seidel(s):
     natural order, so SuperLU adds no fill.
     """
     n = s.shape[0]
-    rows, cols, vals = _triplets(s)
-    keep = rows < n - 1
-    g = triplet_matrix(n, (rows[keep], cols[keep], vals[keep]), ([n - 1], [n - 1], [1.0]))
+    s = s.tocsc()
+    data, indices, ptr = _kept(s, s.indices < n - 1)
+    ptr[-1] += 1
+    g = sparse.csc_array((np.append(data, 1.0), np.append(indices, n - 1), ptr), shape=(n, n))
+    cols = np.repeat(np.arange(n), np.diff(g.indptr))
     lower, upper = (
-        splu(part(g, format="csc"), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-             relax=1, panel_size=1)
-        for part in (sparse.tril, sparse.triu)
+        splu(sparse.csc_array(_kept(g, part), shape=(n, n)), permc_spec="NATURAL",
+             diag_pivot_thresh=0.0, relax=1, panel_size=1)
+        for part in (g.indices >= cols, g.indices <= cols)
     )
     diag = g.diagonal()
     forward = LinearOperator(
@@ -416,9 +427,11 @@ def krylov_steady_state(q):
     """
     a, b = _balance_system(q)
     d = -q.diagonal()
-    scaled = (a @ sparse.diags_array(1.0 / d)).tocsr()
-    scaled_t = scaled.T
+    scaled = a.copy()  # S = A D^-1: column j of A times 1/d_j
+    scaled.data *= np.repeat(1.0 / d, np.diff(a.indptr))
     precond, precond_t = _symmetric_gauss_seidel(scaled)
+    scaled = scaled.tocsr()
+    scaled_t = scaled.T
     cu, cu_t = [], []
     try:
         pi = _checked_pi(_gcrotmk(scaled, b, PI_RTOL, cu, precond) / d, q)

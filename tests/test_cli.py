@@ -670,3 +670,13 @@ def test_non_integral_erlang_phases_rejected(tmp_path, capsys, phases):
     assert main(["analyze", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("E_CONFIG: tree/cache.delay: bad erlang parameters")
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttldelay", "--help"],
+        env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ttldelay")

@@ -23,7 +23,10 @@ subtraction-free GTH elimination on small and stiff chains, against the LU
 on a stiff unlumped zero-delay chain and on five lumped trees large enough
 to take the GCROT path; its symmetric Gauss-Seidel preconditioner is checked
 against the dense inverse, and its stall rule and the independence of its
-results from earlier calls are checked directly.
+results from earlier calls are checked directly.  The matrices both paths
+hand to SuperLU and GCROT equal, array for array, their former
+constructions from COO triplets and SciPy's stacking and triangle helpers,
+and the recurrent-class count matches its former one on reducible chains.
 """
 
 import logging
@@ -37,6 +40,7 @@ import scipy.linalg
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 from scipy import sparse
 from scipy.linalg import lapack
+from scipy.sparse.csgraph import connected_components
 
 from ttldelay import map_algebra
 from ttldelay.cache_builders import build_parent_cache, build_single_cache
@@ -55,6 +59,7 @@ from ttldelay.map_algebra import (
     krylov_steady_state,
     off_diagonal,
     steady_state,
+    triplet_matrix,
 )
 from ttldelay.metrics import hit_probability, tree_hit_probability
 from ttldelay.spec import (
@@ -145,8 +150,8 @@ def _node(draw, depth, budget, ids, root=False):
 
 
 @st.composite
-def trees(draw):
-    root, _ = _node(draw, draw(st.integers(0, 2)), MAX_STATES, count(), root=True)
+def trees(draw, max_states=MAX_STATES):
+    root, _ = _node(draw, draw(st.integers(0, 2)), max_states, count(), root=True)
     return CacheTreeSpec(root)
 
 
@@ -609,3 +614,110 @@ def test_large_lumped_trees_take_krylov(case):
     p_krylov = 1.0 - event_rate(system, krylov) / rate
     p_direct = 1.0 - event_rate(system, direct) / rate
     assert p_krylov == pytest.approx(p_direct, rel=0, abs=1e-12)
+
+
+# The systems the steady-state paths hand to SuperLU and GCROT, built here
+# the way the engine built them from COO triplets and SciPy's stacking,
+# slicing and triangle helpers, before it built them from q's CSR arrays.
+def old_balance_system(q):
+    n = q.shape[0]
+    return sparse.vstack([q.T.tocsr()[:-1], np.ones((1, n))], format="csc")
+
+
+def old_scaled_system(q):
+    return (old_balance_system(q) @ sparse.diags_array(1.0 / -q.diagonal())).tocsr()
+
+
+def old_gauss_seidel_parts(s):
+    n = s.shape[0]
+    s = s.tocoo()
+    keep = s.row < n - 1
+    g = triplet_matrix(n, (s.row[keep], s.col[keep], s.data[keep]), ([n - 1], [n - 1], [1.0]))
+    return [part(g, format="csc") for part in (sparse.tril, sparse.triu)]
+
+
+def old_recurrent_class_count(q):
+    n_comp, assignment = connected_components(q != 0, directed=True, connection="strong")
+    leaves = np.zeros(n_comp, dtype=bool)
+    rows, cols, rates = off_diagonal(q)
+    src, dst = assignment[rows[rates > 0]], assignment[cols[rates > 0]]
+    leaves[np.unique(src[src != dst])] = True
+    return int(np.sum(~leaves))
+
+
+class _Handed(Exception):
+    """Stops a GCROT solve once its system is captured."""
+
+
+def solver_inputs(q):
+    """What ``direct_steady_state(q)`` hands to SuperLU, then what
+    ``krylov_steady_state(q)`` hands to SuperLU and to its first GCROT solve."""
+    handed, real_splu = [], map_algebra.splu
+
+    def splu(a, **kwargs):
+        handed.append(a.copy())
+        return real_splu(a, **kwargs)
+
+    def gcrot(a, *args, **kwargs):
+        handed.append(a.copy())
+        raise _Handed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(map_algebra, "splu", splu)
+        patch.setattr(map_algebra, "_gcrotmk", gcrot)
+        direct_steady_state(q)
+        with pytest.raises(_Handed):
+            krylov_steady_state(q)
+    return handed
+
+
+def assert_same_arrays(new, old):
+    assert new.format == old.format and new.dtype == old.dtype
+    for name in ("indptr", "indices"):
+        np.testing.assert_array_equal(getattr(new, name), getattr(old, name))
+    assert new.data.tobytes() == old.data.tobytes()
+
+
+def check_solver_inputs(system):
+    q = system.generator()
+    assert map_algebra._recurrent_class_count(q) == old_recurrent_class_count(q) == 1
+    lu, lower, upper, scaled = solver_inputs(q)
+    old_scaled = old_scaled_system(q)
+    assert_same_arrays(lu, old_balance_system(q))
+    assert_same_arrays(scaled, old_scaled)
+    for new, old in zip((lower, upper), old_gauss_seidel_parts(old_scaled)):
+        assert_same_arrays(new, old)
+
+
+@hyp_settings(max_examples=10, deadline=None)
+@given(trees(max_states=3 * KRYLOV_MIN_STATES), st.booleans())
+def test_solver_inputs_match_the_triplet_constructions(spec, lump):
+    check_solver_inputs(build_tree(spec, lump_per_level=lump))
+
+
+# A pencil point at tau_delta = 0.25 on both sides of KRYLOV_MIN_STATES: the
+# three-level config has 834 states lumped and 4,218 unlumped.
+@pytest.mark.parametrize("lump", [True, False], ids=["lumped", "unlumped"])
+def test_solver_inputs_match_at_a_pencil_point(lump):
+    spec, _ = load_config(CONFIGS / "binary_three_level_mme2.yaml")
+    system = delay_pencil(spec, lump_per_level=lump).at(1.0 / 0.25)
+    assert (system.size > KRYLOV_MIN_STATES) != lump
+    check_solver_inputs(system)
+
+
+def _chain(n, moves):
+    """The generator of ``n`` states with the off-diagonal rates ``moves``."""
+    q = np.zeros((n, n))
+    for (i, j), rate in moves.items():
+        q[i, j] = rate
+    q -= np.diag(q.sum(axis=1))
+    return sparse.csr_array(q)
+
+
+@pytest.mark.parametrize("q, expected", [
+    (_chain(4, {(0, 1): 1.0, (1, 0): 2.0, (2, 3): 0.5, (3, 2): 1.5}), 2),
+    (_chain(4, {(0, 1): 1.0, (1, 2): 2.0, (2, 1): 0.5, (0, 3): 1.0, (3, 0): 3.0}), 1),
+    (_chain(5, {(0, 1): 1.0, (1, 0): 1.0, (1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0, (4, 2): 1.0}), 1),
+], ids=["two_closed_classes", "transient_class", "transient_pair_into_a_cycle"])
+def test_recurrent_class_count(q, expected):
+    assert map_algebra._recurrent_class_count(q) == old_recurrent_class_count(q) == expected

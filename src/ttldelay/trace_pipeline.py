@@ -10,7 +10,8 @@ subgenerator, so the step matrices of all samples are one GEMM of their step
 powers with the five fixed powers of S, and the Simpson panel is rank one.
 The Simpson-weighted sums of trajectory products are one block of a
 block-triangular matrix power (Van Loan, IEEE TAC 1978), taken by repeated
-squaring over all samples at once.
+squaring over all samples at once.  Each fit builds one E-step workspace
+that holds these sample-sized arrays, so no iteration allocates one.
 """
 
 import logging
@@ -41,6 +42,8 @@ MAX_RESTARTS = 5
 def interarrivals(timestamps):
     """First differences of an ascending timestamp sequence."""
     t = np.asarray(timestamps, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"timestamps must be one column, got shape {t.shape}")
     if t.size < 2:
         raise ValueError("need at least two timestamps")
     if not np.all(np.isfinite(t)):
@@ -68,6 +71,8 @@ def remove_outliers(samples, cutoff=2.0):
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
         raise ValueError("empty sample set")
+    if not np.all(np.isfinite(s) & (s >= 0)):
+        raise ValueError("samples must be finite and non-negative")
     if np.any(s == 0):
         positive = s[s > 0]
         if positive.size == 0:
@@ -117,28 +122,10 @@ class FitReport:
         return self.log_likelihood_trace[-1]
 
 
-def _block_power(q, x, n):
-    """``Q^n`` and ``sum_{k<n} Q^k X Q^(n-1-k)`` for stacked ``(m, p, p)`` Q, X.
-
-    Both are blocks of ``[[Q, X], [0, Q]]^n``, taken by binary exponentiation.
-    """
-    m, p, _ = q.shape
-    block = np.zeros((m, 2 * p, 2 * p))
-    block[:, :p, :p] = q
-    block[:, p:, p:] = q
-    block[:, :p, p:] = x
-    power = None
-    while True:
-        if n & 1:
-            power = block if power is None else power @ block
-        n >>= 1
-        if not n:
-            return power[:, :p, :p], power[:, :p, p:]
-        block = block @ block
-
-
-def _estep(samples, rates, probs, grid_steps):
-    """Expected occupancy, forward-jump and exit statistics plus loglik.
+class _EStep:
+    """The E-step of one EM fit, built once with every sample-sized array it
+    writes: ``estep(rates, probs)`` gives the expected occupancy, forward-jump
+    and exit statistics plus the loglik.
 
     With step ``h = x / K`` (``K = grid_steps``), RK4 on ``v' = v S`` is
     ``v <- v P`` for ``P = sum_{j<=4} (hS)^j / j!``, so the forward filter is
@@ -149,35 +136,72 @@ def _estep(samples, rates, probs, grid_steps):
     ``sum_j h^j (S^T)^j / j!``: one GEMM for all samples.  X has rank one, so
     the panel is ``e_1 (s^T Q^2) + 4 (Q e_1)(s^T Q) + (Q^2 e_1) s^T``.
     """
-    _, s_mat = Coxian(rates, probs).ph()
-    exit_rates = -s_mat.sum(axis=1)
-    taylor = [np.linalg.matrix_power(s_mat.T, j) / math.factorial(j) for j in range(5)]
-    h_powers = np.vander(samples / grid_steps, 5, increasing=True)  # h^j per sample
-    q = (h_powers @ np.reshape(taylor, (5, -1))).reshape(-1, *s_mat.shape)
-    q2 = q @ q
-    s_q = np.tensordot(q, exit_rates, axes=(1, 0))  # s^T Q per sample
-    panel = 4.0 * q[:, :, :1] * s_q[:, None, :] + q2[:, :, :1] * exit_rates
-    panel[:, 0, :] += np.tensordot(q2, exit_rates, axes=(1, 0))
-    q_end, pair_sums = _block_power(q2, panel, grid_steps // 2)
 
-    a_end = q_end[:, :, 0]  # a_K = alpha P^K
-    density = a_end @ exit_rates
-    # An RK4 step past the real-axis stability limit, or a negative density,
-    # gives a NaN loglik, which makes EM restart.  Only densities that
-    # underflow to zero are clamped.
-    unstable = (
-        max(rates) * samples.max() / grid_steps > RK4_STABILITY_LIMIT
-        or np.any(density < 0)
-    )
-    density = np.maximum(density, 1e-300)
-    loglik = math.nan if unstable else float(np.log(density).sum())
-    # Pair integrals int a_i(u) c_j(x - u) du over samples, each with its
-    # Simpson factor h/3 and density normalization.
-    t = np.einsum("mij,m->ij", pair_sums, samples / (3.0 * grid_steps) / density)
-    occupancy = np.diagonal(t)
-    forward_jumps = np.diagonal(t, 1) * np.diagonal(s_mat, 1)  # rate_i * prob_i
-    exits = (a_end / density[:, None]).sum(axis=0) * exit_rates
-    return occupancy, forward_jumps, exits, loglik
+    def __init__(self, samples, phases, grid_steps):
+        self.grid_steps = grid_steps
+        self.h_powers = np.vander(samples / grid_steps, 5, increasing=True)  # h^j
+        self.simpson = samples / (3.0 * grid_steps)  # Simpson factor h/3
+        self.samples_max = samples.max()
+        self.q = np.empty((samples.size, phases, phases))
+        self.q2 = np.empty_like(self.q)
+        self.blocks = np.empty((3, samples.size, 2 * phases, 2 * phases))
+
+    def _block_power(self, n):
+        """``[[Q, X], [0, Q]]^n`` of ``blocks[0]``: its upper blocks are ``Q^n``
+        and ``sum_{k<n} Q^k X Q^(n-1-k)``.  Binary exponentiation, each product
+        into the buffer that holds neither the squared block nor the power."""
+
+        def product(a, b):
+            out = min({0, 1, 2} - {block, power})
+            np.matmul(self.blocks[a], self.blocks[b], out=self.blocks[out])
+            return out
+
+        block, power = 0, None
+        while True:
+            if n & 1:
+                power = block if power is None else product(power, block)
+            n >>= 1
+            if not n:
+                return self.blocks[power]
+            block = product(block, block)
+
+    def __call__(self, rates, probs):
+        _, s_mat = Coxian(rates, probs).ph()
+        exit_rates = -s_mat.sum(axis=1)
+        taylor = [np.linalg.matrix_power(s_mat.T, j) / math.factorial(j) for j in range(5)]
+        p, q, q2 = len(rates), self.q, self.q2
+        np.matmul(self.h_powers, np.reshape(taylor, (5, -1)), out=q.reshape(len(q), -1))
+        np.matmul(q, q, out=q2)
+        block = self.blocks[0]
+        block[:, :p, :p] = q2
+        block[:, p:, p:] = q2
+        # A previous call's products may have left 0 * inf = NaN here.
+        block[:, p:, :p] = 0.0
+        panel = block[:, :p, p:]
+        s_q = np.tensordot(q, exit_rates, axes=(1, 0))  # s^T Q per sample
+        np.multiply(4.0 * q[:, :, :1], s_q[:, None, :], out=panel)
+        panel += q2[:, :, :1] * exit_rates
+        panel[:, 0, :] += np.tensordot(q2, exit_rates, axes=(1, 0))
+        power = self._block_power(self.grid_steps // 2)
+
+        a_end = power[:, :p, 0]  # a_K = alpha P^K
+        density = a_end @ exit_rates
+        # An RK4 step past the real-axis stability limit, or a negative density,
+        # gives a NaN loglik, which makes EM restart.  Only densities that
+        # underflow to zero are clamped.
+        unstable = (
+            max(rates) * self.samples_max / self.grid_steps > RK4_STABILITY_LIMIT
+            or np.any(density < 0)
+        )
+        density = np.maximum(density, 1e-300)
+        loglik = math.nan if unstable else float(np.log(density).sum())
+        # Pair integrals int a_i(u) c_j(x - u) du over samples, each with its
+        # Simpson factor and density normalization.
+        t = np.einsum("mij,m->ij", power[:, :p, p:], self.simpson / density)
+        occupancy = np.diagonal(t)
+        forward_jumps = np.diagonal(t, 1) * np.diagonal(s_mat, 1)  # rate_i * prob_i
+        exits = (a_end / density[:, None]).sum(axis=0) * exit_rates
+        return occupancy, forward_jumps, exits, loglik
 
 
 def _initial_parameters(samples, phases, restart):
@@ -228,10 +252,11 @@ def fit_ph_em(samples, phases, sample_count_before=None):
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise FitError("no samples to fit")
-    if np.any(samples <= 0):
-        raise FitError("samples must be positive")
+    if not np.all(np.isfinite(samples) & (samples > 0)):
+        raise FitError("samples must be finite and positive")
     if phases < 1:
         raise FitError("need at least one phase")
+    estep = _EStep(samples, phases, GRID_STEPS)
     before = sample_count_before if sample_count_before is not None else samples.size
     last_error = None
     for restart in range(MAX_RESTARTS + 1):
@@ -240,9 +265,7 @@ def fit_ph_em(samples, phases, sample_count_before=None):
         converged = False
         try:
             for _ in range(MAX_ITERS):
-                occupancy, forward_jumps, exits, loglik = _estep(
-                    samples, rates, probs, GRID_STEPS
-                )
+                occupancy, forward_jumps, exits, loglik = estep(rates, probs)
                 if not math.isfinite(loglik):
                     raise FitError("non-finite log-likelihood")
                 trace.append(loglik)

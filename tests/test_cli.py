@@ -319,6 +319,16 @@ class TestFitTrace:
         assert main(["fit-trace", "--trace", str(trace), "--phases", "1"]) == 1
         assert capsys.readouterr().err == "E_VALUE: timestamps must be finite\n"
 
+    def test_multi_column_trace_rejected(self, tmp_path, capsys):
+        # Rows of "timestamp size", as in CDN logs; the within-row
+        # differences 1, 2, 1, 5, 4 used to be fitted as gaps.
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0 1\n1 3\n3 4\n4 9\n6 10\n")
+        assert main(["fit-trace", "--trace", str(trace), "--phases", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "E_VALUE: timestamps must be one column, got shape (5, 2)\n"
+        )
+
     def test_empty_trace_is_one_error_line(self, tmp_path):
         # A fresh process, so NumPy's warning would reach stderr unrecorded.
         trace = tmp_path / "trace.txt"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from ttldelay import trace_pipeline
 from ttldelay.distributions import Coxian, ph_moment
 from ttldelay.errors import FitError
 from ttldelay.trace_pipeline import (
-    _estep,
+    _EStep,
     _initial_parameters,
     canonical_coxian,
     fit_ph_em,
@@ -67,6 +68,61 @@ def reference_estep(samples, rates, probs, grid_steps):
     return occupancy, forward_jumps, exits, loglik
 
 
+def one_shot_estep(samples, rates, probs, grid_steps):
+    """The E-step as one function that allocates every array it uses.
+
+    ``_EStep`` makes each product by the same NumPy call on the same operand
+    layout, into buffers it reuses, so the two agree bit for bit.
+    """
+    _, s_mat = Coxian(rates, probs).ph()
+    exit_rates = -s_mat.sum(axis=1)
+    taylor = [np.linalg.matrix_power(s_mat.T, j) / math.factorial(j) for j in range(5)]
+    h_powers = np.vander(samples / grid_steps, 5, increasing=True)
+    q = (h_powers @ np.reshape(taylor, (5, -1))).reshape(-1, *s_mat.shape)
+    q2 = q @ q
+    s_q = np.tensordot(q, exit_rates, axes=(1, 0))
+    panel = 4.0 * q[:, :, :1] * s_q[:, None, :] + q2[:, :, :1] * exit_rates
+    panel[:, 0, :] += np.tensordot(q2, exit_rates, axes=(1, 0))
+    m, p, _ = q2.shape
+    block = np.zeros((m, 2 * p, 2 * p))
+    block[:, :p, :p] = q2
+    block[:, p:, p:] = q2
+    block[:, :p, p:] = panel
+    power, n = None, grid_steps // 2
+    while True:
+        if n & 1:
+            power = block if power is None else power @ block
+        n >>= 1
+        if not n:
+            break
+        block = block @ block
+    a_end = power[:, :p, :p][:, :, 0]
+    density = a_end @ exit_rates
+    unstable = (
+        max(rates) * samples.max() / grid_steps > trace_pipeline.RK4_STABILITY_LIMIT
+        or np.any(density < 0)
+    )
+    density = np.maximum(density, 1e-300)
+    loglik = math.nan if unstable else float(np.log(density).sum())
+    t = np.einsum(
+        "mij,m->ij", power[:, :p, p:], samples / (3.0 * grid_steps) / density
+    )
+    occupancy = np.diagonal(t)
+    forward_jumps = np.diagonal(t, 1) * np.diagonal(s_mat, 1)
+    exits = (a_end / density[:, None]).sum(axis=0) * exit_rates
+    return occupancy, forward_jumps, exits, loglik
+
+
+def estep(samples, rates, probs, grid_steps):
+    """One call on a fresh ``_EStep``."""
+    return _EStep(samples, len(rates), grid_steps)(rates, probs)
+
+
+def assert_bitwise_equal(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
 class TestInterarrivals:
     def test_simple_differences(self):
         np.testing.assert_allclose(interarrivals([0, 1, 3]), [1, 2])
@@ -77,6 +133,11 @@ class TestInterarrivals:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             interarrivals([0, 2, 1])
+
+    def test_multi_column_rejected(self):
+        rows = [[0, 1], [1, 3], [3, 4], [4, 9], [6, 10]]
+        with pytest.raises(ValueError, match=r"shape \(5, 2\)"):
+            interarrivals(rows)
 
     def test_poisson_mean(self, rng):
         t = np.cumsum(rng.exponential(0.5, 10_000))
@@ -107,6 +168,12 @@ class TestRemoveOutliers:
         with pytest.raises(ValueError):
             remove_outliers([])
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_rejected(self, bad):
+        # Raised before the power transform takes a log of it.
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            remove_outliers([1.0, bad, 2.0, 3.0])
+
 
 class TestFitPhEm:
     def test_exponential_rate_recovered(self, rng):
@@ -134,6 +201,13 @@ class TestFitPhEm:
         with pytest.raises(FitError):
             fit_ph_em([1.0, 2.0], 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_is_fit_error(self, bad):
+        with pytest.raises(FitError, match="samples must be finite and positive"):
+            fit_ph_em([1.0, bad, 2.0], 2)
+        with pytest.raises(FitError, match="samples must be finite and positive"):
+            select_phases([1.0, bad, 2.0], range(1, 3))
+
     def test_monotone_on_corpus(self, rng, monkeypatch):
         monkeypatch.setattr(trace_pipeline, "MAX_ITERS", 120)
         corpus = {
@@ -158,7 +232,7 @@ class TestEstep:
         samples = gen.gamma(2.0, 0.5, 200)
         rates = gen.uniform(0.5, 3.0, phases)
         probs = gen.uniform(0.1, 0.9, phases - 1)
-        got = _estep(samples, rates, probs, grid_steps)
+        got = estep(samples, rates, probs, grid_steps)
         want = reference_estep(samples, rates, probs, grid_steps)
         # Coarse grids are RK4-unstable on some of these samples and drive
         # densities negative: exactly these three cases have a NaN loglik.
@@ -176,7 +250,7 @@ class TestEstep:
 
     @staticmethod
     def _assert_matches_reference(samples, rates, probs, grid_steps):
-        got = _estep(samples, rates, probs, grid_steps)
+        got = estep(samples, rates, probs, grid_steps)
         want = reference_estep(samples, rates, probs, grid_steps)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
@@ -200,7 +274,7 @@ class TestEstep:
         rates, probs = np.array([500.0, 200.0, 50.0]), np.array([0.5, 0.5])
         with np.errstate(all="ignore"):
             want = reference_estep(samples, rates, probs, 96)
-            got = _estep(samples, rates, probs, 96)
+            got = estep(samples, rates, probs, 96)
         assert not np.isfinite(want[3])
         assert not np.isfinite(got[3])
 
@@ -209,7 +283,7 @@ class TestEstep:
         # densities negative; clamped, they used to give a finite loglik.
         samples = np.random.default_rng(0).gamma(2.0, 0.5, 2000)
         with np.errstate(all="ignore"):
-            loglik = _estep(samples, np.array([38.0, 38.0]), np.array([0.1]), 2)[3]
+            loglik = estep(samples, np.array([38.0, 38.0]), np.array([0.1]), 2)[3]
         assert math.isnan(loglik)
 
     def test_unstable_step_with_positive_densities_gives_nan_loglik(self):
@@ -217,12 +291,57 @@ class TestEstep:
         # RK4's limit of 2.785, yet every density stays positive and the
         # clamped loglik used to read +36,336.
         samples = np.random.default_rng(0).gamma(2.0, 0.5, 2000)
-        assert math.isnan(_estep(samples, np.array([38.0]), np.array([]), 2)[3])
+        assert math.isnan(estep(samples, np.array([38.0]), np.array([]), 2)[3])
+
+    @pytest.mark.parametrize("grid_steps", [2, 4, 96])
+    @pytest.mark.parametrize("phases", [1, 2, 3, 5])
+    def test_bitwise_equal_to_one_shot(self, phases, grid_steps):
+        gen = np.random.default_rng(200 + phases)
+        samples = gen.gamma(2.0, 0.5, 200)
+        workspace = _EStep(samples, phases, grid_steps)
+        for _ in range(4):  # consecutive calls on one object
+            rates = gen.uniform(0.5, 3.0, phases)
+            probs = gen.uniform(0.1, 0.9, phases - 1)
+            with np.errstate(all="ignore"):
+                want = one_shot_estep(samples, rates, probs, grid_steps)
+                got = workspace(rates, probs)
+            assert_bitwise_equal(got, want)
+
+    def test_no_state_carried_after_overflow(self):
+        # On these long samples the stiff call overflows before its last
+        # product, so 0 * inf leaves NaN in a lower-left quadrant of the
+        # reused blocks; the next call must read none of it.
+        samples = np.random.default_rng(1).gamma(2.0, 2.0, 200)
+        workspace = _EStep(samples, 3, 96)
+        with np.errstate(all="ignore"):
+            stiff = workspace(np.array([500.0, 200.0, 50.0]), np.array([0.5, 0.5]))
+        assert not np.isfinite(stiff[3])
+        assert np.isnan(workspace.blocks[:, :, 3:, :3]).any()
+        rates, probs = np.array([2.0, 1.5, 0.7]), np.array([0.6, 0.4])
+        got = workspace(rates, probs)
+        assert np.isfinite(got[3])
+        assert_bitwise_equal(got, _EStep(samples, 3, 96)(rates, probs))
+        assert_bitwise_equal(got, one_shot_estep(samples, rates, probs, 96))
+
+    def test_warm_call_allocates_less_than_one_block(self):
+        # Every sample-sized array a call writes lives in the workspace: a
+        # second call traces less than one (m, 2p, 2p) block.
+        samples = np.random.default_rng(0).gamma(2.0, 0.5, 2000)
+        workspace = _EStep(samples, 3, 96)
+        rates, probs = _initial_parameters(samples, 3, restart=0)
+        workspace(rates, probs)
+        tracemalloc.start()
+        try:
+            workspace(rates, probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < samples.size * 6 * 6 * 8  # 576,000 B
 
     def test_underflowing_density_is_clamped(self):
         # exp(-2000) underflows to zero; the clamp keeps the loglik finite.
         samples = np.array([1.0, 2000.0])
-        loglik = _estep(samples, np.array([1.0]), np.array([]), 1000)[3]
+        loglik = estep(samples, np.array([1.0]), np.array([]), 1000)[3]
         assert loglik == pytest.approx(-1.0 + math.log(1e-300), rel=1e-9)
 
 

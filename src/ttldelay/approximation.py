@@ -7,19 +7,22 @@ of a single cache is phase-type when the request stream is phase-type and
 the TTL exponential; the fetch delay enters as a convolution.  Hierarchies
 are approximated bottom-up: each cache turns its input renewal process into
 a miss process, sibling miss streams are superposed either as a Poisson
-stream or as a moment-matched renewal stream, and the system-level hit
+stream or as a moment-matched renewal stream, whose runs of equal siblings
+are lumped by the exact engine's multiset kernel, and the system-level hit
 probability follows from the root's output rate.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from ttldelay import distributions as dist
 from ttldelay.errors import CapacityError, DegenerateProcessError
+from ttldelay.spec import lumped_copies, partition_count
 
-MAX_POOLED_PHASES = 7_000  # three dense N-by-N arrays of a pooled product: 1.2 GB
+MAX_POOLED_PHASES = 7_000  # lumped phases of a pooled product: three N-by-N arrays, 1.2 GB
 
 
 @dataclass(frozen=True)
@@ -155,31 +158,37 @@ def hit_prob_single_approx(x, lambda_t, delta, input_rate=None):
     return CacheApproxResult(q, e_n, e_m, p_hit, miss_rate_out)
 
 
-def _ph_equilibrium(alpha, s):
-    """Initial vector of the stationary-excess distribution of a PH law."""
-    mean = dist.ph_moment(alpha, s, 1)
-    beta = -alpha @ np.linalg.inv(s) / mean
-    return np.asarray(beta).ravel()
-
-
 def superposed_palm_moments(components):
     """First three moments of the inter-event time of pooled stationary renewals.
 
-    ``components`` is a list of ``(rate, distribution)`` pairs of total rate L.
-    The pooled stream's forward recurrence time R, the minimum of the stationary
-    excess lifetimes, is PH on their Kronecker product, and Palm inversion
-    (Baccelli & Brémaud 2003) gives ``E0[T^(k+1)] = (k+1) E[R^k] / L``.
+    ``components`` is a list of ``(rate, distribution)`` pairs of total rate L,
+    each law rescaled to mean 1 / rate.  The pooled stream's forward recurrence
+    time R, the minimum of the stationary excess lifetimes, is PH, and Palm
+    inversion (Baccelli & Brémaud 2003) gives ``E0[T^(k+1)] = (k+1) E[R^k] / L``.
+    Over a run of n equal components it is PH on the multisets of their phases
+    (:func:`ttldelay.spec.lumped_copies`) from the multinomial weights of the
+    excess start vector beta; R is PH on the runs' product.
     """
     total_rate = sum(r for r, _ in components)
-    phs = [d.ph() for _, d in components]
-    phases = math.prod(len(alpha) for alpha, _ in phs)
+    runs = [(rate, d.ph(), len(list(run))) for (rate, d), run in groupby(components)]
+    phases = math.prod(partition_count(len(alpha), n) for _, (alpha, _), n in runs)
     if phases > MAX_POOLED_PHASES:
         raise CapacityError(phases, MAX_POOLED_PHASES,
-                            "too many sibling phases to pool; try --strategy poisson")
-    gamma, g = np.ones(1), np.zeros((1, 1))
-    for alpha, s in phs:
-        gamma = _kron(gamma, _ph_equilibrium(alpha, s))
-        g = _kron(g, np.eye(len(alpha))) + _kron(np.eye(len(g)), s)
+                            "too many lumped sibling phases to pool; try --strategy poisson")
+    gamma = g = None
+    for rate, (alpha, s), n in runs:
+        excess = np.linalg.solve(-s.T, alpha)  # alpha (-S)^-1; its sum is the mean
+        beta, s = excess / excess.sum(), s * (excess.sum() * rate)  # mean 1 / rate
+        moves = s.nonzero()
+        blocks, [(rows, cols, rates)] = lumped_copies(len(beta), n, (*moves, s[moves]))
+        size = len(blocks)
+        # Multinomial weights of beta; each prefix of the product is a probability.
+        k = np.arange(1, n)
+        j = np.maximum.accumulate(k * (blocks[:, 1:] != blocks[:, :-1]), axis=1)
+        start = beta[blocks[:, 0]] * (beta[blocks[:, 1:]] * (k + 1) / (k - j + 1)).prod(1)
+        sub = np.bincount(rows * size + cols, rates, size * size).reshape(size, size)
+        gamma = start if gamma is None else _kron(gamma, start)
+        g = sub if g is None else _kron(g, np.eye(size)) + _kron(np.eye(len(g)), sub)
     r1 = np.linalg.solve(-g, np.ones(len(gamma)))  # E[R] = gamma r1
     r2 = np.linalg.solve(-g, r1)  # E[R^2] = 2 gamma r2
     return 1.0 / total_rate, 2.0 * (gamma @ r1) / total_rate, 6.0 * (gamma @ r2) / total_rate
@@ -291,17 +300,13 @@ def hierarchy_approx(spec, strategy="renewal"):
             input_rate = sum(rate for _, rate in streams)
             if strategy == "poisson":
                 input_dist = dist.Exponential(input_rate)
+            elif len(streams) == 1:
+                input_dist = streams[0][0].scaled_to_mean(1.0 / input_rate)
             else:
-                scaled = [
-                    (rate, d.scaled_to_mean(1.0 / rate)) for d, rate in streams
-                ]
-                if len(scaled) == 1:
-                    input_dist = scaled[0][1]
-                else:
-                    m1, m2, m3 = superposed_palm_moments(scaled)
-                    input_dist, note = fit_ph_moments(m1, m2, m3)
-                    if note:
-                        notes.append(f": {note}")
+                m1, m2, m3 = superposed_palm_moments([(rate, d) for d, rate in streams])
+                input_dist, note = fit_ph_moments(m1, m2, m3)
+                if note:
+                    notes.append(f": {note}")
         lambda_t = 1.0 / node.ttl.mean()
         result = hit_prob_single_approx(
             input_dist, lambda_t, node.delay, input_rate=input_rate

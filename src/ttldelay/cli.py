@@ -304,10 +304,10 @@ def cmd_fit_trace(args):
         # a second stderr line.
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            timestamps = np.loadtxt(args.trace, ndmin=1)
+            timestamps = np.loadtxt(args.trace, ndmin=2)  # rows: '0 1' is not two times
     except OSError as exc:
         raise ConfigError(f"cannot read trace {args.trace}: {exc}") from exc
-    gaps = interarrivals(timestamps)
+    gaps = interarrivals(timestamps[:, 0] if timestamps.shape[1] == 1 else timestamps)
     before = gaps.size
     filtered = remove_outliers(gaps, cutoff=args.cutoff)
     if args.phases is not None:

@@ -11,7 +11,9 @@ does not load the sparse linear algebra behind the exact engine.
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, combinations_with_replacement, groupby
+
+import numpy as np
 
 from ttldelay import distributions as dist
 from ttldelay.errors import ConfigError
@@ -111,14 +113,49 @@ def cache_state_count(node):
 
 
 def partition_count(m_s, n):
-    """Number of sibling-permutation blocks for ``n`` sub-trees of ``m_s`` states.
-
-    Exact integer arithmetic; this is the stars-and-bars count of frequency
-    vectors.
-    """
+    """Blocks of ``n`` sub-trees of ``m_s`` states lumped over their
+    permutations: the exact stars-and-bars count of frequency vectors."""
     if m_s < 1 or n < 1:
         raise ValueError("m_s and n must be positive")
     return math.comb(n + m_s - 1, m_s - 1)
+
+
+def lumped_copies(m, n, *triplets):
+    """``n`` copies of an ``m``-state chain, lumped over permutations of the copies.
+
+    Returns the blocks, nondecreasing ``n``-tuples of states in lexicographic
+    (``combinations_with_replacement``) order, and the lumped triplets of each
+    given row-sorted ``(rows, cols, rates)``: a move ``a -> b`` by one of the
+    ``c`` copies in ``a`` goes to the block with ``a`` replaced by ``b`` at
+    ``c`` times the rate, whose index is its rank (Knuth, TAOCP 4A, 7.2.1.3).
+    """
+    count = partition_count(m, n)
+    states = chain.from_iterable(combinations_with_replacement(range(m), n))
+    blocks = np.fromiter(states, np.intp, count * n).reshape(count, n)
+    # Block x has rank sum(rank[k, x_k]), rank[k, v] = C(l+m-2, l) - C(l+m-2-v, l) at l = n-k.
+    pascal = [np.arange(m)]
+    for _ in range(n - 1):
+        pascal.append(pascal[-1].cumsum())
+    tail = np.array(pascal[::-1])[:, ::-1]
+    rank, offsets = (tail[:, :1] - tail).ravel(), np.arange(0, n * m, m)
+    # Each block's distinct states a, from position j to j + c - 1.
+    runs = np.ones((count, n + 1), bool)
+    runs[:, 1:n] = blocks[:, 1:] != blocks[:, :-1]
+    i, j = runs[:, :n].nonzero()
+    a, c = blocks[i, j], runs[:, 1:].nonzero()[1] + 1 - j
+
+    def lumped(rows, cols, rates):
+        counts = np.bincount(rows, minlength=m)
+        sizes = counts[a]
+        pick = np.arange(len(a)).repeat(sizes)
+        steps = np.arange(len(pick))
+        entry = steps + ((counts.cumsum() - counts)[a] - sizes.cumsum() + sizes).repeat(sizes)
+        moved = blocks[i[pick]]
+        moved[steps, j[pick]] = cols[entry]
+        moved.sort(axis=1)
+        return i[pick], rank[moved + offsets].sum(axis=1), c[pick] * rates[entry]
+
+    return blocks, [lumped(*t) for t in triplets]
 
 
 def sibling_runs(children):

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 from ttldelay import approximation
 from ttldelay.approximation import (
     _kron,
-    _ph_equilibrium,
     expected_renewals_during_delay,
     fit_ph_moments,
     hierarchy_approx,
@@ -231,6 +230,11 @@ class TestMomentFit:
         assert ph_moment(af, sf, 2) == pytest.approx(1.4, rel=1e-9)
 
 
+def excess_start(alpha, s):
+    """Initial vector of the stationary-excess law of PH(alpha, S): alpha (-S)^-1 / mean."""
+    return -alpha @ np.linalg.inv(s) / ph_moment(alpha, s, 1)
+
+
 def per_sibling_palm_moments(components):
     """The pooled Palm moments by conditioning on the component of the event:
     after an event of component k, the time to the next pooled event is the
@@ -242,7 +246,7 @@ def per_sibling_palm_moments(components):
     for k, (rate_k, _) in enumerate(components):
         gamma, g = np.ones(1), np.zeros((1, 1))
         for j, (alpha, s) in enumerate(phs):
-            start = alpha if j == k else _ph_equilibrium(alpha, s)
+            start = alpha if j == k else excess_start(alpha, s)
             gamma = _kron(gamma, start)
             g = _kron(g, np.eye(len(start))) + _kron(np.eye(len(g)), s)
         moments += [rate_k / total_rate * ph_moment(gamma, g, i) for i in (1, 2, 3)]
@@ -271,6 +275,32 @@ class TestPalmSuperposition:
             components = [(1.0 / d.mean(), d) for d in laws]
             np.testing.assert_allclose(superposed_palm_moments(components),
                                        per_sibling_palm_moments(components), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    @pytest.mark.parametrize("d", [
+        GeneralPH((0.3, 0.7), ((-2.0, 1.0), (0.5, -1.0))), Erlang(3, 1.5),
+    ], ids=["ph2", "erlang3"])
+    def test_identical_components_pool_over_phase_multisets(self, d, n):
+        # n equal components form one run, pooled over C(n + m - 1, m - 1)
+        # multisets of phases in place of the m^n phases of their product.
+        components = [(1.0 / d.mean(), d)] * n
+        np.testing.assert_allclose(superposed_palm_moments(components),
+                                   per_sibling_palm_moments(components), rtol=1e-13, atol=0)
+
+    def test_runs_of_equal_components_pool_with_the_others(self):
+        a, b = Erlang(3, 1.5), GeneralPH((0.3, 0.7), ((-2.0, 1.0), (0.5, -1.0)))
+        components = [(1.0 / d.mean(), d) for d in (a, a, b, a, b, b, b)]
+        np.testing.assert_allclose(superposed_palm_moments(components),
+                                   per_sibling_palm_moments(components), rtol=1e-13, atol=0)
+
+    def test_each_law_is_taken_at_the_mean_of_its_rate(self):
+        # hierarchy_approx passes fitted miss laws with their stream rates; the
+        # pool rescales each run's law to mean 1 / rate itself.
+        a, b = Erlang(3, 1.5), GeneralPH((0.3, 0.7), ((-2.0, 1.0), (0.5, -1.0)))
+        components = [(0.7, a), (0.7, a), (2.5, b)]
+        scaled = [(rate, d.scaled_to_mean(1.0 / rate)) for rate, d in components]
+        np.testing.assert_allclose(superposed_palm_moments(components),
+                                   per_sibling_palm_moments(scaled), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("d", [
         Exponential(2.0), Erlang(3, 1.5), Coxian((1.5, 0.75), (0.5,)),

@@ -329,6 +329,26 @@ class TestFitTrace:
             "E_VALUE: timestamps must be one column, got shape (5, 2)\n"
         )
 
+    def test_one_row_of_two_columns_rejected(self, tmp_path, capsys):
+        # One "timestamp size" row used to be read as the two timestamps 0, 1.
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0 1\n")
+        assert main(["fit-trace", "--trace", str(trace), "--phases", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "E_VALUE: timestamps must be one column, got shape (1, 2)\n"
+        )
+
+    def test_two_rows_of_one_column_fit_one_gap(self, tmp_path):
+        import yaml
+
+        trace, report = tmp_path / "trace.txt", tmp_path / "fit.yaml"
+        trace.write_text("0\n1.5\n")
+        assert main(["fit-trace", "--trace", str(trace), "--phases", "1",
+                     "--out", str(report)]) == 0
+        doc = yaml.safe_load(report.read_text())
+        assert doc["sample_count_before"] == 1
+        assert doc["fitted_mean"] == pytest.approx(1.5)
+
     def test_empty_trace_is_one_error_line(self, tmp_path):
         # A fresh process, so NumPy's warning would reach stderr unrecorded.
         trace = tmp_path / "trace.txt"
@@ -589,17 +609,35 @@ class TestErrors:
         assert "TTLDELAY_NUMERICS=state_cap=" in line and "enable lumping" not in line
 
     def test_wide_sibling_pool_is_one_capacity_error(self, tmp_path, capsys):
-        # Nine leaves with 3-phase miss laws pool into 3^9 = 19,683 phases,
-        # refused before any product is formed; Poisson pooling needs none.
+        # Nine leaves of distinct arrival means have distinct 3-phase miss
+        # laws, so no run lumps and the pool has 3^9 = 19,683 phases, refused
+        # before any product is formed; Poisson pooling needs none.
         first, second = TWO_LEVEL.index("    - id: leaf1"), TWO_LEVEL.index("    - id: leaf2")
         leaf = TWO_LEVEL[first:second]
         path = tmp_path / "flat9.yaml"
-        leaves = "".join(leaf.replace("leaf1", f"leaf{i}") for i in range(9))
+        leaves = "".join(
+            leaf.replace("leaf1", f"leaf{i}").replace(
+                "arrival: {kind: exponential, mean: 1.0}",
+                f"arrival: {{kind: exponential, mean: {1 + i / 10}}}")
+            for i in range(9)
+        )
         path.write_text(TWO_LEVEL[:first] + leaves)
         assert main(["approx", "--config", str(path)]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("E_CAPACITY: state space of size 19683 exceeds the cap of")
         assert main(["approx", "--config", str(path), "--strategy", "poisson"]) == 0
+
+    def test_wide_equal_sibling_pool_lumps(self, tmp_path):
+        # Nine equal leaves pool over the multisets of their miss-law phases:
+        # C(11, 2) = 55 lumped phases, not 3^9.
+        first, second = TWO_LEVEL.index("    - id: leaf1"), TWO_LEVEL.index("    - id: leaf2")
+        leaf = TWO_LEVEL[first:second]
+        path, out = tmp_path / "flat9.yaml", tmp_path / "out.csv"
+        path.write_text(TWO_LEVEL[:first] + "".join(
+            leaf.replace("leaf1", f"leaf{i}") for i in range(9)))
+        assert main(["approx", "--config", str(path), "--out", str(out)]) == 0
+        (row,) = read_csv(str(out))
+        assert 0.0 < float(row["p_hit_approx"]) < 1.0
 
 
 class TestSweepParsing:

@@ -10,42 +10,74 @@ a miss process, sibling miss streams are superposed either as a Poisson
 stream or as a moment-matched renewal stream, whose runs of equal siblings
 are lumped by the exact engine's multiset kernel, and the system-level hit
 probability follows from the root's output rate.
+
+Every building block also takes stacks of laws, ``(alpha, S)`` arrays with
+leading point axes, so :func:`hierarchy_approx` evaluates all points of a
+delay sweep in one pass; a single law is the stack of one.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
+from typing import NamedTuple
 
 import numpy as np
 
 from ttldelay import distributions as dist
 from ttldelay.errors import CapacityError, DegenerateProcessError
-from ttldelay.spec import lumped_copies, partition_count
+from ttldelay.spec import delay_rescaling, lumped_copies, partition_count
 
 MAX_POOLED_PHASES = 7_000  # lumped phases of a pooled product: three N-by-N arrays, 1.2 GB
+# Entries of a stacked matrix above which a sweep's points are split, 2 MB:
+# a sweep then needs about the memory of its largest point alone.
+STACKED_ENTRIES = 2**18
+SWEEP_BLOCK = 256  # points of a sweep evaluated together
+
+
+def _ph(d):
+    """``(alpha, S)`` of a distribution; a pair of stacked arrays is its own."""
+    return d if isinstance(d, tuple) else d.ph()
+
+
+def _out(x):
+    """A Python float for a single law, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _solve(a, b):
+    """``np.linalg.solve(a, b)`` for stacked systems and right-hand vectors."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+def _dot(a, b):
+    """``a @ b`` of vectors along the last axis.  C-contiguous operands make
+    each one the BLAS dot of a single pair, bit for bit."""
+    return np.vecdot(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 @dataclass(frozen=True)
 class PhTransform:
-    """The transform ``alpha (sI - S)^-1 exit`` of a (possibly defective) PH law."""
+    """The transform ``alpha (sI - S)^-1 exit`` of a (possibly defective) PH
+    law, or of a stack of them along the leading axes."""
 
     alpha: np.ndarray
     S: np.ndarray
     exit: np.ndarray
 
     def __call__(self, s):
-        shifted = s * np.eye(len(self.alpha)) - self.S
-        return float(self.alpha @ np.linalg.solve(shifted, self.exit))
+        shifted = s * np.eye(self.alpha.shape[-1]) - self.S
+        return _out(_dot(self.alpha, _solve(shifted, self.exit)))
 
     def at_zero(self):
         return self(0.0)
 
     def moments(self, count=3):
         """Raw moments k! alpha (-S)^-k 1; only meaningful for a proper law, ``exit = -S 1``."""
-        v, out = np.ones(len(self.alpha)), []
+        v, out = np.ones(self.alpha.shape[-1]), []
         for k in range(1, count + 1):
-            v = np.linalg.solve(-self.S, v)
-            out.append(math.factorial(k) * float(self.alpha @ v))
+            v = _solve(-self.S, v)
+            out.append(_out(math.factorial(k) * _dot(self.alpha, v)))
         return tuple(out)
 
     def mean(self):
@@ -53,9 +85,10 @@ class PhTransform:
 
 
 def lst_of_ph(d):
-    """Laplace-Stieltjes transform of a phase-type distribution."""
-    alpha, s = d.ph()
-    return PhTransform(alpha, s, -s.sum(axis=1))
+    """Laplace-Stieltjes transform of a phase-type distribution, or of a stack
+    of laws given as ``(alpha, S)`` arrays with leading point axes."""
+    alpha, s = _ph(d)
+    return PhTransform(alpha, s, -s.sum(axis=-1))
 
 
 def lst_L(fx, lambda_t):
@@ -64,7 +97,23 @@ def lst_L(fx, lambda_t):
     For an exponential TTL this is the inter-request transform shifted by the
     TTL rate; its value at zero is the per-request hit probability q.
     """
-    return PhTransform(fx.alpha, fx.S - lambda_t * np.eye(len(fx.alpha)), fx.exit)
+    return PhTransform(fx.alpha, fx.S - lambda_t * np.eye(fx.alpha.shape[-1]), fx.exit)
+
+
+def _in_series(alpha, a, b, c, exit):
+    """The PH law that starts by ``alpha`` in the phases of ``a``, moves by
+    ``b`` to those of ``c`` and leaves them by ``exit``: ``S = [[a, b], [0, c]]``.
+    Leading axes broadcast."""
+    n, m = a.shape[-1], c.shape[-1]
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2], c.shape[:-2])
+    s = np.zeros((*lead, n + m, n + m))
+    s[..., :n, :n] = a
+    s[..., :n, n:] = b
+    s[..., n:, n:] = c
+    start, end = np.zeros((*lead, n + m)), np.zeros((*lead, n + m))
+    start[..., :n] = alpha
+    end[..., n:] = exit
+    return PhTransform(start, s, end)
 
 
 def miss_lst_no_delay(fx, l):
@@ -74,42 +123,30 @@ def miss_lst_no_delay(fx, l):
     completion is a hit and restarts the inter-request time, TTL expiry
     moves to the disarmed copy, and the next completion there is the miss.
     """
-    q = l.at_zero()
-    if q >= 1.0 - 1e-12:
+    if np.any(l.at_zero() >= 1.0 - 1e-12):
         raise DegenerateProcessError("cache never misses (q = 1)")
-    n = len(fx.alpha)
-    s = np.zeros((2 * n, 2 * n))
-    s[:n, :n] = l.S + np.outer(l.exit, l.alpha)
-    s[:n, n:] = fx.S - l.S
-    s[n:, n:] = fx.S
-    return PhTransform(
-        np.concatenate([fx.alpha, np.zeros(n)]), s,
-        np.concatenate([np.zeros(n), fx.exit]),
-    )
+    armed = l.S + l.exit[..., :, None] * l.alpha[..., None, :]
+    return _in_series(fx.alpha, armed, fx.S - l.S, fx.S, fx.exit)
 
 
 def miss_lst_with_delay(fx, l, fdelta):
     """Inter-miss transform with a random fetch delay: the miss law
     convolved with the delay's."""
     miss = miss_lst_no_delay(fx, l)
-    n, m = len(miss.alpha), len(fdelta.alpha)
-    s = np.zeros((n + m, n + m))
-    s[:n, :n] = miss.S
-    s[:n, n:] = np.outer(miss.exit, fdelta.alpha)
-    s[n:, n:] = fdelta.S
-    return PhTransform(
-        np.concatenate([miss.alpha, np.zeros(m)]), s,
-        np.concatenate([np.zeros(n), fdelta.exit]),
-    )
+    fetch = miss.exit[..., :, None] * fdelta.alpha[..., None, :]
+    return _in_series(miss.alpha, miss.S, fetch, fdelta.S, fdelta.exit)
 
 
-def _kron(a, b):
-    """``np.kron`` of two 1-d or two 2-d arrays, as one broadcast product:
-    the same products without its per-call shape handling."""
-    if a.ndim == 1:
-        return (a[:, None] * b).ravel()
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[:, None, :]).reshape(m * p, n * q)
+def _kron(a, b, vectors=False):
+    """``np.kron`` of two matrices, or of two vectors (``vectors``, or 1-d
+    operands), over the last axes, the leading ones broadcast: one broadcast
+    product, the same products without ``np.kron``'s per-call shape handling."""
+    if vectors or a.ndim == 1:
+        lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        return (a[..., :, None] * b[..., None, :]).reshape(*lead, -1)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*lead, m * p, n * q)
 
 
 def expected_renewals_during_delay(x, delta):
@@ -117,17 +154,17 @@ def expected_renewals_during_delay(x, delta):
 
     The count starts at a renewal epoch (the miss request).  Solved as the
     expected number of marked events of the product chain before the delay
-    clock absorbs; exact, one linear solve.
+    clock absorbs; exact, one linear solve.  Either law may be a stack.
     """
-    alpha_x, s_x = x.ph()
-    alpha_d, s_d = delta.ph()
-    exit_x = -s_x.sum(axis=1)
-    generator_x = s_x + np.outer(exit_x, alpha_x)
-    nx, nd = len(alpha_x), len(alpha_d)
+    alpha_x, s_x = _ph(x)
+    alpha_d, s_d = _ph(delta)
+    exit_x = -s_x.sum(axis=-1)
+    generator_x = s_x + exit_x[..., :, None] * alpha_x[..., None, :]
+    nx, nd = alpha_x.shape[-1], alpha_d.shape[-1]
     q = _kron(generator_x, np.eye(nd)) + _kron(np.eye(nx), s_d)
-    reward = _kron(exit_x, np.ones(nd))
-    start = _kron(alpha_x, alpha_d)
-    return float(start @ np.linalg.solve(-q, reward))
+    reward = _kron(exit_x, np.ones(nd), vectors=True)
+    start = _kron(alpha_x, alpha_d, vectors=True)
+    return _out(_dot(start, _solve(-q, reward)))
 
 
 @dataclass(frozen=True)
@@ -145,17 +182,26 @@ def hit_prob_single_approx(x, lambda_t, delta, input_rate=None):
     """Single-cache hit probability from hit runs and in-fetch arrivals.
 
     A cycle consists of the triggering miss, the arrivals during the fetch
-    (all counted as misses) and a geometric run of hits.
+    (all counted as misses) and a geometric run of hits.  ``x`` and ``delta``
+    may be stacks of laws; a stacked ``x`` needs its ``input_rate``.
     """
     fx = lst_of_ph(x)
-    q = float(fx(lambda_t))
-    e_n = q / (1.0 - q) if q < 1.0 else math.inf
+    q = fx(lambda_t)
     e_m = expected_renewals_during_delay(x, delta)
-    p_hit = e_n / (1.0 + e_m + e_n) if math.isfinite(e_n) else 1.0
     rate = input_rate if input_rate is not None else 1.0 / x.mean()
-    cycle_requests = 1.0 + e_m + e_n
-    miss_rate_out = rate * (1.0 + e_m) / cycle_requests
-    return CacheApproxResult(q, e_n, e_m, p_hit, miss_rate_out)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e_n = np.where(q < 1.0, q / (1.0 - q), math.inf)
+        cycle_requests = 1.0 + e_m + e_n
+        p_hit = np.where(np.isfinite(e_n), e_n / cycle_requests, 1.0)
+        miss_rate_out = rate * (1.0 + e_m) / cycle_requests
+    return CacheApproxResult(*map(_out, (q, e_n, e_m, p_hit, miss_rate_out)))
+
+
+def _run_key(component):
+    """Adjacent components of equal key pool as one run.  Single laws are
+    keyed by value; a stacked component joins only a repeat of itself, since
+    the caller groups the points whose runs agree."""
+    return id(component) if isinstance(component[1], tuple) else component
 
 
 def superposed_palm_moments(components):
@@ -167,31 +213,41 @@ def superposed_palm_moments(components):
     inversion (Baccelli & Brémaud 2003) gives ``E0[T^(k+1)] = (k+1) E[R^k] / L``.
     Over a run of n equal components it is PH on the multisets of their phases
     (:func:`ttldelay.spec.lumped_copies`) from the multinomial weights of the
-    excess start vector beta; R is PH on the runs' product.
+    excess start vector beta; R is PH on the runs' product.  A component may
+    stack points: rates as an array, the law as ``(alpha, S)`` arrays.
     """
     total_rate = sum(r for r, _ in components)
-    runs = [(rate, d.ph(), len(list(run))) for (rate, d), run in groupby(components)]
-    phases = math.prod(partition_count(len(alpha), n) for _, (alpha, _), n in runs)
+    runs = []
+    for _, run in groupby(components, key=_run_key):
+        (rate, d), *rest = run
+        runs.append((rate, _ph(d), 1 + len(rest)))
+    phases = math.prod(partition_count(alpha.shape[-1], n) for _, (alpha, _), n in runs)
     if phases > MAX_POOLED_PHASES:
         raise CapacityError(phases, MAX_POOLED_PHASES,
                             "too many lumped sibling phases to pool; try --strategy poisson")
     gamma = g = None
     for rate, (alpha, s), n in runs:
-        excess = np.linalg.solve(-s.T, alpha)  # alpha (-S)^-1; its sum is the mean
-        beta, s = excess / excess.sum(), s * (excess.sum() * rate)  # mean 1 / rate
-        moves = s.nonzero()
-        blocks, [(rows, cols, rates)] = lumped_copies(len(beta), n, (*moves, s[moves]))
+        excess = _solve(-np.swapaxes(s, -1, -2), alpha)  # alpha (-S)^-1; its sum is the mean
+        mean = excess.sum(axis=-1, keepdims=True)
+        beta, s = excess / mean, s * (mean[..., 0] * rate)[..., None, None]  # mean 1 / rate
+        m = beta.shape[-1]
+        moves = np.nonzero((s != 0).reshape(-1, m, m).any(axis=0))  # every point's moves
+        blocks, [(rows, cols, rates)] = lumped_copies(m, n, (*moves, s[..., moves[0], moves[1]]))
         size = len(blocks)
         # Multinomial weights of beta; each prefix of the product is a probability.
         k = np.arange(1, n)
         j = np.maximum.accumulate(k * (blocks[:, 1:] != blocks[:, :-1]), axis=1)
-        start = beta[blocks[:, 0]] * (beta[blocks[:, 1:]] * (k + 1) / (k - j + 1)).prod(1)
-        sub = np.bincount(rows * size + cols, rates, size * size).reshape(size, size)
-        gamma = start if gamma is None else _kron(gamma, start)
-        g = sub if g is None else _kron(g, np.eye(size)) + _kron(np.eye(len(g)), sub)
-    r1 = np.linalg.solve(-g, np.ones(len(gamma)))  # E[R] = gamma r1
-    r2 = np.linalg.solve(-g, r1)  # E[R^2] = 2 gamma r2
-    return 1.0 / total_rate, 2.0 * (gamma @ r1) / total_rate, 6.0 * (gamma @ r2) / total_rate
+        start = beta[..., blocks[:, 0]] * (beta[..., blocks[:, 1:]] * (k + 1) / (k - j + 1)).prod(-1)
+        lead = rates.shape[:-1]
+        cells = rows * size + cols + size * size * np.arange(math.prod(lead))[:, None]
+        sub = np.bincount(cells.ravel(), rates.ravel(), len(cells) * size * size)
+        sub = sub.reshape(*lead, size, size)
+        gamma = start if gamma is None else _kron(gamma, start, vectors=True)
+        g = sub if g is None else _kron(g, np.eye(size)) + _kron(np.eye(g.shape[-1]), sub)
+    r1 = _solve(-g, np.ones(gamma.shape[-1]))  # E[R] = gamma r1
+    r2 = _solve(-g, r1)  # E[R^2] = 2 gamma r2
+    moments = 1.0 / total_rate, 2.0 * _dot(gamma, r1) / total_rate, 6.0 * _dot(gamma, r2) / total_rate
+    return tuple(map(_out, moments))
 
 
 def fit_ph_moments(m1, m2, m3):
@@ -202,6 +258,13 @@ def fit_ph_moments(m1, m2, m3):
     match to two moments or projected m3 into the feasible region.  Raises
     ValueError for moments that are not positive or whose powers overflow.
     """
+    law, note = _fit_moments(m1, m2, m3)
+    return (dist.GeneralPH(*law) if isinstance(law, tuple) else law), note
+
+
+def _fit_moments(m1, m2, m3):
+    """:func:`fit_ph_moments`, with a general PH law left as its unchecked
+    ``(alpha, S)`` tuples."""
     if m1 <= 0 or m2 <= 0:
         raise ValueError("moments must be positive")
     try:
@@ -225,10 +288,7 @@ def fit_ph_moments(m1, m2, m3):
                 (0.0, -rate, (1.0 - p) * rate),
                 (0.0, 0.0, -rate),
             )
-            return (
-                dist.GeneralPH(alpha, s),
-                "cv^2 in [1/3, 0.5): Erlang mixture, two-moment match",
-            )
+            return (alpha, s), "cv^2 in [1/3, 0.5): Erlang mixture, two-moment match"
 
         # Acyclic PH(2): exact three-moment match inside the feasible region.
         note = None
@@ -260,20 +320,198 @@ def fit_ph_moments(m1, m2, m3):
         p = min(max(p, 0.0), 1.0)
         alpha = (p, 1.0 - p)
         s = ((-l1, l1), (0.0, -l2))
-        return dist.GeneralPH(alpha, s), note
+        return (alpha, s), note
     except OverflowError as exc:
         raise ValueError(f"moments {m1:.3g}, {m2:.3g}, {m3:.3g} overflow the PH fit") from exc
 
 
+class _Law(NamedTuple):
+    """One point's law: its kind, its PH arrays and the distribution itself,
+    where one was built (a fitted general PH law has none)."""
+
+    kind: type
+    alpha: np.ndarray
+    S: np.ndarray
+    d: object = None
+
+
+def _laws(items):
+    """Each point's law from its item: a distribution, a law, or the unchecked
+    ``(alpha, S)`` tuples of a fitted general PH law.  Fitted laws of one
+    phase count are checked as one stack, and exponential and Erlang laws of
+    one phase count are built as one."""
+    laws, stacks = list(items), defaultdict(list)
+    for k, item in enumerate(laws):
+        if isinstance(item, _Law):
+            continue
+        if isinstance(item, tuple):
+            stacks[dist.GeneralPH, len(item[0])].append(k)
+        elif isinstance(item, (dist.Exponential, dist.Erlang)):
+            stacks[type(item), item.phases if isinstance(item, dist.Erlang) else 1].append(k)
+        else:
+            laws[k] = _Law(type(item), *item.ph(), item)
+    for (kind, n), points in stacks.items():
+        if kind is dist.GeneralPH:
+            alpha = np.array([laws[k][0] for k in points], dtype=float)
+            s = np.array([laws[k][1] for k in points], dtype=float)
+            dist.check_ph(alpha, s)
+            ds = [None] * len(points)
+        else:
+            ds = [laws[k] for k in points]
+            alpha, s = dist.erlang_ph(n, [d.rate for d in ds])
+        for k, a, sk, d in zip(points, alpha, s, ds):
+            laws[k] = _Law(kind, a, sk, d)
+    return laws
+
+
+def _stacked(laws):
+    """``(alpha, S)`` of laws of one phase count, stacked along a point axis."""
+    return np.stack([law.alpha for law in laws]), np.stack([law.S for law in laws])
+
+
+def _groups(keys):
+    """The points of each distinct key, in order: ``{key: index array}``."""
+    points = defaultdict(list)
+    for k, key in enumerate(keys):
+        points[key].append(k)
+    return {key: np.array(ks) for key, ks in points.items()}
+
+
+def _chunks(points, size):
+    """``points`` in parts whose stacks of ``size``-by-``size`` matrices hold
+    at most ``STACKED_ENTRIES`` entries, or one point each."""
+    step = max(1, STACKED_ENTRIES // size**2)
+    return [points[i:i + step] for i in range(0, len(points), step)]
+
+
+class _Stream(NamedTuple):
+    """A cache's miss stream at every point: rates and laws."""
+
+    rate: np.ndarray
+    laws: list
+
+
+def _fitted(moments, notes, prefix):
+    """Each point's :func:`fit_ph_moments` law of its moments; fallback notes
+    go to the point's ``notes``, after ``prefix``."""
+    fits = []
+    for k, m in enumerate(moments):
+        law, note = _fit_moments(*m)
+        if note:
+            notes[k].append(prefix + note)
+        fits.append(law)
+    return _laws(fits)
+
+
+def _scaled(stream, means):
+    """Each point's law of ``stream`` scaled to its mean, by its kind's
+    ``scaled_to_mean``; general PH laws as one stack per phase count."""
+    laws = [None] * len(means)
+    for (kind, n), points in _groups((law.kind, len(law.alpha)) for law in stream.laws).items():
+        if kind is not dist.GeneralPH:
+            for k in points:
+                laws[k] = stream.laws[k].d.scaled_to_mean(means[k])
+            continue
+        alpha, s = _stacked([stream.laws[k] for k in points])
+        s = s * (_dot(alpha, _solve(-s, np.ones(n))) / means[points])[:, None, None]
+        dist.check_ph(alpha, s)
+        for k, a, sk in zip(points, alpha, s):
+            laws[k] = _Law(kind, a, sk)
+    return _laws(laws)
+
+
+def _pooled(streams, notes):
+    """Each point's input law fitted to the Palm moments of its children's
+    pooled miss streams; points whose runs of equal siblings and law shapes
+    agree share every stacked solve."""
+    def runs(k):
+        """The lengths of point ``k``'s runs of adjacent equal (rate, law) streams."""
+        lengths = [1]
+        for a, b in zip(streams, streams[1:]):
+            la, lb = a.laws[k], b.laws[k]
+            if a is b or (a.rate[k] == b.rate[k] and la.kind is lb.kind and np.array_equal(
+                    la.alpha, lb.alpha) and np.array_equal(la.S, lb.S)):
+                lengths[-1] += 1
+            else:
+                lengths.append(1)
+        return tuple(lengths)
+
+    keys = [(runs(k), tuple(len(s.laws[k].alpha) for s in streams)) for k in range(len(notes))]
+    moments = [None] * len(notes)
+    for (lengths, sizes), group in _groups(keys).items():
+        firsts = np.cumsum((0, *lengths[:-1]))
+        phases = math.prod(partition_count(sizes[i], n) for i, n in zip(firsts, lengths))
+        for points in _chunks(group, phases):
+            components = []
+            for first, length in zip(firsts, lengths):
+                stream = streams[first]
+                component = (stream.rate[points], _stacked([stream.laws[k] for k in points]))
+                components += [component] * length
+            m1, m2, m3 = superposed_palm_moments(components)
+            for i, k in enumerate(points):
+                moments[k] = float(m1[i]), m2[i], m3[i]
+    return _fitted(moments, notes, ": ")
+
+
+def _cache_approx(node, streams, delays, strategy):
+    """One cache at every point: its results (arrays over the points), its
+    miss stream and each point's fallback notes, from its children's streams
+    and its fetch-delay law at each point."""
+    notes = [[] for _ in delays]
+    if node.is_leaf:
+        inputs = _laws([node.arrival]) * len(delays)
+        input_rate = np.full(len(delays), 1.0 / node.arrival.mean())
+    else:
+        input_rate = sum(stream.rate for stream in streams)
+        if strategy == "poisson":
+            inputs = _laws(dist.Exponential(rate) for rate in input_rate)
+        elif len(streams) == 1:
+            inputs = _scaled(streams[0], 1.0 / input_rate)
+        else:
+            inputs = _pooled(streams, notes)
+    lambda_t = 1.0 / node.ttl.mean()
+    columns = np.empty((5, len(delays)))
+    moments = np.empty((3, len(delays)))
+    groups = _groups((len(x.alpha), len(d.alpha)) for x, d in zip(inputs, delays))
+    for (n, m), group in groups.items():
+        # The largest stacked matrices: the renewal count's and the miss law's.
+        for points in _chunks(group, max(n * m, 2 * n + m)):
+            x = _stacked([inputs[k] for k in points])
+            delta = _stacked([delays[k] for k in points])
+            result = hit_prob_single_approx(x, lambda_t, delta, input_rate=input_rate[points])
+            columns[:, points] = list(vars(result).values())
+            if strategy == "renewal":
+                fx = lst_of_ph(x)
+                miss = miss_lst_with_delay(fx, lst_L(fx, lambda_t), lst_of_ph(delta))
+                moments[:, points] = miss.moments(3)
+    result = CacheApproxResult(*columns)
+    if strategy == "poisson":
+        laws = _laws(dist.Exponential(rate) for rate in result.miss_rate_out)
+    else:
+        laws = _fitted(moments.T.tolist(), notes, " miss stream: ")
+    return result, _Stream(result.miss_rate_out, laws), notes
+
+
 @dataclass(frozen=True)
 class HierarchyApproxResult:
-    p_hit_sys: float
+    """System hit probability, per-cache results and fallback notes.
+
+    Of a sweep, ``p_hit_sys`` and each per-cache field hold one value per
+    delay mean; ``notes`` holds each point's notes and ``fallbacks`` all of
+    them, point after point.
+    """
+
+    p_hit_sys: object
     per_cache: dict
     strategy: str
-    fallbacks: tuple
+    notes: tuple
+
+    @property
+    def fallbacks(self):
+        return tuple(chain.from_iterable(self.notes))
 
 
-def hierarchy_approx(spec, strategy="renewal"):
+def hierarchy_approx(spec, strategy="renewal", delay_means=None):
     """Approximate system hit probability via per-cache renewal analysis.
 
     Each cache's miss stream is summarized by its output rate and, under the
@@ -281,64 +519,66 @@ def hierarchy_approx(spec, strategy="renewal"):
     transform; sibling streams pool into the parent's input.  The system hit
     probability compares the root's output rate against the total request
     rate entering the leaves.
+
+    With ``delay_means`` every point of a delay sweep is evaluated in one
+    pass: at point k each fetch delay is rescaled as by
+    ``with_delay_means(spec, delay_means[k])``, and the points whose laws
+    have equal shapes share each stacked solve.  Without it the result is
+    the tree's as configured, in Python floats.
     """
     if strategy not in ("renewal", "poisson"):
         raise ValueError(f"unknown strategy {strategy!r}")
     spec.validate(exact=True)
-    per_cache = {}
-    fallbacks = []
-    by_shape = {}
-
-    def cache_approx(node, streams):
-        """One cache's result, miss stream and fallback notes (each suffixed
-        to the cache id), from the miss streams of its children."""
-        notes = []
-        if node.is_leaf:
-            input_dist = node.arrival
-            input_rate = 1.0 / node.arrival.mean()
-        else:
-            input_rate = sum(rate for _, rate in streams)
-            if strategy == "poisson":
-                input_dist = dist.Exponential(input_rate)
-            elif len(streams) == 1:
-                input_dist = streams[0][0].scaled_to_mean(1.0 / input_rate)
-            else:
-                m1, m2, m3 = superposed_palm_moments([(rate, d) for d, rate in streams])
-                input_dist, note = fit_ph_moments(m1, m2, m3)
-                if note:
-                    notes.append(f": {note}")
-        lambda_t = 1.0 / node.ttl.mean()
-        result = hit_prob_single_approx(
-            input_dist, lambda_t, node.delay, input_rate=input_rate
+    if delay_means is None:
+        p_hit_sys, per_cache, notes = _approx_points(spec, strategy, [lambda d: d])
+        return HierarchyApproxResult(
+            p_hit_sys=float(p_hit_sys[0]),
+            per_cache={
+                cache: CacheApproxResult(*(float(v[0]) for v in vars(result).values()))
+                for cache, result in per_cache.items()
+            },
+            strategy=strategy,
+            notes=(tuple(notes[0]),),
         )
-        if strategy == "poisson":
-            miss_dist = dist.Exponential(result.miss_rate_out)
-        else:
-            fx = lst_of_ph(input_dist)
-            miss = miss_lst_with_delay(fx, lst_L(fx, lambda_t), lst_of_ph(node.delay))
-            miss_dist, note = fit_ph_moments(*miss.moments(3))
-            if note:
-                notes.append(f" miss stream: {note}")
-        return result, (miss_dist, result.miss_rate_out), notes
+    # A block of points holds every point's laws; bounding it bounds the
+    # memory of a long sweep or of a delay law of many phases.
+    widest = max(len(node.delay.ph()[0]) for node in spec.nodes())
+    step = max(1, min(SWEEP_BLOCK, STACKED_ENTRIES // widest**2))
+    p_hit_sys, per_cache, notes = zip(*(
+        _approx_points(spec, strategy, [delay_rescaling(spec, m) for m in delay_means[i:i + step]])
+        for i in range(0, len(delay_means), step)
+    ))
+    return HierarchyApproxResult(
+        p_hit_sys=np.concatenate(p_hit_sys),
+        per_cache={
+            cache: CacheApproxResult(*map(np.concatenate, zip(
+                *(vars(block[cache]).values() for block in per_cache))))
+            for cache in per_cache[0]
+        },
+        strategy=strategy,
+        notes=tuple(tuple(point) for block in notes for point in block),
+    )
 
-    def analyze(node):
-        """Record ``node`` and its subtree, children first, in ``per_cache``
-        and ``fallbacks``; return its miss stream ``(miss_dist, rate)``.
-        Equal shapes give equal results, so each shape is computed once."""
-        streams = [analyze(child) for child in node.children]
+
+def _approx_points(spec, strategy, rescalings):
+    """The system hit probability, per-cache results and notes at each point,
+    whose fetch delays are ``rescale(delay)`` for one of ``rescalings``."""
+    per_cache, notes, named = {}, [[] for _ in rescalings], {}
+    by_shape, delays, streams = {}, {}, {}
+    # Children first: ``nodes()`` lists each node before its children, the
+    # last child first, so its reverse is the post-order.  Equal shapes give
+    # equal results, so each shape is computed once.  (A recursive closure
+    # would be a reference cycle, and every call's arrays would wait for the
+    # cyclic garbage collector.)
+    for node in reversed(list(spec.nodes())):
         shape = node.shape
         if shape not in by_shape:
-            by_shape[shape] = cache_approx(node, streams)
-        result, stream, notes = by_shape[shape]
+            if node.delay not in delays:
+                delays[node.delay] = _laws(rescale(node.delay) for rescale in rescalings)
+            children = [streams[id(child)] for child in node.children]
+            by_shape[shape] = _cache_approx(node, children, delays[node.delay], strategy)
+        result, streams[id(node)], own = by_shape[shape]
         per_cache[node.id] = result
-        fallbacks.extend(node.id + note for note in notes)
-        return stream
-
-    _, root_out = analyze(spec.root)
-    total = spec.total_request_rate()
-    return HierarchyApproxResult(
-        p_hit_sys=1.0 - root_out / total,
-        per_cache=per_cache,
-        strategy=strategy,
-        fallbacks=tuple(fallbacks),
-    )
+        for point, point_notes in zip(notes, own):  # each distinct note held once
+            point.extend(named.setdefault((node.id, note), node.id + note) for note in point_notes)
+    return 1.0 - streams[id(spec.root)].rate / spec.total_request_rate(), per_cache, notes

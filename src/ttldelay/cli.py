@@ -21,6 +21,7 @@ import math
 import secrets
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -191,14 +192,17 @@ def parse_counts(text, form="start:step:stop"):
 
 
 def _write_csv(path, header, rows):
-    out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if path:
-            out.close()
+    """Write the table; every row is formatted before the output is opened,
+    so a row that fails to format leaves no file behind."""
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    if path:
+        with open(path, "w", newline="", encoding="utf-8") as out:
+            out.writelines(lines)
+    else:
+        sys.stdout.writelines(lines)
 
 
 def _write_sweep(path, header, spec, ref, values, point):
@@ -272,13 +276,14 @@ def cmd_approx(args):
     spec, ref = load_config(args.config)
     spec.validate(exact=True)
     values = parse_sweep(args.sweep)
-
-    def point(swept, _):
-        result = hierarchy_approx(swept, strategy=args.strategy)
-        return [_num(result.p_hit_sys), result.strategy, ";".join(result.fallbacks)]
-
-    _write_sweep(
-        args.out, ["p_hit_approx", "strategy", "fallbacks"], spec, ref, values, point
+    # One call evaluates the whole sweep; the rows are those `_write_sweep`
+    # would write.
+    means = None if values is None else [v * ref for v in values]
+    result = hierarchy_approx(spec, strategy=args.strategy, delay_means=means)
+    _write_csv(
+        args.out, ["sweep_value", "p_hit_approx", "strategy", "fallbacks"],
+        ([_num(v), _num(p), result.strategy, ";".join(notes)] for v, p, notes
+         in zip(values or [ref], np.atleast_1d(result.p_hit_sys), result.notes)),
     )
 
 
@@ -288,17 +293,30 @@ def cmd_lump_stats(args):
     counts = parse_counts(args.n)
     m_s = spec.state_count()
     m_plus = lump_plus_width(spec.root)
-    _write_csv(
-        args.out,
-        ["n", "raw_states", "lumped_states", "lump_plus_states"],
-        [[n, m_s**n, partition_count(m_s, n), partition_count(m_plus, n)] for n in counts],
-    )
+    header = ["n", "raw_states", "lumped_states", "lump_plus_states"]
+
+    def text(name, n, count):
+        try:
+            return str(count)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ConfigError(
+                f"--n {n}: {name} has more than {sys.get_int_max_str_digits()} digits; "
+                "use a smaller --n"
+            ) from None
+
+    _write_csv(args.out, header, [
+        [text(name, n, count) for name, count in zip(
+            header, (n, m_s**n, partition_count(m_s, n), partition_count(m_plus, n)))]
+        for n in counts
+    ])
 
 
 def cmd_fit_trace(args):
     candidates = parse_counts(args.phase_range, "lo:hi")
     if args.bins < 1:
         raise ConfigError(f"--bins must be at least 1, got {args.bins}")
+    if not args.cutoff > 0:
+        raise ConfigError(f"--cutoff must be positive, got {args.cutoff}")
     try:
         # ``interarrivals`` reports an empty trace; NumPy's warning would be
         # a second stderr line.

@@ -16,6 +16,20 @@ import numpy as np
 from ttldelay.errors import UnsupportedDistributionError
 
 
+def erlang_ph(phases, rate):
+    """``(alpha, S)`` of the Erlang law of ``phases`` phases (one: the
+    exponential) at per-phase ``rate``; an array of rates stacks the laws
+    along its axes."""
+    rate = np.asarray(rate, dtype=float)[..., None]
+    i = np.arange(phases)
+    alpha = np.zeros(rate.shape[:-1] + (phases,))
+    alpha[..., 0] = 1.0
+    s = np.zeros(alpha.shape + (phases,))
+    s[..., i, i] = -rate
+    s[..., i[:-1], i[1:]] = rate
+    return alpha, s
+
+
 @dataclass(frozen=True)
 class Exponential:
     rate: float
@@ -28,7 +42,7 @@ class Exponential:
         return 1.0 / self.rate
 
     def ph(self):
-        return np.array([1.0]), np.array([[-self.rate]])
+        return erlang_ph(1, self.rate)
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
@@ -53,11 +67,7 @@ class Erlang:
         return self.phases / self.rate
 
     def ph(self):
-        k, lam = self.phases, self.rate
-        s = np.diag(np.full(k, -lam)) + np.diag(np.full(k - 1, lam), k=1)
-        alpha = np.zeros(k)
-        alpha[0] = 1.0
-        return alpha, s
+        return erlang_ph(self.phases, self.rate)
 
     def sample(self, rng, size=None):
         return rng.gamma(self.phases, 1.0 / self.rate, size=size)
@@ -114,28 +124,7 @@ class GeneralPH:
     def __post_init__(self):
         alpha = np.asarray(self.initial, dtype=float)
         s = np.asarray(self.subgenerator, dtype=float)
-        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] != alpha.size:
-            raise ValueError("subgenerator must be square and match the initial vector")
-        if not (np.isfinite(alpha).all() and np.isfinite(s).all()):
-            raise ValueError("initial vector and subgenerator must be finite")
-        if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-12:
-            raise ValueError("initial vector must be a probability distribution")
-        off = s - np.diag(np.diag(s))
-        if np.any(off < 0) or np.any(np.diag(s) > 0):
-            raise ValueError("subgenerator has invalid signs")
-        rows = s.sum(axis=1)
-        if np.any(rows > 1e-12):
-            raise ValueError("subgenerator rows must sum <= 0")
-        # Absorption must be certain from every phase, i.e. S nonsingular:
-        # every phase reaches an exiting one within len(alpha) - 1 jumps.
-        reach = rows < -1e-12
-        for _ in range(alpha.size - 1):
-            reach = reach | ((off > 0) @ reach)
-        if not reach.all():
-            raise ValueError(
-                "subgenerator is singular: absorption is not certain from "
-                f"phases {np.flatnonzero(~reach).tolist()}"
-            )
+        check_ph(alpha, s)
         object.__setattr__(self, "initial", tuple(alpha))
         object.__setattr__(self, "subgenerator", tuple(map(tuple, s)))
 
@@ -178,6 +167,41 @@ class Deterministic:
 
     def scaled_to_mean(self, mean):
         return Deterministic(mean)
+
+
+def check_ph(alpha, s):
+    """Raise ``ValueError`` unless ``(alpha, S)`` is a phase-type law, or a
+    stack of them: ``alpha`` of shape ``(..., n)``, ``S`` of ``(..., n, n)``.
+
+    Each condition is checked over the whole stack before the next, so a
+    stack with one bad law raises that law's own error.
+    """
+    if alpha.ndim < 1 or s.shape != alpha.shape + alpha.shape[-1:]:
+        raise ValueError("subgenerator must be square and match the initial vector")
+    if not (np.isfinite(alpha).all() and np.isfinite(s).all()):
+        raise ValueError("initial vector and subgenerator must be finite")
+    if np.any(alpha < 0) or np.any(abs(alpha.sum(axis=-1) - 1.0) > 1e-12):
+        raise ValueError("initial vector must be a probability distribution")
+    n = alpha.shape[-1]
+    diagonal = np.eye(n, dtype=bool)
+    # No positive diagonal entry, no negative move between phases.
+    if np.any(np.where(diagonal, s, -s) > 0):
+        raise ValueError("subgenerator has invalid signs")
+    moves = np.where(diagonal, 0.0, s) > 0
+    rows = s.sum(axis=-1)
+    if np.any(rows > 1e-12):
+        raise ValueError("subgenerator rows must sum <= 0")
+    # Absorption must be certain from every phase, i.e. S nonsingular:
+    # every phase reaches an exiting one within n - 1 jumps.
+    reach = rows < -1e-12
+    for _ in range(n - 1):
+        reach = reach | (moves @ reach[..., None])[..., 0]
+    if not reach.all():
+        first = np.argwhere(~reach.all(axis=-1))[0]
+        raise ValueError(
+            "subgenerator is singular: absorption is not certain from "
+            f"phases {np.flatnonzero(~reach[tuple(first)]).tolist()}"
+        )
 
 
 def ph_moment(alpha, s, k):

@@ -128,6 +128,7 @@ def lumped_copies(m, n, *triplets):
     given row-sorted ``(rows, cols, rates)``: a move ``a -> b`` by one of the
     ``c`` copies in ``a`` goes to the block with ``a`` replaced by ``b`` at
     ``c`` times the rate, whose index is its rank (Knuth, TAOCP 4A, 7.2.1.3).
+    ``rates`` may stack several chains of one pattern along leading axes.
     """
     count = partition_count(m, n)
     states = chain.from_iterable(combinations_with_replacement(range(m), n))
@@ -153,7 +154,7 @@ def lumped_copies(m, n, *triplets):
         moved = blocks[i[pick]]
         moved[steps, j[pick]] = cols[entry]
         moved.sort(axis=1)
-        return i[pick], rank[moved + offsets].sum(axis=1), c[pick] * rates[entry]
+        return i[pick], rank[moved + offsets].sum(axis=1), c[pick] * rates[..., entry]
 
     return blocks, [lumped(*t) for t in triplets]
 
@@ -192,6 +193,14 @@ def _map_delays(node, fn):
     )
 
 
+def delay_rescaling(spec, mean):
+    """The map :func:`with_delay_means` applies to every fetch delay of ``spec``."""
+    if mean <= 0:
+        zero = dist.Exponential(1e6 * _max_tree_rate(spec))
+        return lambda d: zero
+    return lambda d: d.scaled_to_mean(mean)
+
+
 def zero_delay_variant(spec):
     """Replace every fetch delay by an exponential fast enough to be 'zero':
     its rate is 1e6 times the largest of 1 and the tree's TTL and arrival rates.
@@ -202,12 +211,10 @@ def zero_delay_variant(spec):
     5.5e-8 to 3.3e-7 on ``configs/``, and up to about 1.8e-6 on generated
     trees.
     """
-    rate = 1e6 * _max_tree_rate(spec)
-    return CacheTreeSpec(_map_delays(spec.root, lambda d: dist.Exponential(rate)))
+    return with_delay_means(spec, 0.0)
 
 
 def with_delay_means(spec, mean):
-    """Rescale every fetch delay in the tree to the given mean, keeping shapes."""
-    if mean <= 0:
-        return zero_delay_variant(spec)
-    return CacheTreeSpec(_map_delays(spec.root, lambda d: d.scaled_to_mean(mean)))
+    """Rescale every fetch delay in the tree to the given mean, keeping shapes;
+    a mean of zero or less gives :func:`zero_delay_variant`."""
+    return CacheTreeSpec(_map_delays(spec.root, delay_rescaling(spec, mean)))

@@ -22,10 +22,10 @@ from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH, ph_moment
 from ttldelay.errors import DegenerateProcessError
 from ttldelay.metrics import tree_hit_probability
-from ttldelay.spec import CacheNode, CacheTreeSpec, zero_delay_variant
+from ttldelay.spec import CacheNode, CacheTreeSpec, with_delay_means, zero_delay_variant
 
 from conftest import two_level_tree, single_mmm
-from test_sparse_engine import DELAY_KINDS, draw_ph
+from test_sparse_engine import DELAY_KINDS, draw_ph, trees
 
 # Pinned by a 10^7-cycle vectorized renewal-count run (seed 123456):
 # Erlang-2 arrivals (mean 1) counted within an independent Exp(1) delay.
@@ -501,3 +501,41 @@ def test_renewal_single_cache_is_exact_without_delay(spec):
     spec = zero_delay_variant(spec)
     exact = tree_hit_probability(spec)
     assert hierarchy_approx(spec).p_hit_sys == pytest.approx(exact, abs=1e-6)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+# Sweeps through the zero-delay point, some with repeated means.
+@hyp_settings(max_examples=40, deadline=None)
+@given(trees(), st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5, 6.0]), min_size=1, max_size=5))
+def test_one_sweep_call_equals_per_point_calls(spec, means):
+    means = [0.0, *means]
+    for strategy in ("renewal", "poisson"):
+        sweep = hierarchy_approx(spec, strategy, delay_means=means)
+        assert len(sweep.p_hit_sys) == len(sweep.notes) == len(means)
+        for k, mean in enumerate(means):
+            alone = hierarchy_approx(with_delay_means(spec, mean), strategy)
+            assert _bits(sweep.p_hit_sys[k]) == _bits(alone.p_hit_sys)
+            assert sweep.notes[k] == alone.fallbacks
+            for cache, result in alone.per_cache.items():
+                stacked = vars(sweep.per_cache[cache]).values()
+                assert list(map(_bits, vars(result).values())) == [_bits(v[k]) for v in stacked]
+        assert sweep.fallbacks == tuple(note for notes in sweep.notes for note in notes)
+
+
+@pytest.mark.parametrize("strategy", ["renewal", "poisson"])
+@pytest.mark.parametrize("name", ["a-b-a", "three-level"])
+def test_sweep_split_point_by_point_keeps_every_bit(monkeypatch, name, strategy):
+    # With STACKED_ENTRIES at 1, every block of the sweep and every stacked
+    # solve holds one point.
+    means = [0.0, 0.3, 1.0, 1.0, 2.5]
+    whole = hierarchy_approx(REUSE_TREES[name], strategy, delay_means=means)
+    monkeypatch.setattr(approximation, "STACKED_ENTRIES", 1)
+    split = hierarchy_approx(REUSE_TREES[name], strategy, delay_means=means)
+    assert whole.p_hit_sys.tobytes() == split.p_hit_sys.tobytes()
+    assert whole.notes == split.notes
+    for cache, result in whole.per_cache.items():
+        for got, want in zip(vars(split.per_cache[cache]).values(), vars(result).values()):
+            assert got.tobytes() == want.tobytes(), cache

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -245,6 +246,37 @@ class TestSimulate:
         assert read_csv(out)[0]["seed"].isdigit()
 
 
+# sha256 of the `approx` CSV bytes on configs/, as written when every sweep
+# point was its own `hierarchy_approx` call.
+APPROX_SWEEP = "tau_delta=0:0.0625:4.9375"
+APPROX_DIGESTS = {
+    ("binary_three_level_mme2", "renewal", None):
+        "106aa07988d16adcbec63992bc8cdd150582a154623e2c805448b1358b3a3275",
+    ("binary_three_level_mme2", "renewal", APPROX_SWEEP):
+        "86fb64269585507f3f81a19264bcddffa69a8b0f830c17d166ecf50ec83fdbf1",
+    ("binary_three_level_mme2", "poisson", None):
+        "edbc8c34b2933887bbc34efacee9ee177684ff7be103409dfd2d8911f3d25d19",
+    ("binary_three_level_mme2", "poisson", APPROX_SWEEP):
+        "2697fcd3941ef46400ed85363b0ad5f2a45a4416c5ce386ed9a9ff754d913559",
+    ("binary_two_level_mmm", "renewal", None):
+        "920bb5fcd7b0c3cc1f2889392f2b34bdfa64afd758d9881aeea553fe0d8fa2a2",
+    ("binary_two_level_mmm", "renewal", APPROX_SWEEP):
+        "82edf8029c264b56306d16ce19bbc27940a7554ea92e6543deff1e9312acc9ac",
+    ("binary_two_level_mmm", "poisson", None):
+        "eadc35444ea4042f758bf56549bbebeb6ec8d7abff371d52b93fa2dbe6b2687e",
+    ("binary_two_level_mmm", "poisson", APPROX_SWEEP):
+        "c940fdc6138e154e89513269e22295f3a38a3a2c7671007f1c3285b11dca37cd",
+    ("single_cache_mmm", "renewal", None):
+        "de5734520af349b05948713d545f8a9fa2988ed159d4a82102f32e8fa184fb0b",
+    ("single_cache_mmm", "renewal", APPROX_SWEEP):
+        "8bae646ce9f324baa59f557e5d301c268fd47f3de255452727ec0b12e6bef5a6",
+    ("single_cache_mmm", "poisson", None):
+        "106e9157b914994c0b34ef2161b99534337c6eefee91ebed85ac404d4f39650f",
+    ("single_cache_mmm", "poisson", APPROX_SWEEP):
+        "5a8aa29b350404410a3a1174b1866ecc70e2d702fd2d729fddc146ce5ac80424",
+}
+
+
 class TestApprox:
     def test_single_cache_equals_exact(self, single_cfg, tmp_path):
         a_out = str(tmp_path / "a.csv")
@@ -263,6 +295,36 @@ class TestApprox:
         main(["approx", "--config", tree_cfg, "--sweep", "tau_delta=1:1:1",
               "--strategy", "poisson", "--out", out])
         assert read_csv(out)[0]["strategy"] == "poisson"
+
+
+    def test_sweep_is_one_hierarchy_approx_call(self, tree_cfg, tmp_path, monkeypatch):
+        calls = []
+        approx = cli.hierarchy_approx
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["delay_means"])
+            return approx(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "hierarchy_approx", counted)
+        out = tmp_path / "out.csv"
+        assert main(["approx", "--config", tree_cfg, "--sweep", "tau_delta=0:1:2",
+                     "--out", str(out)]) == 0
+        assert calls == [[0.0, 1.0, 2.0]]
+        # Each row is the point's own call on the rescaled tree.
+        spec, ref = load_config(tree_cfg)
+        for row, value in zip(read_csv(out), (0.0, 1.0, 2.0), strict=True):
+            alone = approx(with_delay_means(spec, value * ref))
+            assert row["p_hit_approx"] == _num(alone.p_hit_sys)
+            assert row["fallbacks"] == ";".join(alone.fallbacks)
+
+    @pytest.mark.parametrize("config, strategy, sweep", list(APPROX_DIGESTS))
+    def test_csv_bytes_pinned(self, tmp_path, config, strategy, sweep):
+        out = tmp_path / "out.csv"
+        argv = ["approx", "--config", str(CONFIGS / f"{config}.yaml"),
+                "--strategy", strategy, "--out", str(out)]
+        assert main(argv + (["--sweep", sweep] if sweep else [])) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == APPROX_DIGESTS[config, strategy, sweep]
 
 
 class TestLumpStats:
@@ -287,6 +349,15 @@ class TestLumpStats:
         assert int(table[1]["raw_states"]) == 27
         assert int(table[1]["lump_plus_states"]) == 27
         assert int(table[2]["lump_plus_states"]) == 378
+
+    def test_count_too_long_to_print_is_one_error_line(self, tree_cfg, tmp_path, capsys):
+        # 27^10000 has 14,314 digits, past Python's int-to-str limit.
+        out = tmp_path / "f.csv"
+        assert main(["lump-stats", "--config", tree_cfg, "--n", "10000:1:10000",
+                     "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("E_CONFIG: --n 10000: raw_states has more than")
+        assert not out.exists()
 
     def test_fractional_counts_rejected(self, tree_cfg, capsys):
         assert main(["lump-stats", "--config", tree_cfg, "--n", "1:0.5:3"]) == 1
@@ -417,6 +488,16 @@ class TestFitTrace:
                      "--phase-range", bad, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG:") and "lo:hi" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cutoff", ["0", "-1", "nan"])
+    def test_bad_cutoff_rejected_before_fitting(self, tmp_path, capsys, monkeypatch, cutoff):
+        self._forbid_fitting(monkeypatch)
+        out = tmp_path / "fit.yaml"
+        assert main(["fit-trace", "--trace", self._trace(tmp_path), "--phases", "1",
+                     f"--cutoff={cutoff}", "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("E_CONFIG: --cutoff must be positive")
         assert not out.exists()
 
     @pytest.mark.parametrize("bins", ["0", "-3"])

@@ -11,6 +11,8 @@ from ttldelay.distributions import (
     Erlang,
     Exponential,
     GeneralPH,
+    check_ph,
+    erlang_ph,
     ph_moment,
     sample_ph,
 )
@@ -88,6 +90,39 @@ class TestGeneralPHValidation:
         s = ((-1.0, 1.0, 0.0), (0.5, -1.0, 0.5), (0.0, 0.0, -2.0))
         # Mean times to absorption: t2 = 0.5, t1 = 1 + (t0 + t2) / 2, t0 = 1 + t1.
         assert GeneralPH((1.0, 0.0, 0.0), s).mean() == pytest.approx(4.5)
+
+
+# Two-phase laws that GeneralPH rejects, one per check.
+BAD_LAWS = {
+    "trap": ((0.5, 0.5), ((-1.0, 0.0), (0.0, 0.0))),
+    "cycle": ((1.0, 0.0), ((-1.0, 1.0), (1.0, -1.0))),
+    "sign": ((1.0, 0.0), ((-1.0, -0.5), (0.0, -1.0))),
+    "row-sum": ((1.0, 0.0), ((-1.0, 2.0), (0.0, -1.0))),
+    "initial": ((0.7, 0.7), ((-1.0, 0.0), (0.0, -1.0))),
+    "non-finite": ((1.0, 0.0), ((-1.0, math.nan), (0.0, -1.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LAWS))
+def test_a_stack_with_one_bad_law_raises_that_laws_error(name):
+    with pytest.raises(ValueError) as alone:
+        GeneralPH(*BAD_LAWS[name])
+    # A 2 x 3 stack of laws whose entry (1, 2) is the bad one.
+    alpha = np.array([[(1.0, 0.0), (0.3, 0.7), (0.5, 0.5)]] * 2)
+    s = np.array([[((-2.0, 1.0), (0.5, -1.0)), ((-1.0, 1.0), (0.0, -3.0))] * 3] * 2)[:, :3]
+    check_ph(alpha, s)
+    alpha[1, 2], s[1, 2] = BAD_LAWS[name]
+    with pytest.raises(ValueError) as stacked:
+        check_ph(alpha, s)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_erlang_stack_is_each_laws_ph():
+    rates = np.array([[0.5, 2.0], [3.0, 7.5]])
+    alpha, s = erlang_ph(3, rates)
+    for i, j in np.ndindex(rates.shape):
+        a, sk = Erlang(3, float(rates[i, j])).ph()
+        assert np.array_equal(alpha[i, j], a) and np.array_equal(s[i, j], sk)
 
 
 NON_FINITE = {

@@ -246,8 +246,30 @@ class TestSimulate:
         assert read_csv(out)[0]["seed"].isdigit()
 
 
-# sha256 of the `approx` CSV bytes on configs/, as written when every sweep
-# point was its own `hierarchy_approx` call.
+# A chain root -> mid -> leaf under a Coxian request stream: each inner cache
+# has one child, so under the renewal strategy its input is the child's fitted
+# miss law (Erlang-3, Erlang mixture or PH(2)) scaled to the input rate.
+CHAIN = """
+reference_interarrival: 1.0
+tree:
+  id: root
+  ttl: {kind: exponential, mean: 6.0}
+  delay: {kind: erlang, phases: 2, mean: 1.0}
+  children:
+    - id: mid
+      ttl: {kind: exponential, mean: 4.0}
+      delay: {kind: exponential, mean: 1.0}
+      children:
+        - id: leaf
+          ttl: {kind: exponential, mean: 2.0}
+          delay: {kind: erlang, phases: 3, mean: 0.5}
+          arrival: {kind: coxian, rates: [3.0, 0.75], continue_probs: [0.4]}
+"""
+
+# sha256 of the `approx` CSV bytes on configs/ and CHAIN: those of configs/
+# as written when every sweep point was its own `hierarchy_approx` call,
+# CHAIN's when each point's lone-child law was scaled by its kind's
+# `scaled_to_mean`.
 APPROX_SWEEP = "tau_delta=0:0.0625:4.9375"
 APPROX_DIGESTS = {
     ("binary_three_level_mme2", "renewal", None):
@@ -274,6 +296,14 @@ APPROX_DIGESTS = {
         "106e9157b914994c0b34ef2161b99534337c6eefee91ebed85ac404d4f39650f",
     ("single_cache_mmm", "poisson", APPROX_SWEEP):
         "5a8aa29b350404410a3a1174b1866ecc70e2d702fd2d729fddc146ce5ac80424",
+    ("chain", "renewal", None):
+        "29df4d7cfa7fd367eb8f33b72433c46bc176b9a2a559ba413a803cabd060c5ca",
+    ("chain", "renewal", APPROX_SWEEP):
+        "c78fa88e0386d1dbdcffc3a7808ad983f2313c06e3150b51fb114c0baa527cfe",
+    ("chain", "poisson", None):
+        "35f7844d98fff34c09c0ea2ea131b2cfee32ebef406b00fde49726aadce0df4a",
+    ("chain", "poisson", APPROX_SWEEP):
+        "05aa044061e5eccaeea96d472c08203d9e6b795b17d95b2519f35b08b1bc846a",
 }
 
 
@@ -319,8 +349,11 @@ class TestApprox:
 
     @pytest.mark.parametrize("config, strategy, sweep", list(APPROX_DIGESTS))
     def test_csv_bytes_pinned(self, tmp_path, config, strategy, sweep):
-        out = tmp_path / "out.csv"
-        argv = ["approx", "--config", str(CONFIGS / f"{config}.yaml"),
+        out, path = tmp_path / "out.csv", CONFIGS / f"{config}.yaml"
+        if config == "chain":
+            path = tmp_path / "chain.yaml"
+            path.write_text(CHAIN)
+        argv = ["approx", "--config", str(path),
                 "--strategy", strategy, "--out", str(out)]
         assert main(argv + (["--sweep", sweep] if sweep else [])) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()

@@ -13,7 +13,10 @@ probability follows from the root's output rate.
 
 Every building block also takes stacks of laws, ``(alpha, S)`` arrays with
 leading point axes, so :func:`hierarchy_approx` evaluates all points of a
-delay sweep in one pass; a single law is the stack of one.
+delay sweep in one pass; a single law is the stack of one.  Past the leaves
+a law is only its ``(alpha, S)`` arrays, and every input or miss-stream law
+built here is checked, one stack per phase count, by
+:func:`ttldelay.distributions.check_ph`.
 """
 
 import math
@@ -253,28 +256,28 @@ def superposed_palm_moments(components):
 def fit_ph_moments(m1, m2, m3):
     """Phase-type law of order <= 3 matching up to three moments.
 
-    Returns ``(distribution, note)`` where ``note`` is None for an exact
+    Returns ``(GeneralPH, note)`` where ``note`` is None for an exact
     three-moment match and a short description when a fallback reduced the
     match to two moments or projected m3 into the feasible region.  Raises
     ValueError for moments that are not positive or whose powers overflow.
     """
     law, note = _fit_moments(m1, m2, m3)
-    return (dist.GeneralPH(*law) if isinstance(law, tuple) else law), note
+    return dist.GeneralPH(*law), note
 
 
 def _fit_moments(m1, m2, m3):
-    """:func:`fit_ph_moments`, with a general PH law left as its unchecked
-    ``(alpha, S)`` tuples."""
+    """:func:`fit_ph_moments`, with the law left as its unchecked
+    ``(alpha, S)``: arrays or nested tuples."""
     if m1 <= 0 or m2 <= 0:
         raise ValueError("moments must be positive")
     try:
         cv2 = m2 / m1**2 - 1.0
         if abs(cv2 - 1.0) < 1e-9:
             note = None if abs(m3 - 6 * m1**3) < 1e-6 * m1**3 else "m3 ignored (exponential)"
-            return dist.Exponential(1.0 / m1), note
+            return dist.erlang_ph(1, 1.0 / m1), note
         if cv2 < 1.0 / 3.0:
             # An order-3 PH cannot reach cv^2 below 1/3.
-            return dist.Erlang(3, 3.0 / m1), "cv^2 below 1/3: Erlang-3, mean-only match"
+            return dist.erlang_ph(3, 3.0 / m1), "cv^2 below 1/3: Erlang-3, mean-only match"
         if cv2 < 0.5:
             # Mixed Erlang(2)/Erlang(3) on a common rate: two-moment match
             # (Tijms' E_{k-1,k} recipe with k = 3).
@@ -325,48 +328,32 @@ def _fit_moments(m1, m2, m3):
         raise ValueError(f"moments {m1:.3g}, {m2:.3g}, {m3:.3g} overflow the PH fit") from exc
 
 
-class _Law(NamedTuple):
-    """One point's law: its kind, its PH arrays and the distribution itself,
-    where one was built (a fitted general PH law has none)."""
+def _checked(laws, means=None):
+    """Each point's law as ``(alpha, S)`` arrays, from arrays or nested
+    tuples, the laws of one phase count checked as one stack.  With
+    ``means`` each law is first rescaled to ``means[k]`` by one factor on
+    its S, which divides a PH law's mean by that factor."""
+    out = [None] * len(laws)
+    for n, points in _groups(len(alpha) for alpha, _ in laws).items():
+        alpha = np.array([laws[k][0] for k in points], dtype=float)
+        s = np.array([laws[k][1] for k in points], dtype=float)
+        if means is not None:
+            with np.errstate(invalid="ignore", over="ignore"):
+                s = s * (_dot(alpha, _solve(-s, np.ones(n))) / means[points])[:, None, None]
+        dist.check_ph(alpha, s)
+        for k, a, sk in zip(points, alpha, s):
+            out[k] = a, sk
+    return out
 
-    kind: type
-    alpha: np.ndarray
-    S: np.ndarray
-    d: object = None
 
-
-def _laws(items):
-    """Each point's law from its item: a distribution, a law, or the unchecked
-    ``(alpha, S)`` tuples of a fitted general PH law.  Fitted laws of one
-    phase count are checked as one stack, and exponential and Erlang laws of
-    one phase count are built as one."""
-    laws, stacks = list(items), defaultdict(list)
-    for k, item in enumerate(laws):
-        if isinstance(item, _Law):
-            continue
-        if isinstance(item, tuple):
-            stacks[dist.GeneralPH, len(item[0])].append(k)
-        elif isinstance(item, (dist.Exponential, dist.Erlang)):
-            stacks[type(item), item.phases if isinstance(item, dist.Erlang) else 1].append(k)
-        else:
-            laws[k] = _Law(type(item), *item.ph(), item)
-    for (kind, n), points in stacks.items():
-        if kind is dist.GeneralPH:
-            alpha = np.array([laws[k][0] for k in points], dtype=float)
-            s = np.array([laws[k][1] for k in points], dtype=float)
-            dist.check_ph(alpha, s)
-            ds = [None] * len(points)
-        else:
-            ds = [laws[k] for k in points]
-            alpha, s = dist.erlang_ph(n, [d.rate for d in ds])
-        for k, a, sk, d in zip(points, alpha, s, ds):
-            laws[k] = _Law(kind, a, sk, d)
-    return laws
+def _poisson(rates):
+    """Each point's exponential law of its rate, as ``(alpha, S)`` arrays."""
+    return _checked(list(zip(*dist.erlang_ph(1, rates))))
 
 
 def _stacked(laws):
     """``(alpha, S)`` of laws of one phase count, stacked along a point axis."""
-    return np.stack([law.alpha for law in laws]), np.stack([law.S for law in laws])
+    return np.stack([alpha for alpha, _ in laws]), np.stack([s for _, s in laws])
 
 
 def _groups(keys):
@@ -385,7 +372,7 @@ def _chunks(points, size):
 
 
 class _Stream(NamedTuple):
-    """A cache's miss stream at every point: rates and laws."""
+    """A cache's miss stream at every point: rates and ``(alpha, S)`` laws."""
 
     rate: np.ndarray
     laws: list
@@ -400,43 +387,25 @@ def _fitted(moments, notes, prefix):
         if note:
             notes[k].append(prefix + note)
         fits.append(law)
-    return _laws(fits)
-
-
-def _scaled(stream, means):
-    """Each point's law of ``stream`` scaled to its mean, by its kind's
-    ``scaled_to_mean``; general PH laws as one stack per phase count."""
-    laws = [None] * len(means)
-    for (kind, n), points in _groups((law.kind, len(law.alpha)) for law in stream.laws).items():
-        if kind is not dist.GeneralPH:
-            for k in points:
-                laws[k] = stream.laws[k].d.scaled_to_mean(means[k])
-            continue
-        alpha, s = _stacked([stream.laws[k] for k in points])
-        s = s * (_dot(alpha, _solve(-s, np.ones(n))) / means[points])[:, None, None]
-        dist.check_ph(alpha, s)
-        for k, a, sk in zip(points, alpha, s):
-            laws[k] = _Law(kind, a, sk)
-    return _laws(laws)
+    return _checked(fits)
 
 
 def _pooled(streams, notes):
     """Each point's input law fitted to the Palm moments of its children's
-    pooled miss streams; points whose runs of equal siblings and law shapes
-    agree share every stacked solve."""
+    pooled miss streams; points whose runs of equal siblings and phase
+    counts agree share every stacked solve."""
     def runs(k):
         """The lengths of point ``k``'s runs of adjacent equal (rate, law) streams."""
         lengths = [1]
         for a, b in zip(streams, streams[1:]):
-            la, lb = a.laws[k], b.laws[k]
-            if a is b or (a.rate[k] == b.rate[k] and la.kind is lb.kind and np.array_equal(
-                    la.alpha, lb.alpha) and np.array_equal(la.S, lb.S)):
+            if a is b or (a.rate[k] == b.rate[k] and all(
+                    map(np.array_equal, a.laws[k], b.laws[k]))):
                 lengths[-1] += 1
             else:
                 lengths.append(1)
         return tuple(lengths)
 
-    keys = [(runs(k), tuple(len(s.laws[k].alpha) for s in streams)) for k in range(len(notes))]
+    keys = [(runs(k), tuple(len(s.laws[k][0]) for s in streams)) for k in range(len(notes))]
     moments = [None] * len(notes)
     for (lengths, sizes), group in _groups(keys).items():
         firsts = np.cumsum((0, *lengths[:-1]))
@@ -459,20 +428,20 @@ def _cache_approx(node, streams, delays, strategy):
     and its fetch-delay law at each point."""
     notes = [[] for _ in delays]
     if node.is_leaf:
-        inputs = _laws([node.arrival]) * len(delays)
+        inputs = [node.arrival.ph()] * len(delays)
         input_rate = np.full(len(delays), 1.0 / node.arrival.mean())
     else:
         input_rate = sum(stream.rate for stream in streams)
         if strategy == "poisson":
-            inputs = _laws(dist.Exponential(rate) for rate in input_rate)
+            inputs = _poisson(input_rate)
         elif len(streams) == 1:
-            inputs = _scaled(streams[0], 1.0 / input_rate)
+            inputs = _checked(streams[0].laws, 1.0 / input_rate)  # scaled to the input rate
         else:
             inputs = _pooled(streams, notes)
     lambda_t = 1.0 / node.ttl.mean()
     columns = np.empty((5, len(delays)))
     moments = np.empty((3, len(delays)))
-    groups = _groups((len(x.alpha), len(d.alpha)) for x, d in zip(inputs, delays))
+    groups = _groups((len(x[0]), len(d[0])) for x, d in zip(inputs, delays))
     for (n, m), group in groups.items():
         # The largest stacked matrices: the renewal count's and the miss law's.
         for points in _chunks(group, max(n * m, 2 * n + m)):
@@ -486,7 +455,7 @@ def _cache_approx(node, streams, delays, strategy):
                 moments[:, points] = miss.moments(3)
     result = CacheApproxResult(*columns)
     if strategy == "poisson":
-        laws = _laws(dist.Exponential(rate) for rate in result.miss_rate_out)
+        laws = _poisson(result.miss_rate_out)
     else:
         laws = _fitted(moments.T.tolist(), notes, " miss stream: ")
     return result, _Stream(result.miss_rate_out, laws), notes
@@ -523,8 +492,8 @@ def hierarchy_approx(spec, strategy="renewal", delay_means=None):
     With ``delay_means`` every point of a delay sweep is evaluated in one
     pass: at point k each fetch delay is rescaled as by
     ``with_delay_means(spec, delay_means[k])``, and the points whose laws
-    have equal shapes share each stacked solve.  Without it the result is
-    the tree's as configured, in Python floats.
+    have equal phase counts share each stacked solve.  Without it the result
+    is the tree's as configured, in Python floats.
     """
     if strategy not in ("renewal", "poisson"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -574,7 +543,7 @@ def _approx_points(spec, strategy, rescalings):
         shape = node.shape
         if shape not in by_shape:
             if node.delay not in delays:
-                delays[node.delay] = _laws(rescale(node.delay) for rescale in rescalings)
+                delays[node.delay] = [rescale(node.delay).ph() for rescale in rescalings]
             children = [streams[id(child)] for child in node.children]
             by_shape[shape] = _cache_approx(node, children, delays[node.delay], strategy)
         result, streams[id(node)], own = by_shape[shape]

@@ -21,13 +21,14 @@ def erlang_ph(phases, rate):
     exponential) at per-phase ``rate``; an array of rates stacks the laws
     along its axes."""
     rate = np.asarray(rate, dtype=float)[..., None]
-    i = np.arange(phases)
     alpha = np.zeros(rate.shape[:-1] + (phases,))
     alpha[..., 0] = 1.0
-    s = np.zeros(alpha.shape + (phases,))
-    s[..., i, i] = -rate
-    s[..., i[:-1], i[1:]] = rate
-    return alpha, s
+    # S flattened: the diagonal is every (phases + 1)-th entry, the
+    # superdiagonal the same stride from 1; slices, not index arrays.
+    s = np.zeros(rate.shape[:-1] + (phases * phases,))
+    s[..., ::phases + 1] = -rate
+    s[..., 1::phases + 1] = rate
+    return alpha, s.reshape(alpha.shape + (phases,))
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,8 @@ class GeneralPH:
 
     def scaled_to_mean(self, mean):
         factor = self.mean() / mean
-        s = np.asarray(self.subgenerator, dtype=float) * factor
+        with np.errstate(invalid="ignore", over="ignore"):  # check_ph rejects inf and nan
+            s = np.asarray(self.subgenerator, dtype=float) * factor
         return GeneralPH(self.initial, tuple(map(tuple, s)))
 
 

@@ -19,7 +19,7 @@ from ttldelay.approximation import (
     superposed_palm_moments,
 )
 from ttldelay.cli import load_config
-from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH, ph_moment
+from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH, erlang_ph, ph_moment
 from ttldelay.errors import DegenerateProcessError
 from ttldelay.metrics import tree_hit_probability
 from ttldelay.spec import CacheNode, CacheTreeSpec, with_delay_means, zero_delay_variant
@@ -221,6 +221,16 @@ class TestMomentFit:
         assert note is not None
         af, sf = fit.ph()
         assert ph_moment(af, sf, 1) == pytest.approx(1.0, rel=1e-9)
+
+    def test_every_branch_is_general_ph(self):
+        # The exponential and Erlang-3 branches hold erlang_ph's arrays.
+        for m, phases in (((1.0, 2.0, 6.0), 1), ((1.0, 1.2, 1.7), 3)):
+            fit, _ = fit_ph_moments(*m)
+            assert isinstance(fit, GeneralPH)
+            for got, want in zip(fit.ph(), erlang_ph(phases, phases / m[0])):
+                np.testing.assert_array_equal(got, want)
+        assert isinstance(fit_ph_moments(1.0, 1.4, 2.5)[0], GeneralPH)
+        assert isinstance(fit_ph_moments(1.0, 3.0, 20.0)[0], GeneralPH)
 
     def test_mixture_two_moment_fallback(self):
         fit, note = fit_ph_moments(1.0, 1.4, 2.5)  # cv^2 = 0.4

@@ -696,6 +696,21 @@ class TestErrors:
             "E_VALUE: rate must be finite and positive, got inf"
         )
 
+    @pytest.mark.parametrize("command", ["approx", "analyze", "simulate"])
+    def test_general_ph_delay_at_tiny_mean_is_one_error_line(self, tmp_path, capsys, command):
+        # Scaled to a mean of 1e-310, the delay's zero entries times an
+        # infinite factor are nan.
+        path = tmp_path / "general.yaml"
+        path.write_text(SINGLE.replace(
+            "delay: {kind: exponential, mean: 1.0}",
+            "delay: {kind: general-ph, initial: [0.5, 0.5],"
+            " subgenerator: [[-2.0, 1.0], [0.0, -3.0]]}",
+        ))
+        argv = [command, "--config", str(path), "--sweep", "tau_delta=1e-310:1:1e-310"]
+        assert main(argv + (["--requests", "100"] if command == "simulate" else [])) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "E_VALUE: initial vector and subgenerator must be finite"
+
     def test_approx_moment_overflow_is_one_error_line(self, capsys):
         # A delay mean of 1e160 overflows the powers of the miss-stream moments.
         assert main(["approx", "--config", str(CONFIGS / "single_cache_mmm.yaml"),

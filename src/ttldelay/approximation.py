@@ -7,9 +7,9 @@ of a single cache is phase-type when the request stream is phase-type and
 the TTL exponential; the fetch delay enters as a convolution.  Hierarchies
 are approximated bottom-up: each cache turns its input renewal process into
 a miss process, sibling miss streams are superposed either as a Poisson
-stream or as a moment-matched renewal stream, whose runs of equal siblings
-are lumped by the exact engine's multiset kernel, and the system-level hit
-probability follows from the root's output rate.
+stream or as a moment-matched renewal stream, whose classes of equal
+siblings are lumped by the exact engine's multiset kernel, and the
+system-level hit probability follows from the root's output rate.
 
 Every building block also takes stacks of laws, ``(alpha, S)`` arrays with
 leading point axes, so :func:`hierarchy_approx` evaluates all points of a
@@ -20,9 +20,9 @@ built here is checked, one stack per phase count, by
 """
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -201,9 +201,9 @@ def hit_prob_single_approx(x, lambda_t, delta, input_rate=None):
 
 
 def _run_key(component):
-    """Adjacent components of equal key pool as one run.  Single laws are
-    keyed by value; a stacked component joins only a repeat of itself, since
-    the caller groups the points whose runs agree."""
+    """Components of equal key pool as one class, wherever they stand.
+    Single laws are keyed by value; a stacked component joins only a repeat
+    of itself, since the caller groups the points whose classes agree."""
     return id(component) if isinstance(component[1], tuple) else component
 
 
@@ -214,16 +214,15 @@ def superposed_palm_moments(components):
     each law rescaled to mean 1 / rate.  The pooled stream's forward recurrence
     time R, the minimum of the stationary excess lifetimes, is PH, and Palm
     inversion (Baccelli & Brémaud 2003) gives ``E0[T^(k+1)] = (k+1) E[R^k] / L``.
-    Over a run of n equal components it is PH on the multisets of their phases
-    (:func:`ttldelay.spec.lumped_copies`) from the multinomial weights of the
-    excess start vector beta; R is PH on the runs' product.  A component may
-    stack points: rates as an array, the law as ``(alpha, S)`` arrays.
+    Over a class of n equal components, wherever they stand, it is PH on the
+    multisets of their phases (:func:`ttldelay.spec.lumped_copies`) from the
+    multinomial weights of the excess start vector beta; R is PH on the
+    classes' product.  A component may stack points: rates as an array, the
+    law as ``(alpha, S)`` arrays.
     """
     total_rate = sum(r for r, _ in components)
-    runs = []
-    for _, run in groupby(components, key=_run_key):
-        (rate, d), *rest = run
-        runs.append((rate, _ph(d), 1 + len(rest)))
+    keys = list(map(_run_key, components))
+    runs = [(r, _ph(d), keys.count(k)) for k, (r, d) in dict(zip(keys, components)).items()]
     phases = math.prod(partition_count(alpha.shape[-1], n) for _, (alpha, _), n in runs)
     if phases > MAX_POOLED_PHASES:
         raise CapacityError(phases, MAX_POOLED_PHASES,
@@ -392,31 +391,25 @@ def _fitted(moments, notes, prefix):
 
 def _pooled(streams, notes):
     """Each point's input law fitted to the Palm moments of its children's
-    pooled miss streams; points whose runs of equal siblings and phase
+    pooled miss streams; points whose classes of equal streams and phase
     counts agree share every stacked solve."""
-    def runs(k):
-        """The lengths of point ``k``'s runs of adjacent equal (rate, law) streams."""
-        lengths = [1]
-        for a, b in zip(streams, streams[1:]):
-            if a is b or (a.rate[k] == b.rate[k] and all(
-                    map(np.array_equal, a.laws[k], b.laws[k]))):
-                lengths[-1] += 1
-            else:
-                lengths.append(1)
-        return tuple(lengths)
+    def equal(a, b):
+        """Whether streams ``a`` and ``b`` have equal rate and law, point by point."""
+        return np.ones(len(notes), bool) if a is b else np.array([s and all(
+            map(np.array_equal, x, y)) for s, x, y in zip(a.rate == b.rate, a.laws, b.laws)])
 
-    keys = [(runs(k), tuple(len(s.laws[k][0]) for s in streams)) for k in range(len(notes))]
+    # Each stream's class at each point: the first stream of equal rate and law.
+    labels = np.argmax([[equal(a, b) for a in streams] for b in streams], axis=1).T.tolist()
+    keys = [(tuple(l), tuple(len(s.laws[k][0]) for s in streams)) for k, l in enumerate(labels)]
     moments = [None] * len(notes)
-    for (lengths, sizes), group in _groups(keys).items():
-        firsts = np.cumsum((0, *lengths[:-1]))
-        phases = math.prod(partition_count(sizes[i], n) for i, n in zip(firsts, lengths))
+    for (point_labels, sizes), group in _groups(keys).items():
+        classes = Counter(point_labels)  # each class's first stream: its size
+        phases = math.prod(partition_count(sizes[i], n) for i, n in classes.items())
         for points in _chunks(group, phases):
-            components = []
-            for first, length in zip(firsts, lengths):
-                stream = streams[first]
-                component = (stream.rate[points], _stacked([stream.laws[k] for k in points]))
-                components += [component] * length
-            m1, m2, m3 = superposed_palm_moments(components)
+            pooled = {i: (streams[i].rate[points], _stacked([streams[i].laws[k] for k in points]))
+                      for i in classes}
+            # Sorted labels list each class's members together, in class order.
+            m1, m2, m3 = superposed_palm_moments([pooled[i] for i in sorted(point_labels)])
             for i, k in enumerate(points):
                 moments[k] = float(m1[i]), m2[i], m3[i]
     return _fitted(moments, notes, ": ")

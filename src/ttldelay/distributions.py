@@ -190,12 +190,13 @@ def check_ph(alpha, s):
     if np.any(np.where(diagonal, s, -s) > 0):
         raise ValueError("subgenerator has invalid signs")
     moves = np.where(diagonal, 0.0, s) > 0
-    rows = s.sum(axis=-1)
-    if np.any(rows > 1e-12):
+    # Row sums are judged relative to each phase's rate |S_ii|: any time unit.
+    rows, tol = s.sum(axis=-1), -1e-12 * np.diagonal(s, axis1=-2, axis2=-1)
+    if np.any(rows > tol):
         raise ValueError("subgenerator rows must sum <= 0")
     # Absorption must be certain from every phase, i.e. S nonsingular:
     # every phase reaches an exiting one within n - 1 jumps.
-    reach = rows < -1e-12
+    reach = rows < -tol
     for _ in range(n - 1):
         reach = reach | (moves @ reach[..., None])[..., 0]
     if not reach.all():

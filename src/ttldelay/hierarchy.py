@@ -3,17 +3,17 @@
 Two operations build the system MAP bottom-up:
 
 * level superposition: independent sibling subtrees combine via the
-  Kronecker sum; with per-level lumping, each run of adjacent siblings whose
-  specs are equal up to cache ids is built once and expanded directly as a
-  lumped level (:mod:`ttldelay.lumping`),
+  Kronecker sum; with per-level lumping, each class of siblings whose specs
+  are equal up to cache ids, wherever they stand, is built once and expanded
+  directly as a lumped level (:mod:`ttldelay.lumping`),
 * line superposition: a parent cache joins the MAP of its children in four
   steps: Kronecker sum, removal of causally impossible states, demotion of
   active transitions that no longer escape the tree, and rewiring of the
   all-out miss so the parent fetches from the origin alongside its child.
 
 What the tree spec states is taken from it, not recovered from the composed
-matrices: sibling runs are runs of equal node specs, and the phases a fresh
-fetch enters are the initial vector of each cache's delay
+matrices: sibling classes are classes of equal node specs, and the phases a
+fresh fetch enters are the initial vector of each cache's delay
 (:func:`ttldelay.cache_builders.fetch_entry_distribution`).  After the full
 composition the active transitions of the system MAP are exactly the
 requests answered by an origin fetch (system misses).
@@ -79,7 +79,7 @@ def _snap_matrix(codes, targets, tops, restart, entries, bounds):
     them from scratch.  Each target expands into every combination of entry
     phases, the first child's varying slowest, with the child's root code at
     column ``tops[j]``.  Snapped subtrees are re-sorted within each sibling
-    run (between consecutive ``bounds``), as a lumped level orders them, and
+    class (between consecutive ``bounds``), as a lumped level orders them, and
     each combination's state is found by its codes' key.
     """
     rows, table, shares = targets, codes.table[targets], np.ones(len(targets))
@@ -95,7 +95,7 @@ def _snap_matrix(codes, targets, tops, restart, entries, bounds):
         shares[snap] *= entry[k]
     starts = np.r_[0, tops[:-1] + 1]
     for a, b in zip(bounds, bounds[1:]):
-        if b - a > 1:  # a run's subtrees are equal-width byte strings
+        if b - a > 1:  # a class's subtrees are equal-width byte strings
             lo, hi = starts[a], tops[b - 1] + 1
             run = np.ascontiguousarray(table[:, lo:hi]).view(f"V{(hi - lo) // (b - a)}")
             table[:, lo:hi] = np.sort(run, axis=1).view(np.uint8)
@@ -258,9 +258,10 @@ def _compose(spec, lump_per_level, delay_unit):
 def build_tree(spec, lump_per_level=False):
     """Build the full system MAP of a cache tree by post-order composition.
 
-    With ``lump_per_level``, each run of adjacent siblings of equal shape is
-    built once and expanded as a lumped level; runs keep their positions, so
-    state order and codes follow the spec either way.
+    With ``lump_per_level``, each class of siblings of equal shape, wherever
+    they stand, is built once and expanded as a lumped level; state order and
+    codes follow the classes in order of first appearance, which is the
+    spec's order when equal siblings are adjacent, and the spec's without it.
     """
     return _compose(spec, lump_per_level, 1.0)
 

@@ -4,14 +4,15 @@ A :class:`CacheTreeSpec` says what the tree is: each cache's TTL, the fetch
 delay over the link above it and, at the leaves, the request stream.  Every
 view of the system reads it: the exact engine (:mod:`ttldelay.hierarchy`),
 the approximation, the simulator and the command line.  The state counts the
-engine would reach, lumped or not, are read off the spec here too.  This
-module needs only the distributions, so a command that never builds a MAP
-does not load the sparse linear algebra behind the exact engine.
+engine would reach, lumped or not, and the classes of equal siblings it lumps
+(wherever they stand) are read off the spec here too.  This module needs only
+the distributions, so a command that never builds a MAP does not load the
+sparse linear algebra behind the exact engine.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, groupby
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
@@ -160,14 +161,17 @@ def lumped_copies(m, n, *triplets):
 
 
 def sibling_runs(children):
-    """Runs of adjacent siblings of equal shape: the exchangeable sub-trees
-    that per-level lumping merges."""
-    return [list(run) for _, run in groupby(children, key=lambda node: node.shape)]
+    """Classes of siblings of equal shape, wherever they stand, in order of
+    first appearance: the exchangeable sub-trees that per-level lumping merges."""
+    classes = {}
+    for node in children:
+        classes.setdefault(node.shape, []).append(node)
+    return list(classes.values())
 
 
 def lump_plus_width(node):
-    """State count of a subtree with every sibling run lumped, at every level,
-    before invalid-state removal."""
+    """State count of a subtree with every class of equal siblings lumped, at
+    every level, before invalid-state removal."""
     width = cache_state_count(node)
     for first, *rest in sibling_runs(node.children):
         width *= partition_count(lump_plus_width(first), 1 + len(rest))

@@ -143,9 +143,10 @@ def _encode_node(node):
 def reference_labels(node, lump_per_level=False):
     """The labels of ``node``'s composed MAP, in state order, from the
     composition rules alone: a leaf's states are its cache states (slow) times
-    its arrival phases; siblings concatenate, the first varying slowest; a
-    lumped run lists the sorted multisets of its sibling's labels in
-    lexicographic order; a parent wraps each children label under each of its
+    its arrival phases; siblings concatenate, the first varying slowest; with
+    lumping they go class by class (equal shapes, in order of first
+    appearance), and a class lists the sorted multisets of its sibling's
+    labels in lexicographic order; a parent wraps each children label under each of its
     own states (fast), except that it fetches only while some child fetches
     and every fetching child sits at an entry phase of its delay."""
     symbols = [("O", 0), ("I", 0)] + [("F", k + 1) for k in range(len(node.delay.ph()[0]))]

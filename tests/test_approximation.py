@@ -22,7 +22,9 @@ from ttldelay.cli import load_config
 from ttldelay.distributions import Coxian, Erlang, Exponential, GeneralPH, erlang_ph, ph_moment
 from ttldelay.errors import DegenerateProcessError
 from ttldelay.metrics import tree_hit_probability
-from ttldelay.spec import CacheNode, CacheTreeSpec, with_delay_means, zero_delay_variant
+from ttldelay.spec import (
+    CacheNode, CacheTreeSpec, lumped_copies, with_delay_means, zero_delay_variant,
+)
 
 from conftest import two_level_tree, single_mmm
 from test_sparse_engine import DELAY_KINDS, draw_ph, trees
@@ -302,6 +304,20 @@ class TestPalmSuperposition:
         components = [(1.0 / d.mean(), d) for d in (a, a, b, a, b, b, b)]
         np.testing.assert_allclose(superposed_palm_moments(components),
                                    per_sibling_palm_moments(components), rtol=1e-13, atol=0)
+
+    def test_equal_components_pool_wherever_they_stand(self, monkeypatch):
+        a, b = Erlang(3, 1.5), GeneralPH((0.3, 0.7), ((-2.0, 1.0), (0.5, -1.0)))
+        together = superposed_palm_moments([(1.0, a), (1.0, a), (1.0, b)])
+        copies = []
+
+        def recording(m, n, *triplets):
+            copies.append((m, n))
+            return lumped_copies(m, n, *triplets)
+
+        monkeypatch.setattr(approximation, "lumped_copies", recording)
+        apart = superposed_palm_moments([(1.0, a), (1.0, b), (1.0, a)])
+        assert copies == [(3, 2), (2, 1)]  # one class of both a, then b
+        np.testing.assert_allclose(apart, together, rtol=1e-13, atol=0)
 
     def test_each_law_is_taken_at_the_mean_of_its_rate(self):
         # hierarchy_approx passes fitted miss laws with their stream rates; the

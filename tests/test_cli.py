@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ttldelay import cli, hierarchy
+from ttldelay.approximation import hierarchy_approx
 from ttldelay.cli import _num, load_config, main, parse_counts, parse_sweep
 from ttldelay.errors import ConfigError
 from ttldelay.hierarchy import build_tree, delay_pencil
@@ -66,6 +67,23 @@ UNEQUAL_DELAYS = TWO_LEVEL.replace(
     "delay: {kind: exponential, mean: 1.0}\n  children",
     "delay: {kind: erlang, phases: 2, mean: 2.0}\n  children",
 ).replace("delay: {kind: exponential, mean: 1.0}", "delay: {kind: exponential, mean: 0.5}")
+
+
+COXIAN = "{kind: coxian, rates: [3.0, 0.75], continue_probs: [0.4]}"
+
+
+def flat(kinds, b_arrival=COXIAN):
+    """A root over one leaf per letter of ``kinds``: an A leaf is exponential
+    throughout, a B leaf has an Erlang-2 delay and the arrival ``b_arrival``."""
+    laws = {"A": ("{kind: exponential, mean: 1.0}", "{kind: exponential, mean: 1.0}"),
+            "B": ("{kind: erlang, phases: 2, mean: 1.0}", b_arrival)}
+    lines = ["tree:", "  id: root", "  ttl: {kind: exponential, mean: 4.0}",
+             "  delay: {kind: exponential, mean: 1.0}", "  children:"]
+    for i, kind in enumerate(kinds):
+        delay, arrival = laws[kind]
+        lines += [f"    - id: {kind.lower()}{i}", "      ttl: {kind: exponential, mean: 2.0}",
+                  f"      delay: {delay}", f"      arrival: {arrival}"]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -347,6 +365,16 @@ class TestApprox:
             assert row["p_hit_approx"] == _num(alone.p_hit_sys)
             assert row["fallbacks"] == ";".join(alone.fallbacks)
 
+    def test_poisson_pool_of_a_slow_miss_stream(self, tmp_path):
+        # A leaf of TTL mean 1e13 misses at a rate near 1e-13: its parent's
+        # Poisson input is a valid law in any time unit.
+        path, out = tmp_path / "slow.yaml", tmp_path / "out.csv"
+        first = TWO_LEVEL.index("    - id: leaf2")
+        path.write_text(TWO_LEVEL[:first].replace("mean: 2.0", "mean: 1.0e13"))
+        assert main(["approx", "--config", str(path), "--strategy", "poisson",
+                     "--out", str(out)]) == 0
+        assert read_csv(str(out))[0]["p_hit_approx"] == "1"
+
     @pytest.mark.parametrize("config, strategy, sweep", list(APPROX_DIGESTS))
     def test_csv_bytes_pinned(self, tmp_path, config, strategy, sweep):
         out, path = tmp_path / "out.csv", CONFIGS / f"{config}.yaml"
@@ -396,6 +424,56 @@ class TestLumpStats:
         assert main(["lump-stats", "--config", tree_cfg, "--n", "1:0.5:3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG:") and "integers" in err
+
+
+class TestSiblingOrder:
+    """Equal siblings lump, and their miss streams pool, wherever they stand:
+    the order of a parent's children moves no count and no answer."""
+
+    @staticmethod
+    def run(tmp_path, kinds, command, *argv, b_arrival=COXIAN):
+        path, out = tmp_path / f"{kinds}.yaml", tmp_path / f"{kinds}-{command}.csv"
+        path.write_text(flat(kinds, b_arrival))
+        assert main([command, "--config", str(path), *argv, "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--lump", "on", "--sweep", "tau_delta=0:1:2"),
+        ("lump-stats", "--n", "1:1:3"),
+    ])
+    def test_csv_bytes_do_not_depend_on_order(self, tmp_path, argv):
+        apart, together = (self.run(tmp_path, kinds, *argv) for kinds in ("ABA", "AAB"))
+        assert apart.read_bytes() == together.read_bytes()
+
+    def test_pooled_approximation_does_not_depend_on_order(self, tmp_path):
+        # The notes name caches in node order, so only the answers compare.
+        apart, together = (
+            [row["p_hit_approx"] for row in read_csv(self.run(
+                tmp_path, kinds, "approx", "--sweep", "tau_delta=0:1:2"))]
+            for kinds in ("ABA", "AAB"))
+        assert apart == together
+        # Both pool one class of two A streams with one B stream, bit for bit.
+        apart, together = (
+            hierarchy_approx(load_config(tmp_path / f"{kinds}.yaml")[0],
+                             delay_means=[0.0, 1.0, 2.0]).p_hit_sys
+            for kinds in ("ABA", "AAB"))
+        np.testing.assert_array_equal(apart, together)
+
+    @pytest.mark.parametrize("kinds, lumped", [("ABA", 120), ("ABAB", 528)])
+    def test_separated_equal_siblings_lump(self, tmp_path, kinds, lumped):
+        on, off = (read_csv(self.run(tmp_path, kinds, "analyze", "--lump", lump))[0]
+                   for lump in ("on", "off"))
+        assert int(on["states_lumped"]) == lumped
+        assert float(on["p_hit_exact"]) == pytest.approx(float(off["p_hit_exact"]), abs=1e-10)
+
+    def test_alternating_ten_leaves_answer(self, tmp_path):
+        # Unlumped, the leaves alone have 3^5 * 4^5 = 248,832 states, over the
+        # state cap, and their miss laws 3^10 pooled phases; as two classes
+        # of five they fit.
+        for command in ("analyze", "approx"):
+            out = self.run(tmp_path, "AB" * 5, command, b_arrival="{kind: exponential, mean: 1.5}")
+            (row,) = read_csv(out)
+            assert 0.0 < float(row.get("p_hit_exact", row.get("p_hit_approx"))) < 1.0
 
 
 class TestFitTrace:

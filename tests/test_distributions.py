@@ -144,3 +144,19 @@ NON_FINITE = {
 def test_non_finite_parameters_rejected(name):
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE[name]()
+
+
+def test_slow_exponential_is_a_law():
+    # Row sums are judged relative to each phase's rate, not in one time unit.
+    check_ph(*erlang_ph(1, 1e-13))
+
+
+@pytest.mark.parametrize("factor", [1e6, 1e-13])
+@pytest.mark.parametrize("name", sorted(BAD_LAWS))
+def test_bad_law_in_another_time_unit_is_rejected_alike(name, factor):
+    alpha, s = BAD_LAWS[name]
+    with pytest.raises(ValueError) as alone:
+        GeneralPH(alpha, s)
+    with pytest.raises(ValueError) as scaled:
+        check_ph(np.array(alpha), factor * np.array(s))
+    assert str(scaled.value) == str(alone.value)

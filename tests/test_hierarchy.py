@@ -22,7 +22,9 @@ from ttldelay.metrics import hit_probability, tree_hit_probability
 from ttldelay.simulator import SimConfig, simulate
 from ttldelay.spec import CacheNode, CacheTreeSpec
 
-from conftest import encode, labels, two_level_tree, single_mmm, validate_map
+from conftest import (
+    encode, labels, reference_labels, two_level_tree, single_mmm, validate_map,
+)
 
 
 def mmm_leaf():
@@ -203,7 +205,8 @@ def star(leaves):
 
 
 class TestSiblingRuns:
-    """Per-level lumping groups adjacent siblings by their id-free spec."""
+    """Per-level lumping groups siblings by their id-free spec, wherever they
+    stand."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -228,20 +231,20 @@ class TestSiblingRuns:
         # blocks without a fetching leaf under a fetching root.
         assert system.size == 126
 
-    def test_non_adjacent_equal_siblings_are_not_merged(self, calls):
+    def test_non_adjacent_equal_siblings_are_merged(self, calls):
         spec = star([leaf_node("a1"), leaf_node("b", ttl_rate=1.0), leaf_node("a2")])
         lumped = build_tree(spec, lump_per_level=True)
-        assert calls == {"build": 3, "lump": []}
-        plain = build_tree(spec, lump_per_level=False)
-        assert labels(lumped) == labels(plain)
-        np.testing.assert_array_equal(lumped.d0.toarray(), plain.d0.toarray())
-        np.testing.assert_array_equal(lumped.d1.toarray(), plain.d1.toarray())
+        assert calls == {"build": 2, "lump": [2]}
+        # The class of a1 and a2 comes first, then b.
+        assert labels(lumped) == tuple(reference_labels(spec.root, lump_per_level=True))
+        assert hit_probability(lumped, spec.total_request_rate()) == pytest.approx(
+            tree_hit_probability(spec, lump_per_level=False), abs=1e-10)
 
-    def test_different_ttl_breaks_a_run(self, calls):
+    def test_different_ttl_between_equal_siblings_keeps_one_class(self, calls):
         leaves = [leaf_node("a1"), leaf_node("a2"), leaf_node("c", ttl_rate=0.6),
                   leaf_node("a3"), leaf_node("a4")]
         lumped = tree_hit_probability(star(leaves), lump_per_level=True)
-        assert calls == {"build": 3, "lump": [2, 2]}
+        assert calls == {"build": 2, "lump": [4]}
         plain = tree_hit_probability(star(leaves), lump_per_level=False)
         assert lumped == pytest.approx(plain, abs=1e-10)
 

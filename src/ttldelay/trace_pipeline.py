@@ -6,8 +6,8 @@ The E-step discretizes the forward and backward filters of the absorbing
 Markov chain with ``GRID_STEPS`` fourth-order Runge-Kutta steps per sample
 and folds them into the occupancy/jump integrals with composite Simpson
 quadrature, in closed form.  One RK4 step is a fixed quartic in the
-subgenerator, so the step matrices of all samples are one GEMM of their step
-powers with the five fixed powers of S, and the Simpson panel is rank one.
+subgenerator, so two steps and their rank-one Simpson panel are one GEMM of
+each sample's nine powers of x / max(x) with nine fixed blocks.
 The Simpson-weighted sums of trajectory products are one block of a
 block-triangular matrix power (Van Loan, IEEE TAC 1978), taken by repeated
 squaring over all samples at once.  Each fit builds one E-step workspace
@@ -17,6 +17,7 @@ that holds these sample-sized arrays, so no iteration allocates one.
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,10 +64,10 @@ def _boxcox(samples, lam):
 def remove_outliers(samples, cutoff=2.0):
     """Drop samples whose z-score after a power transform exceeds ``cutoff``.
 
-    The transform exponent is picked from a fixed grid by maximizing the
-    normal log-likelihood of the transformed samples (including the Jacobian
-    term).  Zero samples are offset by a millionth of the smallest positive
-    sample so the transform is defined.
+    The exponent is picked from a fixed grid by maximizing the normal
+    log-likelihood of the transformed samples at unit geometric mean, where
+    the Jacobian term is zero and no power overflows.  Zero samples are offset
+    by a millionth of the smallest positive sample so the transform is defined.
     """
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
@@ -81,19 +82,19 @@ def remove_outliers(samples, cutoff=2.0):
         log.info("offsetting %d zero gaps by %.3e", int((s == 0).sum()), offset)
         s = np.where(s == 0, offset, s)
 
-    log_s = np.log(s)
+    unit = s / np.exp(np.log(s).mean())
     best_lam, best_ll = None, -np.inf
     for lam in BOXCOX_GRID:
-        y = _boxcox(s, lam)
+        y = _boxcox(unit, lam)
         var = y.var()
         if var <= 0:
             continue
-        ll = -0.5 * s.size * math.log(var) + (lam - 1.0) * log_s.sum()
+        ll = -0.5 * s.size * math.log(var)
         if ll > best_ll:
             best_lam, best_ll = lam, ll
     if best_lam is None:
         return s
-    y = _boxcox(s, best_lam)
+    y = _boxcox(unit, best_lam)
     sigma = y.std()
     if sigma == 0:
         return s
@@ -132,18 +133,17 @@ class _EStep:
     ``a_k = alpha P^k`` and the backward filter ``c_k = P^(K-k) s``.  With
     ``Q = P^T`` and ``X = e_1 s^T``, each ``a_k^T c_k^T`` is ``Q^k X Q^(K-k)``,
     so the Simpson sum with weights 1, 4, 2, ..., 4, 1, grouped into K/2
-    panels, is ``sum_j Q^2j (X Q^2 + 4 Q X Q + Q^2 X) Q^(K-2-2j)``.  Each Q is
-    ``sum_j h^j (S^T)^j / j!``: one GEMM for all samples.  X has rank one, so
-    the panel is ``e_1 (s^T Q^2) + 4 (Q e_1)(s^T Q) + (Q^2 e_1) s^T``.
+    panels, is ``sum_j Q^2j (X Q^2 + 4 Q X Q + Q^2 X) Q^(K-2-2j)``.  With
+    ``u = x / max(x)`` in [0, 1] and ``H = (max(x) / K) S^T``, in any time unit,
+    Q is ``sum_j u^j H^j / j!``, so ``[[Q^2, panel], [0, Q^2]]`` with the panel
+    ``e_1 (s^T Q^2) + 4 (Q e_1)(s^T Q) + (Q^2 e_1) s^T`` is one GEMM of u^0..u^8.
     """
 
     def __init__(self, samples, phases, grid_steps):
         self.grid_steps = grid_steps
-        self.h_powers = np.vander(samples / grid_steps, 5, increasing=True)  # h^j
-        self.simpson = samples / (3.0 * grid_steps)  # Simpson factor h/3
         self.samples_max = samples.max()
-        self.q = np.empty((samples.size, phases, phases))
-        self.q2 = np.empty_like(self.q)
+        self.u_powers = np.vander(samples / self.samples_max, 9, increasing=True)  # u^k
+        self.simpson = samples / (3.0 * grid_steps)  # Simpson factor h/3
         self.blocks = np.empty((3, samples.size, 2 * phases, 2 * phases))
 
     def _block_power(self, n):
@@ -168,20 +168,20 @@ class _EStep:
     def __call__(self, rates, probs):
         _, s_mat = Coxian(rates, probs).ph()
         exit_rates = -s_mat.sum(axis=1)
-        taylor = [np.linalg.matrix_power(s_mat.T, j) / math.factorial(j) for j in range(5)]
-        p, q, q2 = len(rates), self.q, self.q2
-        np.matmul(self.h_powers, np.reshape(taylor, (5, -1)), out=q.reshape(len(q), -1))
-        np.matmul(q, q, out=q2)
-        block = self.blocks[0]
-        block[:, :p, :p] = q2
-        block[:, p:, p:] = q2
-        # A previous call's products may have left 0 * inf = NaN here.
-        block[:, p:, :p] = 0.0
-        panel = block[:, :p, p:]
-        s_q = np.tensordot(q, exit_rates, axes=(1, 0))  # s^T Q per sample
-        np.multiply(4.0 * q[:, :, :1], s_q[:, None, :], out=panel)
-        panel += q2[:, :, :1] * exit_rates
-        panel[:, 0, :] += np.tensordot(q2, exit_rates, axes=(1, 0))
+        p, m = len(rates), len(self.simpson)
+        step = self.samples_max / self.grid_steps * s_mat.T  # H
+        powers = np.array(list(accumulate([step] * 8, np.matmul, initial=np.eye(p))))
+        inv_fact = 1.0 / np.array([math.factorial(j) for j in range(5)])
+        q_rows = inv_fact[:, None] * (exit_rates @ powers[:5])  # s^T Q = sum u^j q_rows[j]
+        squared = np.convolve(inv_fact, inv_fact)[:, None, None] * powers  # Q^2 likewise
+        coeffs = np.zeros((9, 2 * p, 2 * p))  # [[Q^2, panel], [0, Q^2]] by u^k
+        coeffs[:, :p, :p] = coeffs[:, p:, p:] = squared
+        panel = coeffs[:, :p, p:]
+        panel[:, 0, :] = exit_rates @ squared
+        panel += squared[:, :, :1] * exit_rates
+        for i in range(5):  # 4 (Q e_1)(s^T Q), with Q e_1 = sum_i u^i H^i e_1 / i!
+            panel[i : i + 5] += 4.0 * inv_fact[i] * powers[i, :, :1] * q_rows[:, None, :]
+        np.matmul(self.u_powers, coeffs.reshape(9, -1), out=self.blocks[0].reshape(m, -1))
         power = self._block_power(self.grid_steps // 2)
 
         a_end = power[:, :p, 0]  # a_K = alpha P^K
@@ -195,12 +195,12 @@ class _EStep:
         )
         density = np.maximum(density, 1e-300)
         loglik = math.nan if unstable else float(np.log(density).sum())
-        # Pair integrals int a_i(u) c_j(x - u) du over samples, each with its
+        # Pair integrals int a_i(y) c_j(x - y) dy over samples, each with its
         # Simpson factor and density normalization.
-        t = np.einsum("mij,m->ij", power[:, :p, p:], self.simpson / density)
+        t = ((self.simpson / density) @ power.reshape(m, -1)).reshape(2 * p, -1)[:p, p:]
         occupancy = np.diagonal(t)
         forward_jumps = np.diagonal(t, 1) * np.diagonal(s_mat, 1)  # rate_i * prob_i
-        exits = (a_end / density[:, None]).sum(axis=0) * exit_rates
+        exits = ((1.0 / density) @ a_end) * exit_rates
         return occupancy, forward_jumps, exits, loglik
 
 
@@ -230,7 +230,7 @@ def canonical_coxian(cox):
         changed = False
         for i in range(p - 1):
             l1, l2 = rates[i], rates[i + 1]
-            if l1 >= l2 - 1e-15:
+            if l1 >= l2 * (1 - 1e-15):
                 continue
             x1, x2 = probs[i], probs[i + 1]
             y1 = 1.0 - l1 * (1.0 - x1) / l2

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -76,18 +77,21 @@ def one_shot_estep(samples, rates, probs, grid_steps):
     """
     _, s_mat = Coxian(rates, probs).ph()
     exit_rates = -s_mat.sum(axis=1)
-    taylor = [np.linalg.matrix_power(s_mat.T, j) / math.factorial(j) for j in range(5)]
-    h_powers = np.vander(samples / grid_steps, 5, increasing=True)
-    q = (h_powers @ np.reshape(taylor, (5, -1))).reshape(-1, *s_mat.shape)
-    q2 = q @ q
-    s_q = np.tensordot(q, exit_rates, axes=(1, 0))
-    panel = 4.0 * q[:, :, :1] * s_q[:, None, :] + q2[:, :, :1] * exit_rates
-    panel[:, 0, :] += np.tensordot(q2, exit_rates, axes=(1, 0))
-    m, p, _ = q2.shape
-    block = np.zeros((m, 2 * p, 2 * p))
-    block[:, :p, :p] = q2
-    block[:, p:, p:] = q2
-    block[:, :p, p:] = panel
+    p, m = len(rates), samples.size
+    step = samples.max() / grid_steps * s_mat.T
+    powers = np.array(list(accumulate([step] * 8, np.matmul, initial=np.eye(p))))
+    inv_fact = 1.0 / np.array([math.factorial(j) for j in range(5)])
+    q_rows = inv_fact[:, None] * (exit_rates @ powers[:5])
+    squared = np.convolve(inv_fact, inv_fact)[:, None, None] * powers
+    coeffs = np.zeros((9, 2 * p, 2 * p))
+    coeffs[:, :p, :p] = coeffs[:, p:, p:] = squared
+    panel = coeffs[:, :p, p:]
+    panel[:, 0, :] = exit_rates @ squared
+    panel += squared[:, :, :1] * exit_rates
+    for i in range(5):
+        panel[i : i + 5] += 4.0 * inv_fact[i] * powers[i, :, :1] * q_rows[:, None, :]
+    u_powers = np.vander(samples / samples.max(), 9, increasing=True)
+    block = (u_powers @ coeffs.reshape(9, -1)).reshape(m, 2 * p, 2 * p)
     power, n = None, grid_steps // 2
     while True:
         if n & 1:
@@ -96,7 +100,7 @@ def one_shot_estep(samples, rates, probs, grid_steps):
         if not n:
             break
         block = block @ block
-    a_end = power[:, :p, :p][:, :, 0]
+    a_end = power[:, :p, 0]
     density = a_end @ exit_rates
     unstable = (
         max(rates) * samples.max() / grid_steps > trace_pipeline.RK4_STABILITY_LIMIT
@@ -104,12 +108,11 @@ def one_shot_estep(samples, rates, probs, grid_steps):
     )
     density = np.maximum(density, 1e-300)
     loglik = math.nan if unstable else float(np.log(density).sum())
-    t = np.einsum(
-        "mij,m->ij", power[:, :p, p:], samples / (3.0 * grid_steps) / density
-    )
+    weights = samples / (3.0 * grid_steps) / density
+    t = (weights @ power.reshape(m, -1)).reshape(2 * p, -1)[:p, p:]
     occupancy = np.diagonal(t)
     forward_jumps = np.diagonal(t, 1) * np.diagonal(s_mat, 1)
-    exits = (a_end / density[:, None]).sum(axis=0) * exit_rates
+    exits = ((1.0 / density) @ a_end) * exit_rates
     return occupancy, forward_jumps, exits, loglik
 
 
@@ -167,6 +170,14 @@ class TestRemoveOutliers:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             remove_outliers([])
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_independent_of_time_unit(self, rng, scale):
+        # Squares or inverse squares of these gaps overflow: the transform
+        # runs at unit geometric mean.
+        s = rng.gamma(2.0, 0.5, 2000)
+        want = remove_outliers(s) * scale
+        np.testing.assert_array_equal(remove_outliers(s * scale), want)
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_negative_or_non_finite_rejected(self, bad):
@@ -338,6 +349,20 @@ class TestEstep:
             tracemalloc.stop()
         assert peak < samples.size * 6 * 6 * 8  # 576,000 B
 
+    @pytest.mark.parametrize("scale", [1e-40, 1e40])
+    def test_independent_of_time_unit(self, scale):
+        # Gaps in another time unit, rates in its inverse: occupancies scale
+        # with the unit, densities with its inverse, jumps and exits not at all.
+        samples = np.random.default_rng(9).gamma(2.0, 0.5, 200)
+        rates, probs = np.array([2.0, 1.5, 0.7]), np.array([0.6, 0.4])
+        want = estep(samples, rates, probs, 96)
+        got = estep(samples * scale, rates / scale, probs, 96)
+        np.testing.assert_allclose(got[0] / scale, want[0], rtol=1e-12, atol=0)
+        for g, w in zip(got[1:3], want[1:3]):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+        loglik = got[3] + samples.size * math.log(scale)
+        assert loglik == pytest.approx(want[3], rel=1e-12)
+
     def test_underflowing_density_is_clamped(self):
         # exp(-2000) underflows to zero; the clamp keeps the loglik finite.
         samples = np.array([1.0, 2000.0])
@@ -357,6 +382,45 @@ class TestFitRegression:
         )
         assert report.fitted.continue_probs == pytest.approx(
             [0.99999999999999, 0.60340821394141], rel=1e-9
+        )
+
+    @staticmethod
+    def _sample():
+        return remove_outliers(np.random.default_rng(0).gamma(2, 0.5, 2000))
+
+    @pytest.mark.parametrize(
+        "phases, iterations, converged, loglik, rates, probs",
+        [
+            (1, 2, True, -1800.0007358998, [1.0650136788203], []),
+            (
+                2, 127, True, -1496.0201208067,
+                [2.1301040698879, 2.1299507275674], [0.99999999883189],
+            ),
+            (
+                5, 500, False, -1474.1659004887,
+                [5.0550535239259, 4.3126361436296, 4.2578455645971,
+                 3.1617094033159, 3.1338203168337],
+                [0.99999999999999, 0.87596439910710, 0.55379798183558,
+                 0.96962210414505],
+            ),
+        ],
+    )
+    def test_other_phase_counts(self, phases, iterations, converged, loglik, rates, probs):
+        report = fit_ph_em(self._sample(), phases)
+        assert len(report.log_likelihood_trace) == iterations
+        assert report.converged == converged
+        assert report.log_likelihood == pytest.approx(loglik, rel=1e-9)
+        assert report.fitted.rates == pytest.approx(rates, rel=1e-9)
+        assert report.fitted.continue_probs == pytest.approx(probs, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_independent_of_time_unit(self, scale):
+        # Here h^4 or (S^T)^4 leaves the float range; powers of the gaps over
+        # the largest gap do not.
+        report = fit_ph_em(self._sample() * scale, 3)
+        assert len(report.log_likelihood_trace) == 452
+        assert np.array(report.fitted.rates) * scale == pytest.approx(
+            [2.7735407436584, 2.7722890787395, 2.7718392426224], rel=1e-9
         )
 
     def test_iteration_limit_not_converged(self, rng, monkeypatch):
@@ -402,6 +466,15 @@ class TestCanonicalForm:
             assert ph_moment(a2, s2, k) == pytest.approx(
                 ph_moment(a1, s1, k), rel=1e-9
             )
+
+    def test_ordering_is_relative(self):
+        # Rates of gaps in a large time unit are tiny; an absolute tolerance
+        # on their order would leave them unsorted.
+        cox = Coxian((1.0, 5.0, 2.0), (0.7, 0.4))
+        tiny = canonical_coxian(Coxian(tuple(r * 1e-60 for r in cox.rates), (0.7, 0.4)))
+        want = canonical_coxian(cox)
+        assert np.array(tiny.rates) * 1e60 == pytest.approx(want.rates, rel=1e-12)
+        assert tiny.continue_probs == pytest.approx(want.continue_probs, rel=1e-12)
 
     def test_already_sorted_untouched(self):
         cox = Coxian((5.0, 2.0), (0.5,))

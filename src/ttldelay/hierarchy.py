@@ -6,10 +6,10 @@ Two operations build the system MAP bottom-up:
   Kronecker sum; with per-level lumping, each class of siblings whose specs
   are equal up to cache ids, wherever they stand, is built once and expanded
   directly as a lumped level (:mod:`ttldelay.lumping`),
-* line superposition: a parent cache joins the MAP of its children in four
-  steps: Kronecker sum, removal of causally impossible states, demotion of
-  active transitions that no longer escape the tree, and rewiring of the
-  all-out miss so the parent fetches from the origin alongside its child.
+* line superposition: a parent cache joins the MAP of its children on the
+  states that can occur only, demotes child events that no longer escape
+  the tree to hidden, and rewires a miss that starts a fetch chain so the
+  parent fetches from the origin alongside its child.
 
 What the tree spec states is taken from it, not recovered from the composed
 matrices: sibling classes are classes of equal node specs, and the phases a
@@ -24,15 +24,15 @@ so :func:`delay_pencil` composes the tree once, as the pencil
 sweep is a sparse sum instead of a new composition, and its limit is the
 exact zero-delay MAP.
 
-Every step works on sparse matrices and integer state codes: the
-children-parent Kronecker sum as COO triplets by index arithmetic, a state
-mask, and the reclassified child events as COO triplets.  Child events are
-classified from per-state root codes (each child's kind and whether it sits
-at an entry phase), as masks over all nonzeros at once, and a snapped target
-is found by a binary search on its codes.  No per-state object is built;
-the cost grows with the nonzeros of the composed MAP, and the dominating
-cost is the steady-state solve, whose fill per-level lumping keeps small for
-symmetric trees.
+Every step works on sparse matrices and integer state codes.  A line
+superposition numbers the states that can occur and writes every move and
+reclassified child event as COO triplets straight into that numbering.
+Child events are classified from per-state root codes (each child's kind and
+whether it sits at an entry phase), as masks over all nonzeros at once, and
+a snapped target is found by a binary search on its codes.  No per-state
+object is built; the cost grows with the nonzeros of the composed MAP, and
+the dominating cost is the steady-state solve, whose fill per-level lumping
+keeps small for symmetric trees.
 """
 
 from dataclasses import dataclass
@@ -54,8 +54,6 @@ from ttldelay.map_algebra import (
     OUT_CODE,
     LabeledMap,
     StateCodes,
-    kron_sum_triplets,
-    kron_triplets,
     kronecker_sum,
     off_diagonal,
     node_width,
@@ -63,7 +61,7 @@ from ttldelay.map_algebra import (
     triplet_matrix,
 )
 from ttldelay.lumping import lump_symmetric_level
-from ttldelay.settings import state_cap
+from ttldelay.settings import check_state_count, state_cap
 from ttldelay.spec import sibling_runs
 
 
@@ -114,7 +112,8 @@ def line_superpose(parent, children, parent_entry, child_runs):
     identical siblings, whose code rows keep their subtrees in code order.
     ``parent_entry`` and each ``entry`` give the probability split of a
     fresh fetch over the fetch phases ``F_1..F_f`` of that cache, as
-    :func:`fetch_entry_distribution` returns it for its delay.
+    :func:`fetch_entry_distribution` returns it for its delay.  Only the
+    states that can occur are formed, and the state cap counts only these.
     """
     if parent.d1.count_nonzero():
         raise ConfigError("parent MAP must have no active transitions")
@@ -154,34 +153,38 @@ def line_superpose(parent, children, parent_entry, child_runs):
         change = {k: counts[k][dst] - counts[k][src] for k in (leaving, entering)}
         return (change[leaving] == -1) & (change[entering] == 1)
 
-    # Step (a): Kronecker sum, children index varying slowest, as COO
-    # triplets.  State (child ci, parent pi) has index ci * npar + pi.
-    h_row, h_col, h_data = kron_sum_triplets(children.d0, parent.d0)
-    a_row, a_col, a_data = kron_sum_triplets(children.d1, parent.d1)
+    # A fetching parent needs some child fetching and every fetching child at
+    # an entry phase.  Child state ci keeps the parent's Out and In, and its
+    # fetch phases only where it admits them: (ci, pi) is start[ci] + pi.
+    admits = fetching.any(axis=1) & (at_entry == fetching).all(axis=1)
+    width = np.where(admits, npar, 2)
+    start = np.cumsum(width) - width
+    n = int(width.sum())
+    check_state_count(n)
+    out_in, fetch = np.arange(2), np.arange(2, npar)
 
-    # Step (b), states: a fetching parent needs some child fetching and every
-    # fetching child at an entry phase.  The rule treats all fetch phases of
-    # the parent alike.
-    valid = np.ones((nc, npar), dtype=bool)
-    valid[~(fetching.any(axis=1) & (at_entry == fetching).all(axis=1)), 2:] = False
-    valid = valid.ravel()
+    def placed(rows, cols, vals, p, q):
+        """Triplets of the child moves ``rows -> cols`` under the parent moves
+        ``p -> q``, broadcast, where both ends exist; ``+ 0.0`` makes each
+        zero real or imaginary part +0.0, as in a Kronecker sum."""
+        rows, cols = rows[:, None], cols[:, None]
+        keep = (p < width[rows]) & (q < width[cols])
+        src, dst, vals = np.broadcast_arrays(start[rows] + p, start[cols] + q, vals)
+        return src[keep], dst[keep], vals[keep] + 0.0
 
-    # Steps (c) and (d): reclassify the children's miss events.
+    # Reclassify the children's miss events.
     #
     # Under a fetching parent they stay active: the object is coming from the
     # origin, so these requests remain system misses.  Under a present parent
     # they are hits and become hidden.  Under an idle parent, an event that
     # starts a fresh fetch chain (it moves one child root from out to
-    # fetching) escalates: the parent begins fetching from the origin and the
-    # event stays an active system miss; an event that merely joins an
-    # ongoing child fetch becomes hidden.
+    # fetching) escalates: the parent begins fetching from the origin, into
+    # F_k with probability ``parent_entry[k]``, and the event stays an active
+    # system miss; an event that merely joins an ongoing child fetch becomes
+    # hidden.
     #
     # A chain start freezes every running child fetch, so the escalated
     # target snaps any mid-fetch sibling back to its entry distribution.
-    #
-    # The Kronecker sum places every child event under every parent state
-    # unchanged; those under an idle or present parent are masked out below
-    # and re-added as the hidden and escalated triplets built here.
     events = children.d1.tocoo()
     src, dst, rates = events.row.astype(np.int64), events.col.astype(np.int64), events.data
     starts_chain = moves(src, dst, "O", "F")
@@ -189,44 +192,37 @@ def line_superpose(parent, children, parent_entry, child_runs):
     snap = _snap_matrix(
         codes, np.unique(dst[starts_chain]), tops, fetching & ~at_entry, entries, bounds
     )
-    origin_fetch = np.zeros((npar, npar))
-    origin_fetch[0, 2:] = parent_entry  # Out -> F_k: the parent fetches too
+    escalated = (chain @ snap).tocoo()
+    k = np.flatnonzero(parent_entry)  # an explicit zero would move a row sum's rounding
     # Hidden self-loops change nothing: the diagonal is rebuilt below.
     moved = src != dst
     absorbed = moved & ~starts_chain
 
-    # Step (b), transitions: a child cannot be admitted while the parent is
-    # still fetching, whatever the surrounding states look like.
-    row_child, row_parent = np.divmod(h_row, npar)
-    admission_blocked = (row_parent >= 2) & moves(row_child, h_col // npar, "F", "I")
-    keep0 = (h_row != h_col) & ~admission_blocked
-    keep1 = a_row % npar >= 2  # events under a fetching parent
-
-    d0 = _restrict(
-        valid,
-        (h_row[keep0], h_col[keep0], h_data[keep0]),
-        (src[moved] * npar + 1, dst[moved] * npar + 1, rates[moved]),
-        (src[absorbed] * npar, dst[absorbed] * npar, rates[absorbed]),
+    # A child cannot be admitted while the parent is still fetching.
+    rows, cols, vals = off_diagonal(children.d0)
+    free = ~moves(rows, cols, "F", "I")
+    p_rows, p_cols, p_vals = off_diagonal(parent.d0)
+    d0 = triplet_matrix(
+        n,
+        placed(rows, cols, vals[:, None], out_in, out_in),
+        placed(rows[free], cols[free], vals[free, None], fetch, fetch),
+        placed(np.arange(nc), np.arange(nc), p_vals, p_rows, p_cols),
+        placed(src[moved], dst[moved], rates[moved, None], 1, 1),  # hidden under In
+        placed(src[absorbed], dst[absorbed], rates[absorbed, None], 0, 0),  # under Out
     )
-    d1 = _restrict(valid, (a_row[keep1], a_col[keep1], a_data[keep1]),
-                   kron_triplets(chain @ snap, origin_fetch))
+    d1 = triplet_matrix(
+        n,
+        placed(src, dst, rates[:, None], fetch, fetch),
+        placed(escalated.row, escalated.col,  # Out -> F_k: the parent fetches too
+               escalated.data[:, None] * np.asarray(parent_entry)[k], 0, 2 + k),
+    )
 
     # Deleted transitions freeze the affected clocks: restore conservation.
     d0 = d0 - sparse.diags_array(d0.sum(axis=1) + d1.sum(axis=1))
 
-    ci, pi = np.divmod(np.flatnonzero(valid), npar)
-    table = np.hstack([codes.table[ci], parent.codes.table[pi]])
+    ci = np.repeat(np.arange(nc), width)
+    table = np.hstack([codes.table[ci], parent.codes.table[np.arange(n) - start[ci]]])
     return LabeledMap(d0, d1, StateCodes(table, ((codes.shape, False),)))
-
-
-def _restrict(valid, *parts):
-    """CSR over the states where ``valid`` holds, from COO triplet parts of the
-    full product, without entries touching other states; duplicates summed."""
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    inside = valid[rows] & valid[cols]
-    index = np.cumsum(valid) - 1
-    return triplet_matrix(int(index[-1]) + 1,
-                          (index[rows[inside]], index[cols[inside]], vals[inside]))
 
 
 def _compose(spec, lump_per_level, delay_unit):

@@ -143,7 +143,7 @@ class _EStep:
         self.grid_steps = grid_steps
         self.samples_max = samples.max()
         self.u_powers = np.vander(samples / self.samples_max, 9, increasing=True)  # u^k
-        self.simpson = samples / (3.0 * grid_steps)  # Simpson factor h/3
+        self.simpson = self.u_powers[:, 1] / (3.0 * grid_steps)  # h/3 in units of max(x)
         self.blocks = np.empty((3, samples.size, 2 * phases, 2 * phases))
 
     def _block_power(self, n):
@@ -196,8 +196,10 @@ class _EStep:
         density = np.maximum(density, 1e-300)
         loglik = math.nan if unstable else float(np.log(density).sum())
         # Pair integrals int a_i(y) c_j(x - y) dy over samples, each with its
-        # Simpson factor and density normalization.
-        t = ((self.simpson / density) @ power.reshape(m, -1)).reshape(2 * p, -1)[:p, p:]
+        # Simpson factor and density normalization, in units of max(x).
+        weights = self.simpson / (density * self.samples_max)
+        t = (weights @ power.reshape(m, -1)).reshape(2 * p, -1)[:p, p:]
+        t = t * self.samples_max * self.samples_max  # the panel alone, back in time units
         occupancy = np.diagonal(t)
         forward_jumps = np.diagonal(t, 1) * np.diagonal(s_mat, 1)  # rate_i * prob_i
         exits = ((1.0 / density) @ a_end) * exit_rates

@@ -815,6 +815,19 @@ class TestErrors:
         # Lumping cannot shrink a leaf: the hint names the override instead.
         assert "TTLDELAY_NUMERICS=state_cap=" in line and "enable lumping" not in line
 
+    def test_state_cap_counts_reachable_states(self, tmp_path, capsys, monkeypatch):
+        # Two M/M/M leaves under an M/M/M root pair into 27 children x parent
+        # states.  The 4 with the root fetching over two leaves out or in
+        # cannot occur and are never formed, so the cap sees 23.
+        config, out = str(CONFIGS / "binary_two_level_mmm.yaml"), tmp_path / "p.csv"
+        monkeypatch.setenv("TTLDELAY_NUMERICS", "state_cap=23")
+        assert main(["analyze", "--config", config, "--lump", "off", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].endswith(",27,23")
+        monkeypatch.setenv("TTLDELAY_NUMERICS", "state_cap=22")
+        assert main(["analyze", "--config", config, "--lump", "off"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("E_CAPACITY: state space of size 23 exceeds the cap of 22")
+
     def test_wide_sibling_pool_is_one_capacity_error(self, tmp_path, capsys):
         # Nine leaves of distinct arrival means have distinct 3-phase miss
         # laws, so no run lumps and the pool has 3^9 = 19,683 phases, refused

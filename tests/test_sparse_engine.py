@@ -29,6 +29,10 @@ results from earlier calls are checked directly.  The matrices both paths
 hand to SuperLU and GCROT equal, array for array, their former
 constructions from COO triplets and SciPy's stacking and triangle helpers,
 and the recurrent-class count matches its former one on reducible chains.
+Every line superposition of the generated trees, lumped and unlumped, by
+``build_tree`` and ``delay_pencil``, equals bit for bit its former
+construction from the full children x parent Kronecker sums, a valid-state
+mask and a restriction of the triplets (more examples under ``-m slow``).
 """
 
 import logging
@@ -45,7 +49,7 @@ from scipy import sparse
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 
-from ttldelay import map_algebra
+from ttldelay import hierarchy, map_algebra
 from ttldelay.approximation import hierarchy_approx
 from ttldelay.cache_builders import build_parent_cache, build_single_cache
 from ttldelay.cli import load_config
@@ -54,13 +58,19 @@ from ttldelay.errors import ConditioningError, PencilLimitError
 from ttldelay.hierarchy import DelayPencil, build_tree, delay_pencil
 from ttldelay.map_algebra import (
     CONDITION_RTOL,
+    IN_CODE,
     KRYLOV_MIN_STATES,
+    OUT_CODE,
     STALL_CYCLES,
     KrylovMiss,
+    LabeledMap,
     StateCodes,
     direct_steady_state,
     event_rate,
+    kron_sum_triplets,
+    kron_triplets,
     krylov_steady_state,
+    node_width,
     off_diagonal,
     steady_state,
     triplet_matrix,
@@ -756,3 +766,119 @@ def _chain(n, moves):
 ], ids=["two_closed_classes", "transient_class", "transient_pair_into_a_cycle"])
 def test_recurrent_class_count(q, expected):
     assert map_algebra._recurrent_class_count(q) == old_recurrent_class_count(q) == expected
+
+
+# Line superposition as the engine built it before it numbered only the
+# states that can occur: the full children x parent Kronecker sums, a mask of
+# the valid states, and the triplets restricted to them.
+def old_line_superpose(parent, children, parent_entry, child_runs):
+    npar, codes = parent.size, children.codes
+    entries = [np.asarray(entry) for entry, n in child_runs for _ in range(n)]
+    bounds = np.cumsum([0] + [n for _, n in child_runs]).tolist()
+    nc, n_children = children.size, len(entries)
+    tops = np.cumsum([node_width(node) for node in codes.shape]) - 1
+    roots = codes.table[:, tops]
+    entry_phase = np.zeros((n_children, OUT_CODE + 1), dtype=bool)
+    for j, entry in enumerate(entries):
+        entry_phase[j, :len(entry)] = entry > 0
+    at_entry = entry_phase[np.arange(n_children), roots]
+    fetching = roots < IN_CODE
+    counts = {"O": (roots == OUT_CODE).sum(axis=1), "I": (roots == IN_CODE).sum(axis=1),
+              "F": fetching.sum(axis=1)}
+
+    def moves(src, dst, leaving, entering):
+        change = {k: counts[k][dst] - counts[k][src] for k in (leaving, entering)}
+        return (change[leaving] == -1) & (change[entering] == 1)
+
+    h_row, h_col, h_data = kron_sum_triplets(children.d0, parent.d0)
+    a_row, a_col, a_data = kron_sum_triplets(children.d1, parent.d1)
+    valid = np.ones((nc, npar), dtype=bool)
+    valid[~(fetching.any(axis=1) & (at_entry == fetching).all(axis=1)), 2:] = False
+    valid = valid.ravel()
+    events = children.d1.tocoo()
+    src, dst, rates = events.row.astype(np.int64), events.col.astype(np.int64), events.data
+    starts_chain = moves(src, dst, "O", "F")
+    chain = triplet_matrix(nc, (src[starts_chain], dst[starts_chain], rates[starts_chain]))
+    snap = hierarchy._snap_matrix(
+        codes, np.unique(dst[starts_chain]), tops, fetching & ~at_entry, entries, bounds
+    )
+    origin_fetch = np.zeros((npar, npar))
+    origin_fetch[0, 2:] = parent_entry
+    moved = src != dst
+    absorbed = moved & ~starts_chain
+    row_child, row_parent = np.divmod(h_row, npar)
+    admission_blocked = (row_parent >= 2) & moves(row_child, h_col // npar, "F", "I")
+    keep0 = (h_row != h_col) & ~admission_blocked
+    keep1 = a_row % npar >= 2
+
+    def restrict(*parts):
+        rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+        inside = valid[rows] & valid[cols]
+        index = np.cumsum(valid) - 1
+        return triplet_matrix(int(index[-1]) + 1,
+                              (index[rows[inside]], index[cols[inside]], vals[inside]))
+
+    d0 = restrict(
+        (h_row[keep0], h_col[keep0], h_data[keep0]),
+        (src[moved] * npar + 1, dst[moved] * npar + 1, rates[moved]),
+        (src[absorbed] * npar, dst[absorbed] * npar, rates[absorbed]),
+    )
+    d1 = restrict((a_row[keep1], a_col[keep1], a_data[keep1]),
+                  kron_triplets(chain @ snap, origin_fetch))
+    d0 = d0 - sparse.diags_array(d0.sum(axis=1) + d1.sum(axis=1))
+    ci, pi = np.divmod(np.flatnonzero(valid), npar)
+    table = np.hstack([codes.table[ci], parent.codes.table[pi]])
+    return LabeledMap(d0, d1, StateCodes(table, ((codes.shape, False),)))
+
+
+def check_line_superpose(spec):
+    """Every line superposition of ``spec``, lumped and unlumped, by
+    ``build_tree`` and ``delay_pencil``, against ``old_line_superpose``."""
+    real, joins = hierarchy.line_superpose, []
+
+    def checked(*args):
+        new, old = real(*args), old_line_superpose(*args)
+        for name in ("d0", "d1"):
+            assert_same_arrays(getattr(new, name), getattr(old, name))
+        assert new.codes.shape == old.codes.shape
+        assert new.codes.table.dtype == old.codes.table.dtype
+        np.testing.assert_array_equal(new.codes.table, old.codes.table)
+        joins.append(new.size)
+        return new
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hierarchy, "line_superpose", checked)
+        for lump in (False, True):
+            build_tree(spec, lump_per_level=lump)
+            delay_pencil(spec, lump_per_level=lump)
+    assert bool(joins) != spec.root.is_leaf
+
+
+def _leaf(name, delay, arrival=Exponential(1.0)):
+    return CacheNode(name, Exponential(0.5), delay, arrival=arrival)
+
+
+# Entry vectors with a zero: an Erlang-2 delay enters F_1 only, the skip
+# delay F_1 or F_3; a mid-level cache and the root fetch through them.
+ZERO_ENTRY = CacheTreeSpec(CacheNode(
+    "root", Exponential(0.25), Erlang(2, 2.0), children=(
+        CacheNode("mid", Exponential(0.4), GeneralPH(
+            (0.4, 0.0, 0.6), ((-2.0, 2.0, 0.0), (0.0, -1.5, 1.5), (0.0, 0.0, -3.0))),
+            children=(_leaf("a", Erlang(2, 3.0)), _leaf("b", Erlang(2, 3.0)))),
+        _leaf("c", Exponential(1.0), Coxian((2.0, 1.0), (0.4,))),
+    )))
+
+
+@hyp_settings(max_examples=15, deadline=None)
+@given(trees())
+@example(ZERO_ENTRY)
+def test_line_superpose_matches_the_full_product(spec):
+    check_line_superpose(spec)
+
+
+@pytest.mark.slow
+@hyp_settings(max_examples=200, deadline=None)
+@given(trees(max_states=3 * KRYLOV_MIN_STATES))
+@example(ZERO_ENTRY)
+def test_line_superpose_matches_the_full_product_many(spec):
+    check_line_superpose(spec)

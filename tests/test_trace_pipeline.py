@@ -108,8 +108,9 @@ def one_shot_estep(samples, rates, probs, grid_steps):
     )
     density = np.maximum(density, 1e-300)
     loglik = math.nan if unstable else float(np.log(density).sum())
-    weights = samples / (3.0 * grid_steps) / density
+    weights = samples / samples.max() / (3.0 * grid_steps) / (density * samples.max())
     t = (weights @ power.reshape(m, -1)).reshape(2 * p, -1)[:p, p:]
+    t = t * samples.max() * samples.max()
     occupancy = np.diagonal(t)
     forward_jumps = np.diagonal(t, 1) * np.diagonal(s_mat, 1)
     exits = ((1.0 / density) @ a_end) * exit_rates
@@ -413,10 +414,13 @@ class TestFitRegression:
         assert report.fitted.rates == pytest.approx(rates, rel=1e-9)
         assert report.fitted.continue_probs == pytest.approx(probs, rel=1e-9)
 
-    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    @pytest.mark.parametrize(
+        "scale", [1e-250, 1e-200, 1e-160, 1e-100, 1e100, 1e160, 1e200, 1e250]
+    )
     def test_independent_of_time_unit(self, scale):
-        # Here h^4 or (S^T)^4 leaves the float range; powers of the gaps over
-        # the largest gap do not.
+        # From 1e±100 h^4 or (S^T)^4, and from 1e±160 the Simpson weights over
+        # the densities (of order x^2), leave the float range; in units of the
+        # largest gap none of them does.
         report = fit_ph_em(self._sample() * scale, 3)
         assert len(report.log_likelihood_trace) == 452
         assert np.array(report.fitted.rates) * scale == pytest.approx(
